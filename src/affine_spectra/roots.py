@@ -1,10 +1,11 @@
 """Bracketed bisection for strictly monotone scalar equations.
 
-Every derived constant in this package (s_hat, sigma, beta(q), q*) solves
-f(t) = 0 for a strictly monotone f.  Bisection is slower than Newton but has
-no conditioning failure modes, which matters near the flat tails of the
-pressure equations; brackets are expanded geometrically until they straddle
-the root.
+The system constants s_hat, s_min, s_max and sigma (ifs.compute_constants)
+each solve f(t) = 0 for a strictly monotone f, once per system.  Bisection
+is slower than Newton but has no conditioning failure modes; brackets are
+expanded geometrically until they straddle the root.  beta(q) and q*, which
+a spectrum table needs at hundreds of points, are solved in the spectrum
+module instead, by bracketed Newton iterations over whole arrays.
 """
 
 from __future__ import annotations

@@ -10,6 +10,11 @@ the level set at alpha on the concave part of the spectrum; regimes with a
 nonempty overlap set and all |d_k| < a_k additionally carry a linear part
 sigma (alpha - 1) between 1 and the tangency point alpha0.
 
+Every public function rests on _classify, which sorts an alpha into one of
+the branches degenerate, linear, endpoint, empty and legendre, and on
+_legendre, which solves all legendre alphas of a call at once by a bracketed
+Newton iteration on q around an inner Newton iteration for beta(q).
+
 The same numbers arise variationally: beta*(alpha) is the maximum of
 H(p) = sum p log p / sum p log a over weight vectors with zeros on the
 d_k = 0 branches satisfying sum p_k (log|d_k| - alpha log a_k) = 0, attained
@@ -21,46 +26,106 @@ two functionals for direct experimentation.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import errors
 from .ifs import Regime, SpectrumConstants
-from .roots import solve_decreasing
 
 _END_TOL = 1e-12    # slack when classifying alpha against the support ends
 _DEG_TOL = 1e-12    # all-rho-equal degeneracy
+_Q_TOL = 1e-12      # relative step in q, bracket half-width included
+_B_TOL = 1e-14      # relative Newton step in beta
+_NEWTON_CAP = 100   # iterations on q per row
+_PRESSURE_CAP = 100  # iterations on beta per row and call
 
 
 def _plus_arrays(constants: SpectrumConstants):
+    """Indices with d_k != 0, and log|d_k|, log a_k on them as columns."""
     ks = sorted(constants.index_plus)
-    logd = np.array([math.log(abs(constants.d[k - 1])) for k in ks])
-    loga = np.array([math.log(constants.a[k - 1]) for k in ks])
+    logd = np.array([[math.log(abs(constants.d[k - 1]))] for k in ks])
+    loga = np.array([[math.log(constants.a[k - 1])] for k in ks])
     return ks, logd, loga
+
+
+def _pressure(logd, loga, q, start=-np.inf):
+    """beta at each q by Newton's method from at least max_k (-q rho_k),
+    where the sum, convex and decreasing in b, is >= 1: the iterates rise
+    monotonically to the root.  The builtin sum adds branches in a fixed
+    order, so a row's result does not depend on the rows solved with it."""
+    b = np.maximum(start, (-q * logd / loga).max(axis=0))
+    todo = np.arange(q.size)
+    for _ in range(_PRESSURE_CAP):
+        bi = b[todo]
+        w = np.exp(q[todo] * logd + bi * loga)
+        step = (sum(w) - 1.0) / -sum(w * loga)
+        b[todo] = bi + step
+        todo = todo[step > _B_TOL * np.maximum(1.0, np.abs(bi))]
+        if not todo.size:
+            return b
+    raise errors.NonConvergence(f"beta unsolved at q = {q[todo].tolist()}")
+
+
+def _gibbs(logd, loga, q, b):
+    """alpha(q) and alpha'(q) = Var_w(log|d| - alpha(q) log a) / sum w log a
+    for the Gibbs weights w = |d|^q a^b, b = beta(q)."""
+    w = np.exp(q * logd + b * loga)
+    mass = sum(w * loga)
+    mean = sum(w * logd) / mass
+    dev = logd - mean * loga
+    return mean, sum(w * dev * dev) / mass
+
+
+def _legendre(constants: SpectrumConstants, alphas):
+    """(q, beta(q)) arrays with alpha(q) = alpha, for alphas strictly inside
+    the support.  Newton steps go on log((alpha(q) - alpha_min) / (alpha_max
+    - alpha(q))), nearly linear in q at both ends.  Each evaluation moves an
+    end of the row's bracket on q; a step that leaves the bracket or fails to
+    halve the last one bisects instead.  beta restarts from its tangent."""
+    _, logd, loga = _plus_arrays(constants)
+    amin, amax = constants.alpha_min, constants.alpha_max
+    alphas = np.asarray(alphas, dtype=float)
+    target = np.log((alphas - amin) / (amax - alphas))
+    q = np.zeros(alphas.size)
+    b = _pressure(logd, loga, q)
+    lo, hi, last = (np.full(q.size, x) for x in (-np.inf, np.inf, np.inf))
+    todo = np.arange(q.size)
+    for _ in range(_NEWTON_CAP):
+        qi, bi = q[todo], b[todo]
+        mean, slope = _gibbs(logd, loga, qi, bi)
+        g = mean - alphas[todo]
+        lo[todo] = li = np.where(g > 0.0, qi, lo[todo])
+        hi[todo] = hj = np.where(g < 0.0, qi, hi[todo])
+        u, v = mean - amin, amax - mean
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (target[todo] - np.log(u / v)) * u * v / (slope * (amax - amin))
+            wild = (~((li < qi + step) & (qi + step < hj))
+                    | (np.abs(step) > 0.5 * last[todo]))
+            step = np.where(np.isfinite(li + hj) & wild, 0.5 * (li + hj) - qi, step)
+        done = (g == 0.0) | (np.abs(step) <= _Q_TOL * np.maximum(1.0, np.abs(qi)))
+        todo, qi, bi, mean, step = (x[~done] for x in (todo, qi, bi, mean, step))
+        if not todo.size:
+            return q, b
+        q[todo] = qi + step
+        b[todo] = _pressure(logd, loga, q[todo], bi - mean * step)
+        last[todo] = np.abs(step)
+    raise errors.NonConvergence(
+        f"Legendre solve unconverged at alpha = {alphas[todo].tolist()}")
 
 
 def beta(constants: SpectrumConstants, q: float) -> float:
     """Root of sum |d_k|^q a_k^beta = 1 over the d_k != 0 branches."""
     _, logd, loga = _plus_arrays(constants)
-
-    def f(b):
-        with np.errstate(over="ignore"):
-            return float(np.exp(q * logd + b * loga).sum()) - 1.0
-
-    return solve_decreasing(f, -1.0, 1.0)
+    return float(_pressure(logd, loga, np.array([float(q)]))[0])
 
 
 def alpha_of_q(constants: SpectrumConstants, q: float) -> float:
     """Negated slope of beta at q: the alpha whose conjugate is attained
     there.  Strictly decreasing from alpha_max (q -> -inf) to alpha_min."""
     _, logd, loga = _plus_arrays(constants)
-    b = beta(constants, q)
-    with np.errstate(over="ignore"):
-        w = np.exp(q * logd + b * loga)
-    return float((w * logd).sum() / (w * loga).sum())
+    qs = np.array([float(q)])
+    return float(_gibbs(logd, loga, qs, _pressure(logd, loga, qs))[0][0])
 
 
 def q_star(constants: SpectrumConstants, alpha: float) -> float:
@@ -70,13 +135,25 @@ def q_star(constants: SpectrumConstants, alpha: float) -> float:
         raise errors.OutOfRange(
             f"alpha = {alpha} not inside ({constants.alpha_min}, "
             f"{constants.alpha_max})")
-    return solve_decreasing(lambda q: alpha_of_q(constants, q) - alpha,
-                            -1.0, 1.0)
+    return float(_legendre(constants, [alpha])[0][0])
 
 
-def _degenerate(constants: SpectrumConstants) -> bool:
-    return (constants.alpha_max - constants.alpha_min
-            <= _DEG_TOL * max(1.0, abs(constants.alpha_max)))
+def _classify(constants: SpectrumConstants, alpha: float,
+              overlap: bool = True) -> str:
+    """Branch of a finite alpha.  overlap=False ignores the Case B linear
+    part, which leaves the plain concave conjugate beta*."""
+    amin, amax = constants.alpha_min, constants.alpha_max
+    if amax - amin <= _DEG_TOL * max(1.0, abs(amax)):
+        return ("degenerate" if abs(alpha - constants.alpha_hat) <= 1e-9
+                else "empty")
+    if (overlap and constants.regime is Regime.CASE_B
+            and alpha < constants.alpha0):
+        return "linear" if alpha >= 1.0 - _END_TOL else "empty"
+    if alpha < amin - _END_TOL or alpha > amax + _END_TOL:
+        return "empty"
+    if alpha <= amin + _END_TOL or alpha >= amax - _END_TOL:
+        return "endpoint"
+    return "legendre"
 
 
 def beta_star(constants: SpectrumConstants, alpha: float) -> float:
@@ -86,18 +163,8 @@ def beta_star(constants: SpectrumConstants, alpha: float) -> float:
     partition exponents of the extremal-ratio branch sets.  When all ratios
     coincide beta is affine and the conjugate degenerates to a single point.
     """
-    amin, amax = constants.alpha_min, constants.alpha_max
-    if _degenerate(constants):
-        return constants.s_hat if abs(alpha - constants.alpha_hat) <= 1e-9 \
-            else -math.inf
-    if alpha < amin - _END_TOL or alpha > amax + _END_TOL:
-        return -math.inf
-    if alpha <= amin + _END_TOL:
-        return constants.s_min
-    if alpha >= amax - _END_TOL:
-        return constants.s_max
-    q = q_star(constants, alpha)
-    return alpha * q + beta(constants, q)
+    pt = _solve(constants, [alpha], overlap=False)[0][0]
+    return -math.inf if pt.dim is None else pt.dim
 
 
 def entropy_ratio(p, a) -> float:
@@ -138,13 +205,11 @@ class DualityResult:
 
 
 def _tie_weights(constants: SpectrumConstants, alpha: float, s: float):
-    r = len(constants.a)
+    """a_k^s on the branches whose ratio is alpha; s = 0 for a single one."""
     ties = [k for k in sorted(constants.index_plus)
             if abs(constants.rho[k] - alpha) <= 1e-9 * max(1.0, abs(alpha))]
-    if len(ties) == 1:
-        return tuple(1.0 if k == ties[0] else 0.0 for k in range(1, r + 1))
-    return tuple(constants.a[k - 1] ** s if k in ties else 0.0
-                 for k in range(1, r + 1))
+    return tuple(ak ** s if k in ties else 0.0
+                 for k, ak in enumerate(constants.a, start=1))
 
 
 def duality_maximizer(constants: SpectrumConstants, alpha: float) -> DualityResult:
@@ -155,53 +220,15 @@ def duality_maximizer(constants: SpectrumConstants, alpha: float) -> DualityResu
     regime every alpha below the tangency point returns p_star (the
     contraction_ratio maximiser).  OutOfRange outside the spectrum support.
     """
-    r = len(constants.a)
-    amin, amax = constants.alpha_min, constants.alpha_max
-    if _degenerate(constants):
-        if abs(alpha - constants.alpha_hat) > 1e-9:
-            raise errors.OutOfRange(
-                "all branch ratios coincide; only alpha_hat is attained")
-        p = tuple(constants.a[k - 1] ** constants.s_hat
-                  if k in constants.index_plus else 0.0
-                  for k in range(1, r + 1))
-        return DualityResult(p=p, entropy=entropy_ratio(p, constants.a),
-                             contraction=_safe_g(p, constants), q=None,
-                             branch="degenerate")
-    if constants.regime is Regime.CASE_B and alpha < constants.alpha0:
-        if alpha < 1.0 - _END_TOL:
-            raise errors.OutOfRange(f"alpha = {alpha} below the support")
-        p = constants.p_star
-        return DualityResult(p=p, entropy=entropy_ratio(p, constants.a),
-                             contraction=_safe_g(p, constants), q=None,
-                             branch="linear")
-    if alpha < amin - _END_TOL or alpha > amax + _END_TOL:
+    pt, q = _solve(constants, [alpha])[0]
+    if pt.dim is None:
         raise errors.OutOfRange(f"alpha = {alpha} outside the support")
-    if alpha <= amin + _END_TOL:
-        p = _tie_weights(constants, amin, constants.s_min)
-        return DualityResult(p=p, entropy=entropy_ratio(p, constants.a),
-                             contraction=_safe_g(p, constants), q=None,
-                             branch="endpoint")
-    if alpha >= amax - _END_TOL:
-        p = _tie_weights(constants, amax, constants.s_max)
-        return DualityResult(p=p, entropy=entropy_ratio(p, constants.a),
-                             contraction=_safe_g(p, constants), q=None,
-                             branch="endpoint")
-    q = q_star(constants, alpha)
-    b = beta(constants, q)
-    p = tuple(math.exp(q * math.log(abs(constants.d[k - 1]))
-                       + b * math.log(constants.a[k - 1]))
-              if k in constants.index_plus else 0.0
-              for k in range(1, r + 1))
-    return DualityResult(p=p, entropy=entropy_ratio(p, constants.a),
-                         contraction=_safe_g(p, constants), q=q,
-                         branch="legendre")
-
-
-def _safe_g(p, constants):
     try:
-        return contraction_ratio(p, constants)
+        g = contraction_ratio(pt.p_opt, constants)
     except (ValueError, ZeroDivisionError):
-        return None
+        g = None
+    return DualityResult(p=pt.p_opt, entropy=entropy_ratio(pt.p_opt, constants.a),
+                         contraction=g, q=q, branch=pt.branch)
 
 
 @dataclass(frozen=True)
@@ -216,63 +243,47 @@ class SpectrumPoint:
     note: str | None = None
 
 
+def _solve(constants: SpectrumConstants, alphas, overlap: bool = True):
+    """(SpectrumPoint, q) for each finite alpha, q None off the legendre
+    branch; the legendre rows share one _legendre call."""
+    branches = [_classify(constants, al, overlap) for al in alphas]
+    inner = [al for al, br in zip(alphas, branches) if br == "legendre"]
+    qs, bs = _legendre(constants, inner)
+    ks, logd, loga = _plus_arrays(constants)
+    gibbs = np.zeros((len(inner), len(constants.a)))
+    gibbs[:, [k - 1 for k in ks]] = np.exp(qs * logd + bs * loga).T
+    solved = zip(qs.tolist(), bs.tolist(), map(tuple, gibbs.tolist()))
+    out = []
+    for alpha, branch in zip(alphas, branches):
+        q = note = p = dim = None
+        if branch == "legendre":
+            q, b, p = next(solved)
+            dim = alpha * q + b
+        elif branch == "linear":
+            p, dim = constants.p_star, constants.sigma * (alpha - 1.0)
+            if alpha <= 1.0 + _END_TOL:
+                dim, note = 0.0, ("left edge of the linear part; the level "
+                                  "set is nonempty with dimension 0")
+        elif branch != "empty":
+            # all mass on the branches whose ratio is the extremal one
+            end, dim = ((constants.alpha_hat, constants.s_hat)
+                        if branch == "degenerate" else
+                        (constants.alpha_min, constants.s_min)
+                        if alpha <= constants.alpha_min + _END_TOL else
+                        (constants.alpha_max, constants.s_max))
+            p = _tie_weights(constants, end, dim)
+        out.append((SpectrumPoint(alpha=alpha, dim=dim, branch=branch,
+                                  p_opt=p, note=note), q))
+    return out
+
+
 def spectrum_D(constants: SpectrumConstants, alpha: float) -> SpectrumPoint:
     """Dimension of the level set at alpha (math.inf allowed)."""
     if math.isinf(alpha) and alpha > 0:
         if constants.index_zero:
             return SpectrumPoint(alpha=math.inf, dim=1.0, branch="infinite")
         return SpectrumPoint(alpha=math.inf, dim=None, branch="empty")
-    amin, amax = constants.alpha_min, constants.alpha_max
-
-    if _degenerate(constants):
-        if abs(alpha - constants.alpha_hat) <= 1e-9:
-            res = duality_maximizer(constants, alpha)
-            return SpectrumPoint(alpha=alpha, dim=constants.s_hat,
-                                 branch="degenerate", p_opt=res.p)
-        return SpectrumPoint(alpha=alpha, dim=None, branch="empty")
-
-    if constants.regime is Regime.CASE_B:
-        if alpha < 1.0 - _END_TOL or alpha > amax + _END_TOL:
-            return SpectrumPoint(alpha=alpha, dim=None, branch="empty")
-        if alpha <= 1.0 + _END_TOL:
-            return SpectrumPoint(
-                alpha=alpha, dim=0.0, branch="linear", p_opt=constants.p_star,
-                note="left edge of the linear part; the level set is "
-                     "nonempty with dimension 0")
-        if alpha < constants.alpha0:
-            res = duality_maximizer(constants, alpha)
-            return SpectrumPoint(alpha=alpha,
-                                 dim=constants.sigma * (alpha - 1.0),
-                                 branch="linear", p_opt=res.p)
-        if alpha >= amax - _END_TOL:
-            res = duality_maximizer(constants, alpha)
-            return SpectrumPoint(alpha=alpha, dim=constants.s_max,
-                                 branch="endpoint", p_opt=res.p)
-        res = duality_maximizer(constants, alpha)
-        return SpectrumPoint(alpha=alpha, dim=beta_star(constants, alpha),
-                             branch="legendre", p_opt=res.p)
-
-    if alpha < amin - _END_TOL or alpha > amax + _END_TOL:
-        return SpectrumPoint(alpha=alpha, dim=None, branch="empty")
-    if alpha <= amin + _END_TOL:
-        res = duality_maximizer(constants, alpha)
-        return SpectrumPoint(alpha=alpha, dim=constants.s_min,
-                             branch="endpoint", p_opt=res.p)
-    if alpha >= amax - _END_TOL:
-        res = duality_maximizer(constants, alpha)
-        return SpectrumPoint(alpha=alpha, dim=constants.s_max,
-                             branch="endpoint", p_opt=res.p)
-    res = duality_maximizer(constants, alpha)
-    return SpectrumPoint(alpha=alpha, dim=beta_star(constants, alpha),
-                         branch="legendre", p_opt=res.p)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("AFFINE_SPECTRA_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    return _solve(constants, [alpha])[0][0]
 
 
 def spectrum_table(constants: SpectrumConstants, *, points: int = 201,
@@ -280,31 +291,19 @@ def spectrum_table(constants: SpectrumConstants, *, points: int = 201,
     """Spectrum sampled on a uniform grid over the support plus the
     distinguished abscissae (support ends, maximum location, tangency point),
     ending with the alpha = inf point when some branch has d = 0.
-
-    AFFINE_SPECTRA_THREADS > 1 evaluates grid points in a thread pool.
     """
     if points < 2:
         raise ValueError("points must be >= 2")
-    if _degenerate(constants):
+    if _classify(constants, constants.alpha_hat) == "degenerate":
         alphas = [constants.alpha_hat]
     else:
+        special = [constants.alpha_min, constants.alpha_hat,
+                   constants.alpha_max]
         if constants.regime is Regime.CASE_B:
-            lo, hi = 1.0, constants.alpha_max
-            special = [1.0, constants.alpha0, constants.alpha_hat,
-                       constants.alpha_max]
-        else:
-            lo, hi = constants.alpha_min, constants.alpha_max
-            special = [constants.alpha_min, constants.alpha_hat,
-                       constants.alpha_max]
-        grid = np.linspace(lo, hi, points)
-        alphas = np.unique(np.concatenate([grid, np.array(special)])).tolist()
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda al: spectrum_D(constants, al), alphas))
-    else:
-        rows = [spectrum_D(constants, al) for al in alphas]
+            special = [1.0, constants.alpha0] + special[1:]
+        grid = np.linspace(special[0], constants.alpha_max, points)
+        alphas = np.unique(np.concatenate([grid, special])).tolist()
+    rows = [pt for pt, _ in _solve(constants, alphas)]
     if include_infinite and constants.index_zero:
         rows.append(spectrum_D(constants, math.inf))
     return tuple(rows)

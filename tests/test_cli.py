@@ -145,13 +145,6 @@ def test_spectrum_json_and_inf(run):
     assert "inf,1,infinite" in out
 
 
-def test_spectrum_threads_match(run, monkeypatch):
-    plain, _ = run("spectrum", "--preset", SKEW, "--points", "51")
-    monkeypatch.setenv("AFFINE_SPECTRA_THREADS", "3")
-    threaded, _ = run("spectrum", "--preset", SKEW, "--points", "51")
-    assert plain == threaded
-
-
 def test_output_file_matches_stdout(run, tmp_path):
     path = tmp_path / "out.json"
     stdout, _ = run("constants", "--preset", "takagi:1")

@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_spectra import (
+    Regime,
     alpha_of_q,
     beta,
     beta_star,
@@ -15,10 +17,11 @@ from affine_spectra import (
     entropy_ratio,
     errors,
     q_star,
+    spectrum,
     spectrum_D,
     spectrum_table,
 )
-from conftest import random_polygon_system
+from conftest import random_polygon_system, random_two_branch_contractive
 
 SKEW = "skew-takagi:0.3,0.5,0.25"
 LN2, LN3 = math.log(2.0), math.log(3.0)
@@ -228,3 +231,133 @@ def test_spectrum_table_degenerate(make_system):
     assert tab[1].alpha == math.inf and tab[1].dim == 1.0
     finite_only = spectrum_table(c, points=11, include_infinite=False)
     assert len(finite_only) == 1
+
+
+def test_spectrum_table_matches_pointwise(make_system):
+    """The table and the one-alpha entry point take the same code path."""
+    presets = ["takagi:0.5", "takagi:1.5", "riesz-nagy:0.3", "okamoto:0.6",
+               "okamoto:0.5", SKEW]
+    cases = [make_system(name)[1] for name in presets]
+    rng = np.random.default_rng(5)
+    cases.append(compute_constants(random_polygon_system(rng, r=4,
+                                                         allow_zero=True)))
+    for c in cases:
+        for row in spectrum_table(c, points=201):
+            single = spectrum_D(c, row.alpha)
+            assert (single.alpha, single.branch, single.p_opt, single.note) \
+                == (row.alpha, row.branch, row.p_opt, row.note)
+            if row.dim is None:
+                assert single.dim is None
+            else:
+                assert abs(single.dim - row.dim) <= 1e-12
+
+
+def test_legendre_cap_raises(make_system, monkeypatch):
+    _, c = make_system("riesz-nagy:0.3")
+    assert spectrum_D(c, 1.3).branch == "legendre"
+    monkeypatch.setattr(spectrum, "_NEWTON_CAP", 1)
+    with pytest.raises(errors.NonConvergence, match=r"alpha = \[1\.3\]"):
+        spectrum_D(c, 1.3)
+    with pytest.raises(errors.NonConvergence):
+        spectrum_table(c, points=11)
+
+
+# ---------------------------------------------------- mpmath references
+
+_DPS = 40
+
+
+def _mp_terms(a, d):
+    return [(mpmath.log(abs(mpmath.mpf(dk))), mpmath.log(mpmath.mpf(ak)))
+            for ak, dk in zip(a, d) if dk != 0.0]
+
+
+def _beta_mp(terms, q):
+    """beta(q) by Newton's method, from the largest single-branch root,
+    where every term is <= 1 and the sum is >= 1: the sum is convex and
+    decreasing in b, so the iterates rise monotonically to the root."""
+    q = mpmath.mpf(q)
+    b = max(-q * ld / la for ld, la in terms)
+    for _ in range(200):
+        w = [mpmath.exp(q * ld + b * la) for ld, la in terms]
+        step = (mpmath.fsum(w) - 1) / -mpmath.fsum(
+            wk * la for wk, (_, la) in zip(w, terms))
+        b += step
+        if step < mpmath.mpf(10) ** (5 - _DPS) * max(1, abs(b)):
+            return b
+    raise AssertionError("reference beta did not converge")
+
+
+def _alpha_mp(terms, q):
+    b = _beta_mp(terms, q)
+    w = [mpmath.exp(q * ld + b * la) for ld, la in terms]
+    return (mpmath.fsum(wk * ld for wk, (ld, _) in zip(w, terms))
+            / mpmath.fsum(wk * la for wk, (_, la) in zip(w, terms)))
+
+
+def _beta_star_mp(a, d, alpha) -> float:
+    """alpha q + beta(q) at the q where alpha(q) = alpha, bracketed by
+    doubling and located by 90 bisections of the bracket."""
+    with mpmath.workdps(_DPS):
+        terms, target = _mp_terms(a, d), mpmath.mpf(alpha)
+        lo, hi = mpmath.mpf(-1), mpmath.mpf(1)
+        while _alpha_mp(terms, lo) < target:
+            lo *= 2
+        while _alpha_mp(terms, hi) > target:
+            hi *= 2
+        for _ in range(90):
+            mid = (lo + hi) / 2
+            if _alpha_mp(terms, mid) > target:
+                lo = mid
+            else:
+                hi = mid
+        q = (lo + hi) / 2
+        return float(target * q + _beta_mp(terms, q))
+
+
+def _interior(c, fractions=(0.003, 0.2, 0.5, 0.8, 0.997)):
+    return [c.alpha_min + f * (c.alpha_max - c.alpha_min) for f in fractions]
+
+
+@settings(max_examples=15)
+@given(seed=st.integers(0, 10 ** 9))
+def test_beta_and_beta_star_match_mpmath(seed):
+    rng = np.random.default_rng(seed)
+    system = random_polygon_system(rng, allow_zero=True)
+    c = compute_constants(system)
+    with mpmath.workdps(_DPS):
+        terms = _mp_terms(system.a, system.d)
+        for q in (-3.0, 0.0, 0.7, 4.0):
+            assert abs(beta(c, q) - float(_beta_mp(terms, q))) <= 1e-10
+    if c.alpha_max - c.alpha_min < 1e-6:
+        return
+    for alpha in _interior(c):
+        want = _beta_star_mp(system.a, system.d, alpha)
+        assert abs(beta_star(c, alpha) - want) <= 1e-10
+
+
+@settings(max_examples=15)
+@given(seed=st.integers(0, 10 ** 9))
+def test_case_b_spectrum_matches_mpmath(seed):
+    """Linear part sigma (alpha - 1) below alpha0, beta* above it."""
+    rng = np.random.default_rng(seed)
+    system = random_two_branch_contractive(rng)
+    c = compute_constants(system)
+    if c.regime is not Regime.CASE_B:
+        return
+    with mpmath.workdps(_DPS):
+        ratios = [mpmath.log(abs(mpmath.mpf(dk)) / mpmath.mpf(ak))
+                  for ak, dk in zip(system.a, system.d)]
+        # sum (|d_k|/a_k)^sigma = 1 is the pressure equation at q = 0
+        # with log(|d_k|/a_k) in place of log a_k
+        sigma = _beta_mp([(0, x) for x in ratios], 0)
+        p = [mpmath.exp(sigma * x) for x in ratios]
+        terms = _mp_terms(system.a, system.d)
+        alpha0 = float(mpmath.fsum(pk * ld for pk, (ld, _) in zip(p, terms))
+                       / mpmath.fsum(pk * la for pk, (_, la) in zip(p, terms)))
+    for alpha in [1.0, 0.5 * (1.0 + alpha0)] + _interior(c):
+        got = spectrum_D(c, alpha)
+        want = (float(sigma) * (alpha - 1.0) if alpha <= alpha0
+                else _beta_star_mp(system.a, system.d, alpha))
+        assert got.branch == ("linear" if alpha < c.alpha0 else "legendre")
+        assert abs(got.dim - want) <= 1e-10
