@@ -129,7 +129,7 @@ def _cmd_coding(args) -> int:
     system = _load_system(args)
     if args.x is not None:
         pc = coding_of_point(system, args.x, args.depth)
-        deepest = pc.intervals[-1]
+        deepest = pc.interval
         out = {
             "x": args.x,
             "coding": format_coding(pc.coding),

@@ -144,25 +144,26 @@ class BasicInterval:
 
 @dataclass(frozen=True)
 class PointCoding:
-    """Result of addressing a point: digit prefix plus the nested interval
-    chain.  cut_point marks membership of T (tail of 1s emitted); ambiguous
-    marks float-tolerance snapping on the way."""
+    """Result of addressing a point: the digit coding plus `interval`, the
+    basic interval of all the emitted digits (the deepest one containing
+    the point, equal to basic_interval(system, coding.prefix)).  cut_point
+    marks membership of T (tail of 1s emitted); ambiguous marks
+    float-tolerance snapping on the way."""
     coding: Coding
-    intervals: tuple[BasicInterval, ...]
+    interval: BasicInterval
     cut_point: bool
     ambiguous: bool = False
 
 
-def _interval_chain(system: SelfAffineSystem, digits) -> tuple[BasicInterval, ...]:
+def _deepest_interval(system: SelfAffineSystem, digits: tuple[int, ...]) -> BasicInterval:
+    """Basic interval of `digits`, in floats, composed from the left."""
     xs = system.xs
     a = system.a
     left, length = 0.0, 1.0
-    chain = []
-    for n, k in enumerate(digits, start=1):
+    for k in digits:
         left = left + length * xs[k - 1]
         length = length * a[k - 1]
-        chain.append(BasicInterval(tuple(digits[:n]), left, left + length, length))
-    return tuple(chain)
+    return BasicInterval(digits, left, left + length, length)
 
 
 def coding_of_point(system: SelfAffineSystem, x, depth: int) -> PointCoding:
@@ -180,29 +181,27 @@ def coding_of_point(system: SelfAffineSystem, x, depth: int) -> PointCoding:
     if not (0 < xv < 1):
         raise errors.OutOfDomain(f"x = {xv} not in (0, 1)")
 
+    r = system.r
     if exact:
         cuts = [Fraction(v) for v in system.xs]
-        widths = [cuts[k + 1] - cuts[k] for k in range(system.r)]
+        widths = [cuts[k + 1] - cuts[k] for k in range(r)]
     else:
-        cuts = list(system.xs)
-        widths = list(system.a)
+        cuts = system.xs
+        widths = system.a
 
     digits: list[int] = []
     t = xv
     cut = False
     ambiguous = False
-    for _ in range(depth):
-        if cut:
-            digits.append(1)
-            continue
+    while len(digits) < depth:
         # branch with x_{k-1} <= t < x_k; landing exactly on an interior
         # vertex selects the right-hand branch and zeroes t (right coding)
         k = 1
-        while k < system.r and t >= cuts[k]:
+        while k < r and t >= cuts[k]:
             k += 1
         if not exact:
             # snap to the nearest vertex when within tolerance
-            if k < system.r and abs(t - cuts[k]) <= FLOAT_CUT_TOL:
+            if k < r and abs(t - cuts[k]) <= FLOAT_CUT_TOL:
                 t, k = cuts[k], k + 1
                 ambiguous = True
             elif k > 1 and abs(t - cuts[k - 1]) <= FLOAT_CUT_TOL and t != cuts[k - 1]:
@@ -212,18 +211,17 @@ def coding_of_point(system: SelfAffineSystem, x, depth: int) -> PointCoding:
         t = (t - cuts[k - 1]) / widths[k - 1]
         if t == 0:
             cut = True
-    return PointCoding(coding=Coding(prefix=tuple(digits),
-                                     period=(1,) if cut else None),
-                       intervals=_interval_chain(system, digits),
+            digits.extend([1] * (depth - len(digits)))
+    prefix = tuple(digits)
+    return PointCoding(coding=Coding(prefix=prefix, period=(1,) if cut else None),
+                       interval=_deepest_interval(system, prefix),
                        cut_point=cut, ambiguous=ambiguous)
 
 
 def basic_interval(system: SelfAffineSystem, digits) -> BasicInterval:
     digits = tuple(digits)
     _check_digits(Coding(prefix=digits), system.r)
-    if not digits:
-        return BasicInterval((), 0.0, 1.0, 1.0)
-    return _interval_chain(system, digits)[-1]
+    return _deepest_interval(system, digits)
 
 
 def project(system: SelfAffineSystem, coding: Coding, *, exact: bool = False):
@@ -232,12 +230,15 @@ def project(system: SelfAffineSystem, coding: Coding, *, exact: bool = False):
     Eventually periodic codings resolve exactly through the affine fixed
     point of the period composition; a bare prefix projects to the left
     endpoint of its basic interval (an implicit all-1 tail).  With
-    exact=True the result is a Fraction over the stored coefficients.
+    exact=True the result is a Fraction over the stored abscissae, with
+    b_k = x_{k-1} and a_k = x_k - x_{k-1}, the partition that in_T and the
+    exact coding_of_point resolve against.
     """
     _check_digits(coding, system.r)
     if exact:
-        a = [Fraction(v) for v in system.a]
-        b = [Fraction(v) for v in system.b]
+        cuts = [Fraction(v) for v in system.xs]
+        a = [cuts[k + 1] - cuts[k] for k in range(system.r)]
+        b = cuts[:-1]
         t = Fraction(0)
     else:
         a = list(system.a)
@@ -286,10 +287,14 @@ def in_T(system: SelfAffineSystem, target, *, max_depth: int = 4096) -> CutPoint
     """Decide membership of the two-coding set T.
 
     `target` is a number in [0, 1] or a Coding.  Numbers run an exact
-    rational orbit (floats are exact rationals) with cycle detection; if the
-    orbit neither hits 0 nor revisits a state within max_depth steps the
-    answer is (member=False, decided=False).  Codings decide by inspecting
-    the tail: members are exactly the codings that end in all 1s or all rs.
+    rational orbit (floats are exact rationals) with cycle detection.  The
+    stored abscissae are doubles, hence dyadic, so every point of T and
+    every orbit point of a member is a dyadic rational: an orbit point whose
+    reduced denominator is not a power of two decides non-membership at
+    once.  If the orbit neither hits 0, leaves the dyadics nor revisits a
+    state within max_depth steps the answer is (member=False,
+    decided=False).  Codings decide by inspecting the tail: members are
+    exactly the codings that end in all 1s or all rs.
     """
     r = system.r
     if isinstance(target, Coding):
@@ -332,7 +337,8 @@ def in_T(system: SelfAffineSystem, target, *, max_depth: int = 4096) -> CutPoint
     digits: list[int] = []
     seen: set[Fraction] = set()
     for _ in range(max_depth):
-        if t in seen:
+        den = t.denominator
+        if den & (den - 1) or t in seen:
             return CutPointQuery(member=False)
         seen.add(t)
         k = 1

@@ -46,7 +46,8 @@ def evaluate_many(system: SelfAffineSystem, xs, tol: float,
         raise ValueError("tol must be positive")
     pts = np.asarray(xs, dtype=float)
     flat = pts.ravel()
-    if flat.size and (flat.min() < 0.0 or flat.max() > 1.0):
+    if flat.size and not (np.isfinite(flat).all()
+                          and flat.min() >= 0.0 and flat.max() <= 1.0):
         raise errors.OutOfDomain("points must lie in [0, 1]")
     if max_depth is None:
         max_depth = _DEFAULT_MAX_DEPTH
@@ -108,9 +109,54 @@ def evaluate_many(system: SelfAffineSystem, xs, tol: float,
 
 def evaluate(system: SelfAffineSystem, x: float, tol: float,
              max_depth: int | None = None) -> EvalResult:
-    """phi(x) with |returned - phi(x)| <= error_bound <= tol."""
-    values, errs, depths = evaluate_many(system, [x], tol, max_depth=max_depth)
-    return EvalResult(float(values[0]), float(errs[0]), int(depths[0]))
+    """phi(x) with |returned - phi(x)| <= error_bound <= tol.
+
+    The one-point form of evaluate_many, in plain floats: numpy's per-call
+    cost on a 1-element array is most of the time of a scalar query.  It
+    makes the same branch choice (x_k <= t selects branch k + 1), the same
+    operations in the same order and the same stop, vertex and endpoint
+    tests, so value, error_bound and depth_used are bitwise equal to
+    evaluate_many(system, [x], tol), and the same errors are raised.
+    """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    t = float(x)
+    if not 0.0 <= t <= 1.0:      # NaN fails too
+        raise errors.OutOfDomain("points must lie in [0, 1]")
+    if max_depth is None:
+        max_depth = _DEFAULT_MAX_DEPTH
+    part = system.xs
+    if t in part:
+        return EvalResult(system.ys[part.index(t)], 0.0, 0)
+
+    cuts = part[1:-1]
+    n_cuts = len(cuts)
+    a, c, d, e = system.a, system.c, system.d, system.e
+    bound = sup_bound(system)
+    A, B, R = 0.0, 0.0, 1.0
+    depth = 0
+    while abs(R) * bound > tol and t != 0.0 and t != 1.0:
+        if depth >= max_depth:
+            worst = abs(R) * bound
+            raise errors.NonConvergence(
+                f"depth cap {max_depth} hit; achieved bound {worst:g} > tol {tol:g}",
+                achieved_bound=worst, depth=depth)
+        k = 0
+        while k < n_cuts and cuts[k] <= t:
+            k += 1
+        left = part[k]
+        t = (t - left) / a[k]
+        if t < 0.0:              # clamp rounding undershoot
+            t = 0.0
+        A += B * left + R * e[k]
+        B = B * a[k] + R * c[k]
+        R = R * d[k]
+        depth += 1
+
+    if t == 0.0 or t == 1.0:
+        closing = system.ys[0] if t == 0.0 else system.ys[-1]
+        return EvalResult(A + B * t + R * closing, 0.0, depth)
+    return EvalResult(A + B * t, abs(R) * bound, depth)
 
 
 def sample(system: SelfAffineSystem, n_points: int, tol: float):

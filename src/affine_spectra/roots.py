@@ -52,8 +52,3 @@ def solve_decreasing(f: Callable[[float], float], lo: float = 0.0,
         else:
             return mid
     return 0.5 * (lo + hi)
-
-
-def solve_increasing(f: Callable[[float], float], lo: float = 0.0,
-                     hi: float = 1.0, *, rtol: float = 1e-12) -> float:
-    return solve_decreasing(lambda t: -f(t), lo, hi, rtol=rtol)

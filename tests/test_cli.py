@@ -202,6 +202,8 @@ def test_error_exit_code(run, capsys):
                  expect=1)
     doc = json.loads(err)
     assert doc["error"] == "OutOfDomain"
+    _, err = run("eval", "--preset", "okamoto:0.6", "--x", "nan", expect=1)
+    assert json.loads(err)["error"] == "OutOfDomain"
     _, err = run("validate", "--preset", "nosuch:1", expect=1)
     assert "error" in json.loads(err)
     _, err = run("exponent", "--preset", "riesz-nagy:0.3", "--coding",

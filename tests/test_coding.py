@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -7,11 +8,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from affine_spectra import (
+    BasicInterval,
     Coding,
     basic_interval,
     coding_from_dict,
     coding_of_point,
     coding_to_dict,
+    cut_point_exponents,
     default_schedule,
     errors,
     format_coding,
@@ -22,6 +25,7 @@ from affine_spectra import (
     run_stats,
     run_structure_for_target,
 )
+from conftest import random_polygon_system
 
 SKEW = "skew-takagi:0.3,0.5,0.25"
 
@@ -81,7 +85,7 @@ def test_coding_of_point_riesz_nagy(make_system):
     pc = coding_of_point(rn, 0.3, 8)
     assert pc.coding.prefix == (1, 2, 1, 1, 2, 2, 1, 1)
     assert not pc.cut_point and not pc.ambiguous
-    last = pc.intervals[-1]
+    last = pc.interval
     assert last.left <= 0.3 <= last.right
     assert last.length == pytest.approx(0.5 ** 8)
 
@@ -124,6 +128,16 @@ def test_basic_interval(make_system):
     deeper = basic_interval(rn, (1, 2, 1, 1))
     assert bi.left <= deeper.left and deeper.right <= bi.right
     assert deeper.length == pytest.approx(0.5 ** 4)
+    assert basic_interval(rn, ()) == BasicInterval((), 0.0, 1.0, 1.0)
+
+
+@given(seed=st.integers(0, 10 ** 9))
+def test_point_interval_is_basic_interval(seed):
+    rng = np.random.default_rng(seed)
+    system = random_polygon_system(rng, allow_zero=True)
+    x = float(rng.uniform(0.0, 1.0))
+    pc = coding_of_point(system, x, int(rng.integers(1, 65)))
+    assert pc.interval == basic_interval(system, pc.coding.prefix)
 
 
 @given(seed=st.integers(0, 10 ** 9))
@@ -133,7 +147,7 @@ def test_point_coding_consistency(make_system, seed):
     system, _ = make_system(name)
     x = float(rng.uniform(0.0, 1.0))
     pc = coding_of_point(system, x, 30)
-    last = pc.intervals[-1]
+    last = pc.interval
     assert last.left - 1e-12 <= x <= last.right + 1e-12
     assert abs(project(system, pc.coding) - last.left) < 1e-12
 
@@ -163,6 +177,48 @@ def test_in_T_rejects_periodic_orbit(make_system):
     for target in (Fraction(1, 3), Fraction(1, 7), Coding(period=(1, 2))):
         q = in_T(rn, target)
         assert not q.member and q.decided
+
+
+def test_in_T_float_non_member_decides_at_once(make_system):
+    # widths 0.4, 0.2, 0.4 are not powers of two: the exact orbit of 0.7
+    # leaves the dyadic rationals, which contain T, at once
+    ok, constants = make_system("okamoto:0.6")
+    start = time.perf_counter()
+    q = in_T(ok, 0.7)
+    assert time.perf_counter() - start <= 0.05
+    assert not q.member and q.decided
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="not a two-coding point$"):
+        cut_point_exponents(ok, constants, 0.7)
+    assert time.perf_counter() - start <= 0.05
+
+
+@given(seed=st.integers(0, 10 ** 9))
+def test_in_T_members_on_random_systems(seed):
+    rng = np.random.default_rng(seed)
+    system = random_polygon_system(rng)
+    r = system.r
+    stem = tuple(int(v) for v in rng.integers(1, r + 1, int(rng.integers(0, 5))))
+    stem += (int(rng.integers(1, r)),)
+    x = project(system, Coding(prefix=stem, period=(r,)), exact=True)
+    q = in_T(system, x)
+    assert q.member and q.decided
+    assert q.left == Coding(prefix=stem, period=(r,))
+    assert q.right == Coding(prefix=stem[:-1] + (stem[-1] + 1,), period=(1,))
+    assert q.n0 == len(stem) and q.boundary_digit == stem[-1]
+    assert project(system, q.right, exact=True) == x
+    # a float that is not an exact vertex image is decided too
+    assert in_T(system, float(rng.uniform(0.0, 1.0))).decided
+
+
+def test_in_T_exact_projection_over_abscissae(make_system):
+    # the stored a_2 = 0.7 differs from x_2 - x_1 = 1 - 0.3 in the last bit
+    skew, constants = make_system(SKEW)
+    coding = Coding(prefix=(1, 2, 1), period=(2,))
+    q = in_T(skew, project(skew, coding, exact=True))
+    assert q.member and q.decided and q.left == coding
+    cut = cut_point_exponents(skew, constants, project(skew, coding, exact=True))
+    assert (cut.n0, cut.boundary_digit) == (3, 1)
 
 
 def test_in_T_coding_form(make_system):

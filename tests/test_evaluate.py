@@ -17,6 +17,11 @@ from affine_spectra import (
     sample,
     sup_bound,
 )
+from conftest import random_polygon_system
+
+PRESET_NAMES = ("takagi:0.5", "takagi:1.5", "riesz-nagy:0.3", "okamoto:0.6",
+                "okamoto:5/6", "okamoto:0.5", "skew-takagi:0.3,0.5,0.25",
+                "skew-takagi:0.4,1,0.3")
 
 
 def test_parabola():
@@ -82,6 +87,11 @@ def test_domain_and_tol_errors(make_system):
         evaluate_many(rn, np.array([0.5, 1.2]), 1e-6)
     with pytest.raises(ValueError):
         evaluate(rn, 0.5, 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(errors.OutOfDomain):
+            evaluate(rn, bad, 1e-6)
+        with pytest.raises(errors.OutOfDomain):
+            evaluate_many(rn, np.array([0.5, bad]), 1e-6)
 
 
 def test_non_convergence_reports_progress(make_system):
@@ -90,6 +100,46 @@ def test_non_convergence_reports_progress(make_system):
         evaluate(rn, 0.3, 1e-30, max_depth=10)
     assert exc.value.depth == 10
     assert 0.0 < exc.value.achieved_bound < 1e-2
+
+
+def _assert_paths_agree(system, x, tol, max_depth=None):
+    """evaluate and evaluate_many([x]) give the same bits, or the same
+    NonConvergence."""
+    try:
+        one = evaluate(system, x, tol, max_depth=max_depth)
+    except errors.NonConvergence as exc:
+        with pytest.raises(errors.NonConvergence) as many:
+            evaluate_many(system, [x], tol, max_depth=max_depth)
+        assert (str(many.value), many.value.achieved_bound, many.value.depth) \
+            == (str(exc), exc.achieved_bound, exc.depth)
+        return
+    values, errs, depths = evaluate_many(system, [x], tol, max_depth=max_depth)
+    assert one.value.hex() == float(values[0]).hex()
+    assert one.error_bound.hex() == float(errs[0]).hex()
+    assert one.depth_used == int(depths[0])
+
+
+def _assert_paths_agree_on(system, rng, n_points):
+    """Random points and the vertices, which include 0 and 1, at several
+    tols, then a depth cap that the random points cannot meet."""
+    points = [float(v) for v in rng.uniform(0.0, 1.0, n_points)]
+    for tol in (1e-4, 1e-10, 1e-15):
+        for x in points + list(system.xs):
+            _assert_paths_agree(system, x, tol)
+    for x in points:
+        _assert_paths_agree(system, x, 1e-15, max_depth=3)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_scalar_path_matches_batch_on_presets(make_system, name):
+    system, _ = make_system(name)
+    _assert_paths_agree_on(system, np.random.default_rng(7), 32)
+
+
+@given(seed=st.integers(0, 10 ** 9))
+def test_scalar_path_matches_batch(seed):
+    rng = np.random.default_rng(seed)
+    _assert_paths_agree_on(random_polygon_system(rng, allow_zero=True), rng, 4)
 
 
 @given(seed=st.integers(0, 10 ** 9))
