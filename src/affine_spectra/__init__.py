@@ -22,8 +22,7 @@ from .ifs import (Branch, Regime, SelfAffineSystem, SpectrumConstants,
 from .oracle import (AeSample, DerivativeCheck, RegressionEstimate,
                      ae_exponent_sample, almost_everywhere_exponent,
                      check_derivative, default_scales, estimate_exponent)
-from .presets import (PRESETS, load_system, parse_preset, system_from_dict,
-                      system_to_dict)
+from .presets import PRESETS, parse_preset, system_from_dict, system_to_dict
 from .spectrum import (DualityResult, SpectrumPoint, alpha_of_q, beta,
                        beta_star, contraction_ratio, duality_maximizer,
                        entropy_ratio, q_star, spectrum_D, spectrum_table)
@@ -37,7 +36,7 @@ __all__ = [
     "build_from_polygon", "from_branches", "validate", "compute_constants",
     "lambda_set", "two_branch_lambda_empty", "antiderivative_system",
     # presets
-    "PRESETS", "parse_preset", "load_system", "system_from_dict",
+    "PRESETS", "parse_preset", "system_from_dict",
     "system_to_dict",
     # codings
     "Coding", "PointCoding", "BasicInterval", "CutPointQuery", "RunStats",

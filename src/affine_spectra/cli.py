@@ -411,6 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.command == "coding" and args.exact and args.x is not None:
+        ap.error("--exact applies to --coding only")
     if getattr(args, "tol", None) is None and args.command == "verify":
         args.tol = 0.02 if args.mode == "ae" else 0.01
     try:

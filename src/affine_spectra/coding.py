@@ -286,7 +286,8 @@ def _cut_codings_from_stem(stem: tuple[int, ...], r: int) -> CutPointQuery:
 def in_T(system: SelfAffineSystem, target, *, max_depth: int = 4096) -> CutPointQuery:
     """Decide membership of the two-coding set T.
 
-    `target` is a number in [0, 1] or a Coding.  Numbers run an exact
+    `target` is a number in [0, 1] or a Coding; NaN, infinities and other
+    numbers outside [0, 1] raise OutOfDomain.  Numbers run an exact
     rational orbit (floats are exact rationals) with cycle detection.  The
     stored abscissae are doubles, hence dyadic, so every point of T and
     every orbit point of a member is a dyadic rational: an orbit point whose
@@ -322,6 +323,8 @@ def in_T(system: SelfAffineSystem, target, *, max_depth: int = 4096) -> CutPoint
             raise errors.InvalidCoding("digit 0 produced while normalising")
         return _cut_codings_from_stem(stem, r)
 
+    if isinstance(target, float) and not math.isfinite(target):
+        raise errors.OutOfDomain(f"x = {target} not in [0, 1]")
     x = Fraction(target)
     if x == 0:
         return CutPointQuery(member=True, left=None, right=Coding(period=(1,)),

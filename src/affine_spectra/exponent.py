@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import errors
-from .coding import Coding, in_T
+from .coding import Coding, _check_digits, in_T
 from .evaluate import derivative_series, evaluate_many
 from .ifs import SelfAffineSystem, SpectrumConstants
 
@@ -35,12 +35,6 @@ _MIN_HORIZON = 16
 def _check_side(side: str) -> None:
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
-
-
-def _check_digits(coding: Coding, r: int) -> None:
-    if coding.max_digit() > r:
-        raise errors.InvalidCoding(
-            f"digit {coding.max_digit()} exceeds branch count r = {r}")
 
 
 def side_run_constants(constants: SpectrumConstants, side: str):

@@ -19,6 +19,7 @@ from .ifs import SelfAffineSystem
 _EVAL_TOL = 1e-18          # keep value noise far below the oscillations read
 _UNIFORM_PER_WINDOW = 64
 _STRATIFY_FACTOR = 64      # keep basic intervals down to h / 64
+_AE_BLOCK = 40_000         # digits per Monte Carlo block: buffers stay in cache
 
 
 def default_scales() -> tuple[float, ...]:
@@ -221,7 +222,13 @@ class AeSample:
 def ae_exponent_sample(system: SelfAffineSystem, n_points: int, horizon: int,
                        seed: int = 0) -> AeSample:
     """Sample n_points uniform points via iid digits and estimate each
-    exponent from the first `horizon` digits."""
+    exponent from the first `horizon` digits.
+
+    Points are drawn in row blocks of about 40k digits that reuse three
+    buffers, so memory stays at a few MB whatever n_points is and
+    time is linear in n_points * horizon.  The digit stream, and hence
+    every value, is the same for any block size.
+    """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     if horizon < 4:
@@ -229,24 +236,35 @@ def ae_exponent_sample(system: SelfAffineSystem, n_points: int, horizon: int,
     rng = np.random.default_rng(seed)
     a = np.asarray(system.a)
     cum = np.cumsum(a)
-    cum[-1] = 1.0
     with np.errstate(divide="ignore"):
         logd = np.log(np.abs(np.asarray(system.d)))
-    loga = np.log(a)
-    zero_ids = np.array([k - 1 for k in sorted(system.index_zero)], dtype=np.int64)
+    # one complex gather and one cumsum carry both sums: real and imaginary
+    # parts are added, and rounded, exactly as two float64 cumsums
+    table = logd + 1j * np.log(a)
     h0 = max(1, horizon // 2)
 
     values = np.empty(n_points)
-    chunk = max(1, int(4_000_000 // horizon))
-    for start in range(0, n_points, chunk):
-        m = min(chunk, n_points - start)
-        digits = np.searchsorted(cum, rng.random((m, horizon)), side="right")
-        num = np.cumsum(logd[digits], axis=1)
-        den = np.cumsum(loga[digits], axis=1)
-        vals = (num[:, h0 - 1:] / den[:, h0 - 1:]).min(axis=1)
-        if zero_ids.size:
-            vals[np.isin(digits, zero_ids).any(axis=1)] = np.inf
-        values[start:start + m] = vals
+    rows = min(n_points, max(1, _AE_BLOCK // horizon))
+    u = np.empty((rows, horizon))
+    digits = np.empty((rows, horizon), dtype=np.intp)
+    z = np.empty((rows, horizon), dtype=complex)
+    for start in range(0, n_points, rows):
+        m = min(rows, n_points - start)
+        um, dm, zm = u[:m], digits[:m], z[:m]
+        rng.random(out=um)
+        # u < 1 = the last cumulative width, so counting the inner cuts at
+        # or below u is searchsorted(cum, u, side="right")
+        np.greater_equal(um, cum[0], out=dm)
+        for c in cum[1:-1]:
+            dm += um >= c
+        # the digits are in range; mode="raise" would buffer the output
+        np.take(table, dm, out=zm, mode="clip")
+        np.cumsum(zm, axis=1, out=zm)
+        ratio = np.divide(zm.real[:, h0 - 1:], zm.imag[:, h0 - 1:],
+                          out=um[:, h0 - 1:])
+        vals = ratio.min(axis=1, out=values[start:start + m])
+        # a d = 0 digit turns log|d| sums into -inf for the rest of the row
+        vals[zm.real[:, -1] == -np.inf] = np.inf
 
     finite = np.isfinite(values)
     # order statistics: interpolating between two infinities would give nan

@@ -105,12 +105,3 @@ def system_to_dict(system: SelfAffineSystem) -> dict:
         ],
     }
 
-
-def load_system(source: str) -> SelfAffineSystem:
-    """Dispatch: preset string or path to a JSON file."""
-    import json
-    import os
-    if os.path.exists(source):
-        with open(source, encoding="utf-8") as fh:
-            return system_from_dict(json.load(fh))
-    return parse_preset(source)

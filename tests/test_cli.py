@@ -79,6 +79,14 @@ def test_coding_exact_projection(run):
     assert json.loads(out)["x"] == "1/3"
 
 
+def test_coding_exact_needs_coding(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["coding", "--preset", "riesz-nagy:0.3", "--x", "0.3",
+              "--exact"])
+    assert exc.value.code == 2
+    assert "--exact applies to --coding only" in capsys.readouterr().err
+
+
 def test_coding_membership(run):
     out, _ = run("coding", "--preset", "riesz-nagy:0.3", "--coding", "2,(1)",
                  "--in-t")
@@ -159,6 +167,36 @@ def test_verify_ae(run):
     assert doc["pass"] is True
     assert doc["expected"] == pytest.approx(0.5, abs=1e-12)
     assert abs(doc["median"] - 0.5) < 0.05
+
+
+# stdout of the README's `verify --mode ae` example, byte for byte
+VERIFY_AE_README = """\
+{
+  "deciles": [
+    1.112242618206385,
+    1.1148983046519305,
+    1.1170444009883786,
+    1.1191594749469664,
+    1.1211814496112409,
+    1.1227867261052527,
+    1.1250388700987386,
+    1.12696333809164,
+    1.1300382911338356
+  ],
+  "error": 0.0045863347947388,
+  "expected": 1.1257693834979823,
+  "fraction_finite": 1.0,
+  "median": 1.1211830487032435,
+  "mode": "ae",
+  "pass": true
+}
+"""
+
+
+def test_verify_ae_readme_output_is_pinned(run):
+    out, _ = run("verify", "--preset", "riesz-nagy:0.3", "--mode", "ae",
+                 "--points", "1000", "--horizon", "10000", "--seed", "1")
+    assert out == VERIFY_AE_README
 
 
 def test_verify_exponent(run):

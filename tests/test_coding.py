@@ -193,6 +193,15 @@ def test_in_T_float_non_member_decides_at_once(make_system):
     assert time.perf_counter() - start <= 0.05
 
 
+def test_in_T_non_finite_raises(make_system):
+    ok, constants = make_system("okamoto:0.6")
+    for x in (math.nan, math.inf, -math.inf, np.float64(math.nan)):
+        with pytest.raises(errors.OutOfDomain):
+            in_T(ok, x)
+        with pytest.raises(errors.OutOfDomain):
+            cut_point_exponents(ok, constants, x)
+
+
 @given(seed=st.integers(0, 10 ** 9))
 def test_in_T_members_on_random_systems(seed):
     rng = np.random.default_rng(seed)

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from affine_spectra import (
     Coding,
@@ -12,8 +15,11 @@ from affine_spectra import (
     derivative_series,
     errors,
     estimate_exponent,
+    oracle,
+    parse_preset,
     project,
 )
+from conftest import random_polygon_system
 
 SKEW = "skew-takagi:0.3,0.5,0.25"
 
@@ -146,3 +152,74 @@ def test_ae_sample_guard(make_system):
     tak, _ = make_system("takagi:0.5")
     with pytest.raises(errors.HorizonTooSmall):
         ae_exponent_sample(tak, 16, 3, seed=0)
+
+
+def _ae_values_reference(system, n_points, horizon, seed):
+    """The sampler as it was before streaming: 4e6-digit chunks, searchsorted
+    digits and two float64 cumsums.  Returns (values, median, deciles,
+    fraction_finite)."""
+    rng = np.random.default_rng(seed)
+    a = np.asarray(system.a)
+    cum = np.cumsum(a)
+    cum[-1] = 1.0
+    with np.errstate(divide="ignore"):
+        logd = np.log(np.abs(np.asarray(system.d)))
+    loga = np.log(a)
+    zero_ids = np.array([k - 1 for k in sorted(system.index_zero)], dtype=np.int64)
+    h0 = max(1, horizon // 2)
+
+    values = np.empty(n_points)
+    chunk = max(1, int(4_000_000 // horizon))
+    for start in range(0, n_points, chunk):
+        m = min(chunk, n_points - start)
+        digits = np.searchsorted(cum, rng.random((m, horizon)), side="right")
+        num = np.cumsum(logd[digits], axis=1)
+        den = np.cumsum(loga[digits], axis=1)
+        vals = (num[:, h0 - 1:] / den[:, h0 - 1:]).min(axis=1)
+        if zero_ids.size:
+            vals[np.isin(digits, zero_ids).any(axis=1)] = np.inf
+        values[start:start + m] = vals
+
+    finite = np.isfinite(values)
+    deciles = tuple(float(v) for v in
+                    np.percentile(values, range(10, 100, 10), method="lower"))
+    median = float(np.percentile(values, 50, method="lower")) \
+        if not finite.all() else float(np.median(values))
+    return values, median, deciles, float(finite.mean())
+
+
+def _assert_matches_reference(system, n_points, horizon, seed):
+    s = ae_exponent_sample(system, n_points, horizon, seed)
+    values, median, deciles, fraction_finite = _ae_values_reference(
+        system, n_points, horizon, seed)
+    assert s.values.tobytes() == values.tobytes()
+    assert s.median == median
+    assert s.deciles == deciles
+    assert s.fraction_finite == fraction_finite
+
+
+@given(sys_seed=st.integers(0, 10 ** 9), n_points=st.integers(1, 50),
+       horizon=st.integers(4, 3000), seed=st.integers(0, 2 ** 32 - 1))
+def test_ae_sample_matches_chunked_reference(sys_seed, n_points, horizon,
+                                             seed):
+    system = random_polygon_system(np.random.default_rng(sys_seed),
+                                   allow_zero=True)
+    _assert_matches_reference(system, n_points, horizon, seed)
+
+
+def test_ae_sample_horizon_beyond_block(make_system):
+    # one row per block, and that row longer than the block budget
+    for name in ("riesz-nagy:0.3", "okamoto:0.5"):
+        system, _ = make_system(name)
+        _assert_matches_reference(system, 3, oracle._AE_BLOCK + 7, seed=2)
+
+
+def test_ae_sample_memory_does_not_grow_with_points():
+    system = parse_preset("riesz-nagy:0.3")
+    tracemalloc.start()
+    try:
+        ae_exponent_sample(system, 1000, 10000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
