@@ -3,11 +3,10 @@ digit codings, pointwise Holder exponents and dimension spectra."""
 
 from . import errors
 from .coding import (BasicInterval, Coding, CutPointQuery, PointCoding,
-                     RunStats, RunStructure, basic_interval, coding_from_dict,
+                     RunStructure, basic_interval, coding_from_dict,
                      coding_of_point, coding_to_dict, default_schedule,
                      format_coding, generate_run_structured, in_T,
-                     parse_coding, project, run_stats,
-                     run_structure_for_target)
+                     parse_coding, project, run_structure_for_target)
 from .evaluate import (EvalResult, derivative_series, divided_difference,
                        evaluate, evaluate_many, oscillation_lower_bound,
                        sample, sup_bound)
@@ -39,9 +38,9 @@ __all__ = [
     "PRESETS", "parse_preset", "system_from_dict",
     "system_to_dict",
     # codings
-    "Coding", "PointCoding", "BasicInterval", "CutPointQuery", "RunStats",
+    "Coding", "PointCoding", "BasicInterval", "CutPointQuery",
     "RunStructure", "parse_coding", "format_coding", "coding_of_point",
-    "project", "basic_interval", "in_T", "run_stats", "default_schedule",
+    "project", "basic_interval", "in_T", "default_schedule",
     "coding_to_dict", "coding_from_dict",
     "run_structure_for_target", "generate_run_structured",
     # evaluation

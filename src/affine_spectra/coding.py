@@ -357,64 +357,6 @@ def in_T(system: SelfAffineSystem, target, *, max_depth: int = 4096) -> CutPoint
 
 
 @dataclass(frozen=True)
-class RunStats:
-    """Digit statistics of the first n digits, for one orientation.
-
-    s maps each digit to its count; L_plus / L_minus are the terminal run
-    lengths of digit r and digit 1.  chi and zeta are the indicator values
-    for the requested side; both are 0 when the run covers all n digits.
-    """
-    n: int
-    s: dict[int, int]
-    L_plus: int
-    L_minus: int
-    chi: int
-    zeta: int
-    side: str
-
-    @property
-    def L(self) -> int:
-        return self.L_plus if self.side == "right" else self.L_minus
-
-
-def run_stats(system: SelfAffineSystem, constants, coding: Coding, n: int,
-              side: str = "right") -> RunStats:
-    """Counts, terminal runs and correction indicators at depth n.
-
-    Right side: runs of digit r; chi fires when the digit after the
-    pre-run digit lies in I_plus, zeta when the pre-run digit is in the
-    overlap set.  Left side mirrors with runs of digit 1 and the digit
-    *below* the pre-run digit.
-    """
-    if side not in ("right", "left"):
-        raise ValueError("side must be 'right' or 'left'")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    digits = coding.digits(n)
-    _check_digits(coding, system.r)
-    r = system.r
-    s: dict[int, int] = {}
-    for k in digits:
-        s[k] = s.get(k, 0) + 1
-    lp = 0
-    while lp < n and digits[n - 1 - lp] == r:
-        lp += 1
-    lm = 0
-    while lm < n and digits[n - 1 - lm] == 1:
-        lm += 1
-    L = lp if side == "right" else lm
-    chi = zeta = 0
-    # a run covering all n digits contributes no correction
-    if n - L >= 1:
-        boundary = digits[n - L - 1]
-        probe = boundary + 1 if side == "right" else boundary - 1
-        chi = 1 if probe in constants.index_plus else 0
-        zeta = 1 if (boundary if side == "right" else boundary - 1) \
-            in constants.lambda_set else 0
-    return RunStats(n=n, s=s, L_plus=lp, L_minus=lm, chi=chi, zeta=zeta, side=side)
-
-
-@dataclass(frozen=True)
 class RunStructure:
     """Blueprint for codings with prescribed terminal-run density.
 

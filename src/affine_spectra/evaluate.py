@@ -20,6 +20,7 @@ from .coding import Coding
 from .ifs import SelfAffineSystem
 
 _DEFAULT_MAX_DEPTH = 500_000
+_BLOCK = 8_192       # points per block: a block's working arrays stay in cache
 
 
 def sup_bound(system: SelfAffineSystem) -> float:
@@ -40,7 +41,14 @@ def evaluate_many(system: SelfAffineSystem, xs, tol: float,
                   max_depth: int | None = None):
     """Vectorised evaluate.  Returns (values, error_bounds, depths) arrays.
 
-    Exact vertex hits return the stored ordinate with a zero bound.
+    Exact vertex hits return the stored ordinate with a zero bound.  Other
+    points run in blocks of _BLOCK through compact arrays, and each leaves
+    its block at the step where it stops.  Every point sees the operations
+    of evaluate in the same order, so results are bitwise those of evaluate
+    and do not depend on the batch or its partition into blocks.  Cost is
+    linear in the sum of the depths; beyond the per-point arrays, memory is
+    bounded by the block.  NonConvergence reports the worst bound left at
+    the depth cap over all blocks.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -53,48 +61,93 @@ def evaluate_many(system: SelfAffineSystem, xs, tol: float,
         max_depth = _DEFAULT_MAX_DEPTH
 
     part = np.asarray(system.xs)
-    cuts = part[1:-1]
-    lefts = part[:-1]
-    a = np.asarray(system.a)
-    c = np.asarray(system.c)
-    d = np.asarray(system.d)
-    e = np.asarray(system.e)
+    cuts = system.xs[1:-1]
+    # rows x_{k-1}, a_k, e_k, c_k, d_k of branch k, gathered in one take
+    consts = np.array([system.xs[:-1], system.a, system.e, system.c,
+                       system.d])
     y0, yr = system.ys[0], system.ys[-1]
     bound = sup_bound(system)
 
-    t = flat.copy()
-    A = np.zeros_like(t)
-    B = np.zeros_like(t)
-    R = np.ones_like(t)
-    depth = np.zeros(t.shape, dtype=np.int64)
+    # rows t, A, B, R: each point's state, written back when it stops
+    state = np.zeros((4, flat.size))
+    state[0] = flat
+    state[3] = 1.0
+    depth = np.zeros(flat.shape, dtype=np.int64)
 
-    # exact vertex hits bypass the recursion entirely
-    vidx = np.searchsorted(part, t)
-    vidx = np.clip(vidx, 0, len(part) - 1)
-    exact_vertex = part[vidx] == t
+    # exact vertex hits bypass the recursion entirely; with bound <= tol
+    # every other point stops at depth 0 too
+    vidx = np.clip(np.searchsorted(part, flat), 0, len(part) - 1)
+    exact_vertex = part[vidx] == flat
+    live = np.flatnonzero(~exact_vertex & (bound > tol))
 
-    active = (~exact_vertex) & (np.abs(R) * bound > tol) & (t != 0.0) & (t != 1.0)
-    steps = 0
-    while active.any():
-        if steps >= max_depth:
-            worst = float((np.abs(R[active]) * bound).max())
-            raise errors.NonConvergence(
-                f"depth cap {max_depth} hit; achieved bound {worst:g} > tol {tol:g}",
-                achieved_bound=worst, depth=steps)
-        idx = np.flatnonzero(active)
-        ti = t[idx]
-        k = np.searchsorted(cuts, ti, side="right")
-        ti = (ti - lefts[k]) / a[k]
-        np.maximum(ti, 0.0, out=ti)      # clamp rounding undershoot
-        t[idx] = ti
-        Ri = R[idx]
-        A[idx] += B[idx] * lefts[k] + Ri * e[k]
-        B[idx] = B[idx] * a[k] + Ri * c[k]
-        R[idx] = Ri * d[k]
-        depth[idx] += 1
-        active[idx] = (np.abs(R[idx]) * bound > tol) & (t[idx] != 0.0) & (t[idx] != 1.0)
-        steps += 1
+    size = min(live.size, _BLOCK)
+    kbuf = np.empty(size, dtype=np.intp)
+    fbuf = np.empty(size)
+    gbuf = np.empty(5 * size)
+    bbuf = np.empty((2, size), dtype=bool)
+    worst = 0.0          # a point left at the cap has |R| bound > tol > 0
+    for start in range(0, live.size, _BLOCK):
+        pos = live[start:start + _BLOCK].copy()
+        block = state.take(pos, 1)
+        m = 0
+        step = 0
+        while True:
+            if m != pos.size:        # first step, or the block shrank
+                m = pos.size
+                t, A, B, R = block
+                k, f, (still, mask) = kbuf[:m], fbuf[:m], bbuf[:, :m]
+                gathered = gbuf[:5 * m].reshape(5, m)
+                left, ak, ek, ck, dk = gathered
+            if step >= max_depth:
+                worst = max(worst, float((np.abs(R) * bound).max()))
+                capped = step
+                break
+            # branch k + 1 holds t when exactly k cuts are <= t
+            np.greater_equal(t, cuts[0], k)
+            for cut in cuts[1:]:
+                np.greater_equal(t, cut, mask)
+                np.add(k, mask, k)
+            consts.take(k, 1, gathered, "wrap")
+            np.subtract(t, left, t)
+            np.divide(t, ak, t)
+            np.maximum(t, 0.0, out=t)  # clamp rounding undershoot
+            np.multiply(B, left, f)
+            np.multiply(R, ek, ek)
+            np.add(f, ek, f)
+            np.add(A, f, A)
+            np.multiply(B, ak, B)
+            np.multiply(R, ck, ck)
+            np.add(B, ck, B)
+            np.multiply(R, dk, R)
+            step += 1
+            # stop test: |R| bound <= tol, or the orbit sits on 0 or 1
+            np.abs(R, f)
+            np.multiply(f, bound, f)
+            np.greater(f, tol, still)
+            np.not_equal(t, 0.0, mask)
+            np.logical_and(still, mask, still)
+            np.not_equal(t, 1.0, mask)
+            np.logical_and(still, mask, still)
+            n_still = np.count_nonzero(still)
+            if n_still < m:
+                gone = np.flatnonzero(~still)
+                done = pos[gone]
+                state[:, done] = block[:, gone]
+                depth[done] = step
+                if not n_still:
+                    break
+                # points still running above n_still fill the holes below
+                holes = gone[:gone.searchsorted(n_still)]
+                movers = n_still + np.flatnonzero(still[n_still:])
+                block[:, holes] = block[:, movers]
+                pos[holes] = pos[movers]
+                block, pos = block[:, :n_still], pos[:n_still]
+    if worst:
+        raise errors.NonConvergence(
+            f"depth cap {max_depth} hit; achieved bound {worst:g} > tol {tol:g}",
+            achieved_bound=worst, depth=capped)
 
+    t, A, B, R = state
     closing = np.where(t == 0.0, y0, np.where(t == 1.0, yr, 0.0))
     values = A + B * t + R * closing
     errs = np.where((t == 0.0) | (t == 1.0), 0.0, np.abs(R) * bound)
@@ -102,7 +155,6 @@ def evaluate_many(system: SelfAffineSystem, xs, tol: float,
         yarr = np.asarray(system.ys)
         values[exact_vertex] = yarr[vidx[exact_vertex]]
         errs[exact_vertex] = 0.0
-        depth[exact_vertex] = 0
     return (values.reshape(pts.shape), errs.reshape(pts.shape),
             depth.reshape(pts.shape))
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import errors
 from .coding import Coding, _check_digits, in_T
 from .evaluate import derivative_series, evaluate_many
-from .ifs import SelfAffineSystem, SpectrumConstants
+from .ifs import SelfAffineSystem, SpectrumConstants, _terminal_run_constants
 
 _MIN_HORIZON = 16
 
@@ -46,17 +46,9 @@ def side_run_constants(constants: SpectrumConstants, side: str):
     """
     _check_side(side)
     a, d = constants.a, constants.d
-    la1, lar = math.log(a[0]), math.log(a[-1])
-    d1, dr = abs(d[0]), abs(d[-1])
-    if side == "right":
-        k1 = 0.0 if (d1 == 0.0 or dr == 0.0) else \
-            (lar / la1) * math.log(d1) - math.log(dr)
-        k2 = 0.0 if dr == 0.0 else lar - math.log(dr)
-    else:
-        k1 = 0.0 if (d1 == 0.0 or dr == 0.0) else \
-            (la1 / lar) * math.log(dr) - math.log(d1)
-        k2 = 0.0 if d1 == 0.0 else la1 - math.log(d1)
-    return k1, k2
+    if side == "left":
+        a, d = a[::-1], d[::-1]
+    return _terminal_run_constants(a, d)
 
 
 @dataclass(frozen=True)

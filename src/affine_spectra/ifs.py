@@ -345,6 +345,17 @@ def two_branch_lambda_empty(system: SelfAffineSystem, tol: float = 1e-9) -> bool
     return abs(d1 / a1 + d2 / a2 - 1.0) <= tol
 
 
+def _terminal_run_constants(a, d) -> tuple[float, float]:
+    """(K1, K2) of the terminal-run correction at the right end (formulas in
+    exponent.side_run_constants); reversed a and d give the left end."""
+    d1, dr = abs(d[0]), abs(d[-1])
+    lar = math.log(a[-1])
+    k1 = 0.0 if (d1 == 0.0 or dr == 0.0) else \
+        (lar / math.log(a[0])) * math.log(d1) - math.log(dr)
+    k2 = 0.0 if dr == 0.0 else lar - math.log(dr)
+    return k1, k2
+
+
 def compute_constants(system: SelfAffineSystem, *,
                       lambda_tol: float = LAMBDA_TOL) -> SpectrumConstants:
     """Derive every spectrum constant for a validated system."""
@@ -367,13 +378,7 @@ def compute_constants(system: SelfAffineSystem, *,
     alpha_hat = (math.fsum(w * math.log(abs(d[k - 1])) for w, k in zip(wts, iplus))
                  / math.fsum(w * math.log(a[k - 1]) for w, k in zip(wts, iplus)))
 
-    # terminal-run correction constants; zero when the relevant d vanishes
-    if d[0] == 0.0 or d[-1] == 0.0:
-        k1 = 0.0
-    else:
-        k1 = (math.log(a[-1]) / math.log(a[0])) * math.log(abs(d[0])) \
-            - math.log(abs(d[-1]))
-    k2 = 0.0 if d[-1] == 0.0 else math.log(a[-1]) - math.log(abs(d[-1]))
+    k1, k2 = _terminal_run_constants(a, d)
 
     lam, borderline = lambda_set(system, tol=lambda_tol)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -50,6 +51,18 @@ def test_eval(run):
     assert doc["value"] == pytest.approx(0.3, abs=1e-13)
     assert doc["error_bound"] <= 1e-13
     assert doc["depth"] == 0  # vertex is exact
+
+
+# sha256 of the stdout of `sample --preset okamoto:0.6 --points 1001
+# --tol 1e-12`, as the unblocked evaluation loop printed it
+SAMPLE_OKAMOTO_SHA256 = \
+    "1771b5456942857ec1634e35fb279fb1e88a4dfa6deecfc6d8812f5f0680f10e"
+
+
+def test_sample_output_is_pinned(run):
+    out, _ = run("sample", "--preset", "okamoto:0.6", "--points", "1001",
+                 "--tol", "1e-12")
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_OKAMOTO_SHA256
 
 
 def test_sample_csv(run):

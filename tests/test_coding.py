@@ -22,10 +22,10 @@ from affine_spectra import (
     in_T,
     parse_coding,
     project,
-    run_stats,
     run_structure_for_target,
 )
 from conftest import random_polygon_system
+from test_exponent import run_stats
 
 SKEW = "skew-takagi:0.3,0.5,0.25"
 

@@ -1,4 +1,6 @@
+import importlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,9 @@ from affine_spectra import (
     sup_bound,
 )
 from conftest import random_polygon_system
+
+# the package exports the function evaluate under the module's name
+evaluate_module = importlib.import_module("affine_spectra.evaluate")
 
 PRESET_NAMES = ("takagi:0.5", "takagi:1.5", "riesz-nagy:0.3", "okamoto:0.6",
                 "okamoto:5/6", "okamoto:0.5", "skew-takagi:0.3,0.5,0.25",
@@ -140,6 +145,150 @@ def test_scalar_path_matches_batch_on_presets(make_system, name):
 def test_scalar_path_matches_batch(seed):
     rng = np.random.default_rng(seed)
     _assert_paths_agree_on(random_polygon_system(rng, allow_zero=True), rng, 4)
+
+
+def _evaluate_many_reference(system, xs, tol, max_depth=None):
+    """evaluate_many as it was before blocking: every step runs over the
+    whole batch, with flatnonzero on an active mask, a searchsorted branch
+    choice, and gathers from and scatters to full-length arrays."""
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    pts = np.asarray(xs, dtype=float)
+    flat = pts.ravel()
+    if flat.size and not (np.isfinite(flat).all()
+                          and flat.min() >= 0.0 and flat.max() <= 1.0):
+        raise errors.OutOfDomain("points must lie in [0, 1]")
+    if max_depth is None:
+        max_depth = evaluate_module._DEFAULT_MAX_DEPTH
+
+    part = np.asarray(system.xs)
+    cuts = part[1:-1]
+    lefts = part[:-1]
+    a = np.asarray(system.a)
+    c = np.asarray(system.c)
+    d = np.asarray(system.d)
+    e = np.asarray(system.e)
+    y0, yr = system.ys[0], system.ys[-1]
+    bound = sup_bound(system)
+
+    t = flat.copy()
+    A = np.zeros_like(t)
+    B = np.zeros_like(t)
+    R = np.ones_like(t)
+    depth = np.zeros(t.shape, dtype=np.int64)
+
+    vidx = np.searchsorted(part, t)
+    vidx = np.clip(vidx, 0, len(part) - 1)
+    exact_vertex = part[vidx] == t
+
+    active = (~exact_vertex) & (np.abs(R) * bound > tol) & (t != 0.0) & (t != 1.0)
+    steps = 0
+    while active.any():
+        if steps >= max_depth:
+            worst = float((np.abs(R[active]) * bound).max())
+            raise errors.NonConvergence(
+                f"depth cap {max_depth} hit; achieved bound {worst:g} > tol {tol:g}",
+                achieved_bound=worst, depth=steps)
+        idx = np.flatnonzero(active)
+        ti = t[idx]
+        k = np.searchsorted(cuts, ti, side="right")
+        ti = (ti - lefts[k]) / a[k]
+        np.maximum(ti, 0.0, out=ti)
+        t[idx] = ti
+        Ri = R[idx]
+        A[idx] += B[idx] * lefts[k] + Ri * e[k]
+        B[idx] = B[idx] * a[k] + Ri * c[k]
+        R[idx] = Ri * d[k]
+        depth[idx] += 1
+        active[idx] = (np.abs(R[idx]) * bound > tol) & (t[idx] != 0.0) & (t[idx] != 1.0)
+        steps += 1
+
+    closing = np.where(t == 0.0, y0, np.where(t == 1.0, yr, 0.0))
+    values = A + B * t + R * closing
+    errs = np.where((t == 0.0) | (t == 1.0), 0.0, np.abs(R) * bound)
+    if exact_vertex.any():
+        yarr = np.asarray(system.ys)
+        values[exact_vertex] = yarr[vidx[exact_vertex]]
+        errs[exact_vertex] = 0.0
+        depth[exact_vertex] = 0
+    return (values.reshape(pts.shape), errs.reshape(pts.shape),
+            depth.reshape(pts.shape))
+
+
+def _assert_matches_reference(system, xs, tol, max_depth=None):
+    """evaluate_many and the reference give the same bits, shapes and dtypes,
+    or the same NonConvergence."""
+    try:
+        want = _evaluate_many_reference(system, xs, tol, max_depth)
+    except errors.NonConvergence as exc:
+        with pytest.raises(errors.NonConvergence) as got:
+            evaluate_many(system, xs, tol, max_depth=max_depth)
+        assert (str(got.value), got.value.achieved_bound, got.value.depth) \
+            == (str(exc), exc.achieved_bound, exc.depth)
+        return
+    got = evaluate_many(system, xs, tol, max_depth=max_depth)
+    for g, w in zip(got, want):
+        assert (g.shape, g.dtype) == (w.shape, w.dtype)
+        assert g.tobytes() == w.tobytes()
+
+
+def _batch(system, rng, size):
+    """size uniform points; when there is room they hold, at random places,
+    every vertex (0 and 1 among them) and the images of the vertices under
+    each branch, whose orbits meet a cut after one step."""
+    xs = rng.uniform(0.0, 1.0, size)
+    special = list(system.xs) + [b.a * x + b.b for b in system.branches
+                                 for x in system.xs]
+    if size >= len(special):
+        xs[rng.choice(size, len(special), replace=False)] = special
+    return xs
+
+
+def _assert_kernel_matches_reference(system, rng):
+    block = evaluate_module._BLOCK
+    for size in (0, 1, block - 1, block, block + 1, 2 * block + 3):
+        xs = _batch(system, rng, size)
+        for tol in (1e-4, 1e-10, 1e-15):
+            _assert_matches_reference(system, xs, tol)
+    grid = _batch(system, rng, 3 * 7).reshape(3, 7)
+    _assert_matches_reference(system, grid, 1e-12)
+    # a tol above sup|phi| needs no step at all
+    _assert_matches_reference(system, grid, 2.0 * sup_bound(system))
+    _assert_matches_reference(system, list(system.xs), 1e-15)
+    # every block hits the cap
+    _assert_matches_reference(system, _batch(system, rng, 2 * block + 3),
+                              1e-15, max_depth=3)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_kernel_matches_reference_on_presets(make_system, name):
+    system, _ = make_system(name)
+    _assert_kernel_matches_reference(system, np.random.default_rng(11))
+
+
+@given(seed=st.integers(0, 10 ** 9), block=st.sampled_from((1, 2, 5, 64)))
+def test_kernel_matches_reference(seed, block):
+    # a small block puts several blocks into every batch size above
+    rng = np.random.default_rng(seed)
+    system = random_polygon_system(rng, allow_zero=True)
+    with mock.patch.object(evaluate_module, "_BLOCK", block):
+        _assert_kernel_matches_reference(system, rng)
+
+
+def test_cap_in_one_block_only(make_system):
+    # the first block stops at the cap, the last converges by depth 2:
+    # the error still names the cap and the worst bound of the first block
+    system, _ = make_system("takagi:0.5")
+    block = evaluate_module._BLOCK
+    xs = np.concatenate([np.random.default_rng(3).uniform(0.0, 1.0, block),
+                         np.full(block // 2, 0.25)])
+    _assert_matches_reference(system, xs, 1e-15, max_depth=3)
+    with pytest.raises(errors.NonConvergence) as exc:
+        evaluate_many(system, xs, 1e-15, max_depth=3)
+    assert exc.value.depth == 3
+    values, errs, depths = evaluate_many(system, xs[block:], 1e-15,
+                                         max_depth=3)
+    assert np.all(depths == 2) and np.all(errs == 0.0)
 
 
 @given(seed=st.integers(0, 10 ** 9))
