@@ -5,6 +5,12 @@ xi = lim S_{k_1} o ... o S_{k_n}(0) where S_k(x) = a_k x + b_k.  Points of
 the countable set T (images of 0 and 1 under finite compositions) carry two
 codings; everywhere we canonicalise to the *right* coding, whose tail is all
 ones after an incremented digit.
+
+Digits come from one exact orbit, t -> (t - x_{k-1}) / (x_k - x_{k-1}),
+over the stored abscissae.  These are doubles, hence integers over one
+power of two, and every input (a float or a Fraction) is a ratio of
+integers, so the orbit runs on Python ints with no rounding: the digits of
+coding_of_point and in_T are exact for every input.
 """
 
 from __future__ import annotations
@@ -18,9 +24,6 @@ import numpy as np
 
 from . import errors
 from .ifs import SelfAffineSystem
-
-FLOAT_CUT_TOL = 1e-14    # snapping tolerance for float cut-point detection
-
 
 @dataclass(frozen=True)
 class Coding:
@@ -147,8 +150,8 @@ class PointCoding:
     """Result of addressing a point: the digit coding plus `interval`, the
     basic interval of all the emitted digits (the deepest one containing
     the point, equal to basic_interval(system, coding.prefix)).  cut_point
-    marks membership of T (tail of 1s emitted); ambiguous marks
-    float-tolerance snapping on the way."""
+    marks membership of T (tail of 1s emitted).  The digits are exact, so
+    ambiguous is always False; it stays for readers of earlier output."""
     coding: Coding
     interval: BasicInterval
     cut_point: bool
@@ -166,56 +169,62 @@ def _deepest_interval(system: SelfAffineSystem, digits: tuple[int, ...]) -> Basi
     return BasicInterval(digits, left, left + length, length)
 
 
+def _partition(system: SelfAffineSystem) -> tuple[list[int], int]:
+    """The stored abscissae over one power of two: x_k = X[k] / 2**p."""
+    ratios = [x.as_integer_ratio() for x in system.xs]
+    p = max(den for _, den in ratios).bit_length() - 1
+    return [num * ((1 << p) // den) for num, den in ratios], p
+
+
+def _orbit(X: list[int], p: int, u: int, v: int,
+           n: int) -> tuple[list[int], int, int]:
+    """Up to n digits of t = u / v in [0, 1) under the partition X / 2**p.
+
+    Each step picks the branch k with x_{k-1} <= t < x_k and maps t to
+    (t - x_{k-1}) / (x_k - x_{k-1}), all in integers: t >= x_k reads
+    u 2^p >= X_k v, and the new t is
+    (u 2^p - X_{k-1} v) / ((X_k - X_{k-1}) v).  Stops early when t
+    reaches 0, where the digits so far end the right coding of a vertex
+    image.  Returns (digits, u, v).
+    """
+    r = len(X) - 1
+    digits = []
+    while u and len(digits) < n:
+        w = u << p
+        k, low = 1, 0
+        while k < r:
+            high = X[k] * v
+            if w < high:
+                break
+            k, low = k + 1, high    # low = X_{k-1} v, reused by the update
+        digits.append(k)
+        u = w - low
+        v *= X[k] - X[k - 1]
+    return digits, u, v
+
+
 def coding_of_point(system: SelfAffineSystem, x, depth: int) -> PointCoding:
     """Digit address of x in (0, 1) to the requested depth.
 
-    Fraction inputs are resolved exactly against the stored (float, hence
-    rational) partition; float inputs use a documented snapping tolerance of
-    1e-14 per step, reporting `ambiguous` whenever a snap fired.  Points of T
-    return the right coding (incremented digit, then all 1s) and cut_point.
+    x is a float (numpy scalars go through float(x)) or a Fraction, and
+    either is an exact rational, so the digits are exact for every input:
+    the expansion over the stored abscissae, with no tolerance, and
+    ambiguous is always False.  Points of T return the right coding
+    (incremented digit, then all 1s) and cut_point.  NaN, infinities and
+    numbers outside (0, 1) raise OutOfDomain.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    exact = isinstance(x, (Fraction, int))
-    xv = Fraction(x) if exact else float(x)
+    xv = x if isinstance(x, (Fraction, int)) else float(x)
     if not (0 < xv < 1):
         raise errors.OutOfDomain(f"x = {xv} not in (0, 1)")
-
-    r = system.r
-    if exact:
-        cuts = [Fraction(v) for v in system.xs]
-        widths = [cuts[k + 1] - cuts[k] for k in range(r)]
-    else:
-        cuts = system.xs
-        widths = system.a
-
-    digits: list[int] = []
-    t = xv
-    cut = False
-    ambiguous = False
-    while len(digits) < depth:
-        # branch with x_{k-1} <= t < x_k; landing exactly on an interior
-        # vertex selects the right-hand branch and zeroes t (right coding)
-        k = 1
-        while k < r and t >= cuts[k]:
-            k += 1
-        if not exact:
-            # snap to the nearest vertex when within tolerance
-            if k < r and abs(t - cuts[k]) <= FLOAT_CUT_TOL:
-                t, k = cuts[k], k + 1
-                ambiguous = True
-            elif k > 1 and abs(t - cuts[k - 1]) <= FLOAT_CUT_TOL and t != cuts[k - 1]:
-                t = cuts[k - 1]
-                ambiguous = True
-        digits.append(k)
-        t = (t - cuts[k - 1]) / widths[k - 1]
-        if t == 0:
-            cut = True
-            digits.extend([1] * (depth - len(digits)))
-    prefix = tuple(digits)
+    X, p = _partition(system)
+    digits, u, _ = _orbit(X, p, *xv.as_integer_ratio(), depth)
+    cut = u == 0
+    prefix = tuple(digits) + (1,) * (depth - len(digits))
     return PointCoding(coding=Coding(prefix=prefix, period=(1,) if cut else None),
                        interval=_deepest_interval(system, prefix),
-                       cut_point=cut, ambiguous=ambiguous)
+                       cut_point=cut)
 
 
 def basic_interval(system: SelfAffineSystem, digits) -> BasicInterval:
@@ -231,14 +240,14 @@ def project(system: SelfAffineSystem, coding: Coding, *, exact: bool = False):
     point of the period composition; a bare prefix projects to the left
     endpoint of its basic interval (an implicit all-1 tail).  With
     exact=True the result is a Fraction over the stored abscissae, with
-    b_k = x_{k-1} and a_k = x_k - x_{k-1}, the partition that in_T and the
-    exact coding_of_point resolve against.
+    b_k = x_{k-1} and a_k = x_k - x_{k-1}, the partition that in_T and
+    coding_of_point resolve against.
     """
     _check_digits(coding, system.r)
     if exact:
-        cuts = [Fraction(v) for v in system.xs]
-        a = [cuts[k + 1] - cuts[k] for k in range(system.r)]
-        b = cuts[:-1]
+        X, p = _partition(system)
+        b = [Fraction(v, 1 << p) for v in X[:-1]]
+        a = [Fraction(X[k + 1] - X[k], 1 << p) for k in range(system.r)]
         t = Fraction(0)
     else:
         a = list(system.a)
@@ -287,15 +296,16 @@ def in_T(system: SelfAffineSystem, target, *, max_depth: int = 4096) -> CutPoint
     """Decide membership of the two-coding set T.
 
     `target` is a number in [0, 1] or a Coding; NaN, infinities and other
-    numbers outside [0, 1] raise OutOfDomain.  Numbers run an exact
-    rational orbit (floats are exact rationals) with cycle detection.  The
-    stored abscissae are doubles, hence dyadic, so every point of T and
-    every orbit point of a member is a dyadic rational: an orbit point whose
-    reduced denominator is not a power of two decides non-membership at
-    once.  If the orbit neither hits 0, leaves the dyadics nor revisits a
-    state within max_depth steps the answer is (member=False,
-    decided=False).  Codings decide by inspecting the tail: members are
-    exactly the codings that end in all 1s or all rs.
+    numbers outside [0, 1] raise OutOfDomain.  Numbers follow the exact
+    digit orbit of coding_of_point (floats are exact rationals), reduced to
+    lowest terms at each step for cycle detection.  The stored abscissae
+    are doubles, hence dyadic, so every point of T and every orbit point of
+    a member is a dyadic rational: an orbit point whose reduced denominator
+    is not a power of two decides non-membership at once.  If the orbit
+    neither hits 0, leaves the dyadics nor revisits a state within
+    max_depth steps the answer is (member=False, decided=False).  Codings
+    decide by inspecting the tail: members are exactly the codings that end
+    in all 1s or all rs.
     """
     r = system.r
     if isinstance(target, Coding):
@@ -334,22 +344,19 @@ def in_T(system: SelfAffineSystem, target, *, max_depth: int = 4096) -> CutPoint
                              n0=0, boundary_digit=None)
     if not (0 < x < 1):
         raise errors.OutOfDomain(f"x = {x} not in [0, 1]")
-    cuts = [Fraction(v) for v in system.xs]
-    widths = [cuts[k + 1] - cuts[k] for k in range(r)]
-    t = x
+    X, p = _partition(system)
+    u, v = x.numerator, x.denominator
     digits: list[int] = []
-    seen: set[Fraction] = set()
+    seen: set[tuple[int, int]] = set()
     for _ in range(max_depth):
-        den = t.denominator
-        if den & (den - 1) or t in seen:
+        g = math.gcd(u, v)
+        u, v = u // g, v // g
+        if v & (v - 1) or (u, v) in seen:
             return CutPointQuery(member=False)
-        seen.add(t)
-        k = 1
-        while k < r and t >= cuts[k]:
-            k += 1
-        digits.append(k)
-        t = (t - cuts[k - 1]) / widths[k - 1]
-        if t == 0:
+        seen.add((u, v))
+        step, u, v = _orbit(X, p, u, v, 1)
+        digits += step
+        if u == 0:
             # digits is the right coding's stem with an incremented last digit
             stem = tuple(digits[:-1]) + (digits[-1] - 1,)
             return _cut_codings_from_stem(stem, r)

@@ -109,8 +109,8 @@ def evaluate_many(system: SelfAffineSystem, xs, tol: float,
                 np.add(k, mask, k)
             consts.take(k, 1, gathered, "wrap")
             np.subtract(t, left, t)
+            # x_{k-1} <= t, so the rounded difference is never negative
             np.divide(t, ak, t)
-            np.maximum(t, 0.0, out=t)  # clamp rounding undershoot
             np.multiply(B, left, f)
             np.multiply(R, ek, ek)
             np.add(f, ek, f)
@@ -197,9 +197,7 @@ def evaluate(system: SelfAffineSystem, x: float, tol: float,
         while k < n_cuts and cuts[k] <= t:
             k += 1
         left = part[k]
-        t = (t - left) / a[k]
-        if t < 0.0:              # clamp rounding undershoot
-            t = 0.0
+        t = (t - left) / a[k]    # left <= t: the difference is never negative
         A += B * left + R * e[k]
         B = B * a[k] + R * c[k]
         R = R * d[k]

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import errors
-from .coding import Coding, _check_digits, in_T
+from .coding import Coding, _check_digits, _cut_codings_from_stem, in_T
 from .evaluate import derivative_series, evaluate_many
 from .ifs import SelfAffineSystem, SpectrumConstants, _terminal_run_constants
 
@@ -143,7 +143,7 @@ def gammas(system: SelfAffineSystem, constants: SpectrumConstants,
     _check_side(side)
     _check_digits(coding, system.r)
     probe = coding.prefix + (coding.period or ())
-    if any(k in constants.index_zero for k in probe):
+    if not constants.index_zero.isdisjoint(probe):
         raise errors.InfiniteExponent(
             "coding contains a zero-contraction digit")
 
@@ -219,7 +219,7 @@ def _holder_side(system: SelfAffineSystem, constants: SpectrumConstants,
             "phi is a polynomial; exponent statements do not apply")
 
     probe = coding.prefix + (coding.period or ())
-    if any(k in constants.index_zero for k in probe):
+    if not constants.index_zero.isdisjoint(probe):
         deriv = None
         try:
             deriv = derivative_series(system, coding, series_tol)
@@ -299,8 +299,8 @@ def _cut_result(system: SelfAffineSystem, constants: SpectrumConstants,
     k = stem[-1]
     if not 1 <= k < r:
         raise errors.InvalidCoding(f"stem must end in a digit below r, got {k}")
-    left = Coding(prefix=stem, period=(r,))
-    right = Coding(prefix=stem[:-1] + (k + 1,), period=(1,))
+    codings = _cut_codings_from_stem(stem, r)
+    left, right = codings.left, codings.right
     # a d = 0 digit anywhere in a side's coding puts that side inside an
     # affine piece, which the rho of the tail digit alone would miss
     shared = set(stem[:-1])
@@ -384,13 +384,6 @@ class ExponentReport:
         return self.left.alpha if self.left is not None else None
 
 
-def _strip_tail(digits: tuple[int, ...], digit: int) -> tuple[int, ...]:
-    out = list(digits)
-    while out and out[-1] == digit:
-        out.pop()
-    return tuple(out)
-
-
 def exponent_report(system: SelfAffineSystem, constants: SpectrumConstants,
                     coding: Coding, *, horizon: int | None = None,
                     series_tol: float = 1e-12) -> ExponentReport:
@@ -414,13 +407,7 @@ def exponent_report(system: SelfAffineSystem, constants: SpectrumConstants,
                                horizon=horizon, series_tol=series_tol)
             return ExponentReport(coding=coding, cut_point=False,
                                   alpha=left.alpha, left=left)
-        if tail == r:
-            stem = _strip_tail(coding.prefix, r)
-        else:
-            base = _strip_tail(coding.prefix, 1)
-            stem = base[:-1] + (base[-1] - 1,)
-            if stem[-1] == 0:
-                raise errors.InvalidCoding("digit 0 produced while normalising")
+        stem = in_T(system, coding).left.prefix
         cut = _cut_result(system, constants, stem, series_tol)
         return ExponentReport(coding=coding, cut_point=True,
                               alpha=cut.alpha, cut=cut)

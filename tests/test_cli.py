@@ -1,6 +1,11 @@
+import csv
 import hashlib
+import io
 import json
 import math
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -278,3 +283,49 @@ def test_console_script_runs():
         capture_output=True, text=True)
     assert res.returncode == 0
     assert json.loads(res.stdout)["value"] == pytest.approx(0.5)
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_examples():
+    """(argv, shown) for every `affine-spectra` line in the README's sh
+    blocks; `shown` holds the comment lines right under the command."""
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        shown = None
+        for line in block.splitlines():
+            if line.startswith("affine-spectra "):
+                shown = []
+                examples.append((shlex.split(line)[1:], shown))
+            elif line.startswith("# ") and shown is not None:
+                shown.append(line[2:])
+            else:
+                shown = None
+    return examples
+
+
+def test_readme_examples_run(run):
+    examples = _readme_examples()
+    assert {argv[0] for argv, _ in examples} == {
+        "validate", "constants", "eval", "sample", "coding", "exponent",
+        "spectrum", "verify", "gen-coding"}
+    for argv, shown in examples:
+        out, _ = run(*argv)
+        if out.startswith("{"):
+            json.loads(out)
+        else:
+            rows = list(csv.reader(io.StringIO(out)))
+            assert rows and all(len(row) == len(rows[0]) for row in rows)
+        if not shown:
+            continue
+        if shown[0].startswith("CSV: "):      # names the header only
+            assert out.splitlines()[0] == shown[0][len("CSV: "):]
+        elif len(shown) == 1 and shown[0].startswith("{"):
+            assert json.loads(out) == json.loads(shown[0])
+        else:                                 # head, "...", tail
+            lines = out.splitlines()
+            cut = shown.index("...") if "..." in shown else len(shown)
+            head, tail = shown[:cut], shown[cut + 1:]
+            assert lines[:len(head)] == head
+            assert lines[len(lines) - len(tail):] == tail

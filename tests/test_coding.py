@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from affine_spectra import (
     BasicInterval,
     Coding,
+    CutPointQuery,
     basic_interval,
     coding_from_dict,
     coding_of_point,
@@ -99,11 +100,124 @@ def test_coding_of_point_vertex(make_system):
     assert set(pc.coding.prefix[1:]) == {1}
 
 
-def test_coding_of_point_snaps_near_vertex(make_system):
+def test_coding_of_point_near_vertex_is_exact(make_system):
+    # 5e-15 right of the vertex 1/2 is not the vertex: no snapping
     rn, _ = make_system("riesz-nagy:0.3")
     pc = coding_of_point(rn, 0.5 + 5e-15, 6)
-    assert pc.ambiguous
-    assert pc.cut_point
+    assert pc.coding.prefix == (2, 1, 1, 1, 1, 1)
+    assert not pc.cut_point and not pc.ambiguous
+
+
+def test_coding_of_point_rejects_non_finite(make_system):
+    ok, _ = make_system("okamoto:0.6")
+    for x in (math.nan, math.inf, -math.inf, np.float64(math.nan)):
+        with pytest.raises(errors.OutOfDomain):
+            coding_of_point(ok, x, 8)
+
+
+def test_coding_of_point_numpy_scalars(make_system):
+    ok, _ = make_system("okamoto:0.6")
+    for x in (np.float32(0.4), np.float64(0.4), np.float32(0.7)):
+        assert (coding_of_point(ok, x, 64)
+                == coding_of_point(ok, float(x), 64))
+
+
+# every preset family, plus seeds for random systems
+PRESET_NAMES = ["takagi:0.5", "takagi:2", "riesz-nagy:0.3", "okamoto:0.6",
+                "okamoto:5/6", "okamoto:1/2", SKEW]
+
+
+def _any_system(make_system, rng, pick):
+    if pick < len(PRESET_NAMES):
+        return make_system(PRESET_NAMES[pick])[0]
+    return random_polygon_system(rng, allow_zero=True)
+
+
+def _coding_of_point_reference(system, x, depth):
+    """The exact Fraction orbit coding_of_point used to run for Fraction
+    inputs: (digits, cut_point)."""
+    r = system.r
+    cuts = [Fraction(v) for v in system.xs]
+    widths = [cuts[k + 1] - cuts[k] for k in range(r)]
+    digits: list[int] = []
+    t = Fraction(x)
+    cut = False
+    while len(digits) < depth:
+        k = 1
+        while k < r and t >= cuts[k]:
+            k += 1
+        digits.append(k)
+        t = (t - cuts[k - 1]) / widths[k - 1]
+        if t == 0:
+            cut = True
+            digits.extend([1] * (depth - len(digits)))
+    return tuple(digits), cut
+
+
+def _in_T_reference(system, x, max_depth):
+    """The Fraction orbit in_T used to run on numbers in (0, 1)."""
+    r = system.r
+    cuts = [Fraction(v) for v in system.xs]
+    widths = [cuts[k + 1] - cuts[k] for k in range(r)]
+    t = Fraction(x)
+    digits: list[int] = []
+    seen: set[Fraction] = set()
+    for _ in range(max_depth):
+        den = t.denominator
+        if den & (den - 1) or t in seen:
+            return CutPointQuery(member=False)
+        seen.add(t)
+        k = 1
+        while k < r and t >= cuts[k]:
+            k += 1
+        digits.append(k)
+        t = (t - cuts[k - 1]) / widths[k - 1]
+        if t == 0:
+            stem = tuple(digits[:-1]) + (digits[-1] - 1,)
+            return CutPointQuery(
+                member=True, left=Coding(prefix=stem, period=(r,)),
+                right=Coding(prefix=stem[:-1] + (stem[-1] + 1,), period=(1,)),
+                n0=len(stem), boundary_digit=stem[-1])
+    return CutPointQuery(member=False, decided=False)
+
+
+def _vertex_image(system, rng):
+    r = system.r
+    size = int(rng.integers(0, 4))
+    stem = tuple(int(v) for v in rng.integers(1, r + 1, size))
+    stem += (int(rng.integers(1, r)),)
+    return project(system, Coding(prefix=stem, period=(r,)), exact=True)
+
+
+@given(seed=st.integers(0, 10 ** 9), pick=st.integers(0, len(PRESET_NAMES)))
+def test_coding_of_point_digits_are_exact(make_system, seed, pick):
+    rng = np.random.default_rng(seed)
+    system = _any_system(make_system, rng, pick)
+    x = float(rng.uniform(0.0, 1.0))
+    q = int(rng.integers(2, 10 ** 6))
+    for target in (x, Fraction(x), Fraction(int(rng.integers(1, q)), q),
+                   _vertex_image(system, rng)):
+        if not 0 < target < 1:
+            continue
+        pc = coding_of_point(system, target, 64)
+        assert (pc.coding.prefix, pc.cut_point) \
+            == _coding_of_point_reference(system, target, 64)
+        assert not pc.ambiguous
+
+
+@given(seed=st.integers(0, 10 ** 9), pick=st.integers(0, len(PRESET_NAMES)))
+def test_in_T_matches_fraction_orbit(make_system, seed, pick):
+    rng = np.random.default_rng(seed)
+    system = _any_system(make_system, rng, pick)
+    image = _vertex_image(system, rng)
+    q = 3 ** int(rng.integers(1, 12)) * int(rng.integers(1, 100))
+    for target in (image, float(image), float(rng.uniform(0.0, 1.0)),
+                   Fraction(int(rng.integers(1, q)), q)):
+        if not 0 < target < 1:
+            continue
+        for max_depth in (4096, 1, 2):
+            assert (in_T(system, target, max_depth=max_depth)
+                    == _in_T_reference(system, target, max_depth))
 
 
 def test_project_inverts(make_system):
