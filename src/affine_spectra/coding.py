@@ -19,6 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -158,25 +159,39 @@ class PointCoding:
     ambiguous: bool = False
 
 
-def _deepest_interval(system: SelfAffineSystem, digits: tuple[int, ...]) -> BasicInterval:
-    """Basic interval of `digits`, in floats, composed from the left."""
-    xs = system.xs
-    a = system.a
-    left, length = 0.0, 1.0
-    for k in digits:
-        left = left + length * xs[k - 1]
-        length = length * a[k - 1]
-    return BasicInterval(digits, left, left + length, length)
+def _below(num: int, den: int) -> float:
+    """num / den rounded down to a double (int division rounds to nearest)."""
+    f = num / den
+    fn, fd = f.as_integer_ratio()
+    return math.nextafter(f, -math.inf) if fn * den > num * fd else f
 
 
-def _partition(system: SelfAffineSystem) -> tuple[list[int], int]:
-    """The stored abscissae over one power of two: x_k = X[k] / 2**p."""
+def _above(num: int, den: int) -> float:
+    """num / den rounded up to a double."""
+    f = num / den
+    fn, fd = f.as_integer_ratio()
+    return math.nextafter(f, math.inf) if fn * den < num * fd else f
+
+
+def _exact_interval(digits: tuple[int, ...], left: int, width: int,
+                    den: int) -> BasicInterval:
+    """The interval [left, left + width] / den, its ends rounded outward so
+    that it contains every point of the exact one; length is rounded to
+    nearest."""
+    return BasicInterval(digits, _below(left, den),
+                         _above(left + width, den), width / den)
+
+
+@lru_cache(maxsize=128)
+def _partition(system: SelfAffineSystem) -> tuple[tuple[int, ...], int]:
+    """The stored abscissae over one power of two: x_k = X[k] / 2**p,
+    built once per system."""
     ratios = [x.as_integer_ratio() for x in system.xs]
     p = max(den for _, den in ratios).bit_length() - 1
-    return [num * ((1 << p) // den) for num, den in ratios], p
+    return tuple(num * ((1 << p) // den) for num, den in ratios), p
 
 
-def _orbit(X: list[int], p: int, u: int, v: int,
+def _orbit(X: tuple[int, ...], p: int, u: int, v: int,
            n: int) -> tuple[list[int], int, int]:
     """Up to n digits of t = u / v in [0, 1) under the partition X / 2**p.
 
@@ -219,18 +234,34 @@ def coding_of_point(system: SelfAffineSystem, x, depth: int) -> PointCoding:
     if not (0 < xv < 1):
         raise errors.OutOfDomain(f"x = {xv} not in (0, 1)")
     X, p = _partition(system)
-    digits, u, _ = _orbit(X, p, *xv.as_integer_ratio(), depth)
+    num, den = xv.as_integer_ratio()
+    digits, u, v = _orbit(X, p, num, den, depth)
     cut = u == 0
-    prefix = tuple(digits) + (1,) * (depth - len(digits))
+    pad = depth - len(digits)
+    prefix = tuple(digits) + (1,) * pad
+    # After the orbit's m digits x = L + W u / v, with L = (num 2^(pm) - u)
+    # / (den 2^(pm)) and W = v / (den 2^(pm)).  A cut leaves u = 0, and
+    # each padded digit 1 keeps L and scales W by x_1 = X_1 / 2^p.  Over
+    # D = den 2^(p depth): L D = num 2^(p depth) - u and W D = v X_1^pad.
+    shift = p * depth
+    interval = _exact_interval(prefix, (num << shift) - u, v * X[1] ** pad,
+                               den << shift)
     return PointCoding(coding=Coding(prefix=prefix, period=(1,) if cut else None),
-                       interval=_deepest_interval(system, prefix),
-                       cut_point=cut)
+                       interval=interval, cut_point=cut)
 
 
 def basic_interval(system: SelfAffineSystem, digits) -> BasicInterval:
+    """Image of [0, 1] under the composition along `digits`, composed
+    exactly over the stored abscissae (a_k = x_k - x_{k-1}) and rounded
+    outward."""
     digits = tuple(digits)
     _check_digits(Coding(prefix=digits), system.r)
-    return _deepest_interval(system, digits)
+    X, p = _partition(system)
+    left, width = 0, 1          # over 2^(p n) after n digits
+    for k in digits:
+        left = (left << p) + width * X[k - 1]
+        width *= X[k] - X[k - 1]
+    return _exact_interval(digits, left, width, 1 << (p * len(digits)))
 
 
 def project(system: SelfAffineSystem, coding: Coding, *, exact: bool = False):
@@ -506,4 +537,4 @@ def generate_run_structured(rs: RunStructure, length: int, seed: int) -> Coding:
         digits[nj - lj: hi] = r
         if nj + 1 <= length:
             digits[nj] = rs.k_star
-    return Coding(prefix=tuple(int(v) for v in digits))
+    return Coding(prefix=tuple(digits.tolist()))

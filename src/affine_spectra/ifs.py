@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from . import errors
 from .roots import solve_decreasing
@@ -54,45 +55,55 @@ class SelfAffineSystem:
     def r(self) -> int:
         return len(self.branches)
 
-    @property
+    # Derived tables are built on first use and kept: the instance is
+    # immutable, and the one-point paths read them on every call.
+    @cached_property
     def a(self) -> tuple[float, ...]:
         return tuple(br.a for br in self.branches)
 
-    @property
+    @cached_property
     def b(self) -> tuple[float, ...]:
         return tuple(br.b for br in self.branches)
 
-    @property
+    @cached_property
     def c(self) -> tuple[float, ...]:
         return tuple(br.c for br in self.branches)
 
-    @property
+    @cached_property
     def d(self) -> tuple[float, ...]:
         return tuple(br.d for br in self.branches)
 
-    @property
+    @cached_property
     def e(self) -> tuple[float, ...]:
         return tuple(br.e for br in self.branches)
 
-    @property
+    @cached_property
     def xs(self) -> tuple[float, ...]:
         return tuple(v[0] for v in self.vertices)
 
-    @property
+    @cached_property
     def ys(self) -> tuple[float, ...]:
         return tuple(v[1] for v in self.vertices)
 
-    @property
+    @cached_property
     def index_zero(self) -> frozenset[int]:
         """1-based branch indices with d_k = 0."""
         return frozenset(k for k in range(1, self.r + 1)
                          if self.branches[k - 1].d == 0.0)
 
-    @property
+    @cached_property
     def index_plus(self) -> frozenset[int]:
         """1-based branch indices with d_k != 0."""
         return frozenset(k for k in range(1, self.r + 1)
                          if self.branches[k - 1].d != 0.0)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.branches, self.vertices))
+
+    def __hash__(self) -> int:
+        # the value the generated dataclass hash gives, computed once
+        return self._hash
 
 
 def build_from_polygon(vertices, d) -> SelfAffineSystem:
@@ -233,6 +244,17 @@ class SpectrumConstants:
     sigma: float | None            # CaseB only: sum (|d_k|/a_k)^sigma = 1
     p_star: tuple[float, ...] | None   # CaseB maximiser, zeros on index_zero
     alpha0: float | None           # CaseB kink between linear and concave parts
+
+    @cached_property
+    def _logs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(log a_k, log|d_k|) by branch, from numpy's log (-inf where
+        d_k = 0), built once.  The exponent traces and the tail scan both
+        read these; math.log differs from np.log in the last bit on some
+        inputs, so one source keeps the two paths bitwise equal."""
+        import numpy as np      # the rest of this module needs no arrays
+        with np.errstate(divide="ignore"):
+            logd = np.log(np.abs(np.asarray(self.d)))
+        return tuple(np.log(np.asarray(self.a)).tolist()), tuple(logd.tolist())
 
     def to_dict(self) -> dict:
         return {

@@ -98,6 +98,14 @@ def test_coding_of_point_vertex(make_system):
     assert pc.coding.prefix[0] == 2
     assert pc.coding.period == (1,)
     assert set(pc.coding.prefix[1:]) == {1}
+    # the digits padded after the cut narrow the interval too
+    for name in ("riesz-nagy:0.3", "okamoto:0.6"):
+        system, _ = make_system(name)
+        x = system.xs[1]
+        pc = coding_of_point(system, x, 6)
+        assert pc.cut_point and pc.coding.prefix == (2, 1, 1, 1, 1, 1)
+        assert pc.interval == basic_interval(system, pc.coding.prefix)
+        assert pc.interval.left == x < pc.interval.right
 
 
 def test_coding_of_point_near_vertex_is_exact(make_system):
@@ -251,7 +259,19 @@ def test_point_interval_is_basic_interval(seed):
     system = random_polygon_system(rng, allow_zero=True)
     x = float(rng.uniform(0.0, 1.0))
     pc = coding_of_point(system, x, int(rng.integers(1, 65)))
-    assert pc.interval == basic_interval(system, pc.coding.prefix)
+    bi = pc.interval
+    assert bi == basic_interval(system, pc.coding.prefix)
+    # the ends are the exact composition over the abscissae, rounded
+    # outward to the nearest doubles
+    cuts = [Fraction(v) for v in system.xs]
+    left, width = Fraction(0), Fraction(1)
+    for k in pc.coding.prefix:
+        left += width * cuts[k - 1]
+        width *= cuts[k] - cuts[k - 1]
+    assert bi.left <= left < Fraction(math.nextafter(bi.left, math.inf))
+    assert (Fraction(math.nextafter(bi.right, -math.inf))
+            < left + width <= bi.right)
+    assert bi.length == float(width)
 
 
 @given(seed=st.integers(0, 10 ** 9))
@@ -260,9 +280,9 @@ def test_point_coding_consistency(make_system, seed):
     name = ["riesz-nagy:0.3", "okamoto:0.6", SKEW][seed % 3]
     system, _ = make_system(name)
     x = float(rng.uniform(0.0, 1.0))
-    pc = coding_of_point(system, x, 30)
+    pc = coding_of_point(system, x, 64)
     last = pc.interval
-    assert last.left - 1e-12 <= x <= last.right + 1e-12
+    assert last.left <= x <= last.right
     assert abs(project(system, pc.coding) - last.left) < 1e-12
 
 

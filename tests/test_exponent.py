@@ -1,6 +1,7 @@
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from affine_spectra import (
     parse_preset,
     side_run_constants,
 )
+from affine_spectra import exponent as exponent_module
+from conftest import random_polygon_system
 
 SKEW = "skew-takagi:0.3,0.5,0.25"
 SQRT2 = math.sqrt(2.0)
@@ -369,3 +372,69 @@ def test_report_alpha_is_min_of_sides(make_system, seed):
     assert rep.alpha == pytest.approx(min(rep.right.alpha, rep.left.alpha),
                                       abs=1e-12)
     assert c.alpha_min - 1e-9 <= rep.alpha <= c.alpha_max + 1e-9
+
+
+# ------------------------------------------- the two gammas paths are one path
+
+def _gammas_outcome(system, constants, coding, side, horizon, scan_max):
+    """gammas with the tail-scan cut-off forced, or the error it raised."""
+    with mock.patch.object(exponent_module, "_SCAN_MAX", scan_max):
+        try:
+            return gammas(system, constants, coding, side=side,
+                          horizon=horizon)
+        except (errors.InfiniteExponent, errors.HorizonTooSmall) as exc:
+            return type(exc)
+
+
+@given(seed=st.integers(0, 10 ** 9))
+def test_tail_scan_is_bitwise_trace(seed):
+    # the plain-float scan and the numpy trace give equal bundles, and raise
+    # the same errors, at lengths on both sides of the cut-off between them
+    rng = np.random.default_rng(seed)
+    system = random_polygon_system(rng, allow_zero=True)
+    constants = compute_constants(system)
+    r = system.r
+    cut = exponent_module._SCAN_MAX
+    n = int(rng.choice([rng.integers(1, 80), rng.integers(cut - 8, cut + 9),
+                        rng.integers(cut, 3 * cut)]))
+    # mostly nonzero-contraction digits, so that most codings get a bundle
+    pool = sorted(system.index_plus) if rng.random() < 0.8 else range(1, r + 1)
+    digits = rng.choice(pool, n).tolist()
+    # a terminal run of 1 or r, up to the whole coding
+    run = int(rng.integers(0, n + 1))
+    digits[n - run:] = [int(rng.choice([1, r]))] * run
+    codings = [Coding(prefix=tuple(digits))]
+    period = tuple(rng.integers(1, r + 1, int(rng.integers(1, 4))).tolist())
+    codings.append(Coding(prefix=tuple(digits[:3]), period=period))
+    for coding in codings:
+        horizon = None if coding.period is None else n
+        for side in ("right", "left"):
+            scan = _gammas_outcome(system, constants, coding, side, horizon,
+                                   10 ** 9)
+            trace = _gammas_outcome(system, constants, coding, side, horizon,
+                                    0)
+            assert scan == trace
+
+
+@given(seed=st.integers(0, 10 ** 9))
+def test_report_periodic_sides_match_holder_calls(seed):
+    # exponent_report shares the one-period work between the sides; each
+    # side must still be what its own holder_* call returns
+    rng = np.random.default_rng(seed)
+    system = random_polygon_system(rng, allow_zero=True)
+    constants = compute_constants(system)
+    r = system.r
+    prefix = tuple(rng.integers(1, r + 1, int(rng.integers(0, 4))).tolist())
+    period = tuple(rng.integers(1, r + 1, int(rng.integers(2, 5))).tolist())
+    if len(set(period)) == 1:
+        period = (1, 2)
+    coding = Coding(prefix=prefix, period=period)
+    try:
+        rep = exponent_report(system, constants, coding)
+    except errors.PolynomialDegenerate:
+        with pytest.raises(errors.PolynomialDegenerate):
+            holder_left(system, constants, coding)
+        return
+    assert rep.right == holder_right(system, constants, coding)
+    assert rep.left == holder_left(system, constants, coding)
+    assert rep.alpha == min(rep.right.alpha, rep.left.alpha)
