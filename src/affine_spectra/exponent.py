@@ -31,10 +31,15 @@ from .ifs import SelfAffineSystem, SpectrumConstants, _terminal_run_constants
 
 _MIN_HORIZON = 16
 # Longest horizon the plain-float tail scan takes; longer ones go through
-# the numpy trace, whose fixed cost per call the scan avoids.  Per side on
-# a 2-CPU Xeon (Python 3.11, numpy 2.4): 9-16 against 30-34 us at 64-128
-# digits, even at about 450, 12 against 6 ms at 1e5.
-_SCAN_MAX = 384
+# the chunked trace, whose fixed cost per call the scan avoids.  Per side on
+# a 2-CPU Xeon (Python 3.11, numpy 2.4; best of 15 x 50 interleaved calls
+# of gammas, skew-takagi r = 2 and okamoto:0.6 r = 3), scan / chunks in us:
+# 32-47 / 66-74 at 128 digits, 52-69 / 47-80 at 256, 83-113 / 80-88 at
+# 320-384 and 190-216 / 119-123 at 768.
+_SCAN_MAX = 256
+# Digits per chunk of the long-coding trace: its working arrays stay under
+# 1 MB whatever the horizon
+_CHUNK = 8192
 
 
 def _check_side(side: str) -> None:
@@ -67,9 +72,106 @@ class ExponentTrace:
     g2: np.ndarray
 
 
+def _digit_chunks(coding: Coding, n: int):
+    """(start, digits) over the first n digits, in int arrays of _CHUNK
+    digits (the last one may be shorter): slices of the prefix, then the
+    period tiled in place, so no array holds all n digits."""
+    prefix, m = coding.prefix, len(coding.prefix)
+    if coding.period is not None:
+        period = np.array(coding.period, dtype=np.intp)
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        head = prefix[start:stop]
+        chunk = np.fromiter(head, dtype=np.intp, count=len(head))
+        if stop > m:
+            tail = np.take(period, np.arange(max(start, m) - m, stop - m),
+                           mode="wrap")
+            chunk = np.concatenate((chunk, tail))
+        yield start, chunk
+
+
+def _trace_chunks(constants: SpectrumConstants, coding: Coding, n: int,
+                  side: str, lo: int = 0):
+    """Ratio traces g0, g1, g2 over positions 1..n in chunks of _CHUNK.
+
+    Yields (start, g0, g1, g2) for each chunk that meets positions lo+1..n;
+    entry i of a chunk is position start + i + 1.  Earlier chunks only move
+    the four carries: the running sums of log|d| and log a, the last
+    position that holds a non-extreme digit and that digit.  The first sum
+    of a chunk is carry + x[0] and the cumsum goes on from there, the
+    running maximum of positions starts from the carried one, and a run
+    that began in an earlier chunk takes its boundary digit from the carry,
+    so every float operation is the one a single pass over all n digits
+    would do, in the same order.  Raises InfiniteExponent at the first
+    chunk holding a zero-contraction digit.
+    """
+    loga, logd = constants._logs
+    r = len(loga)
+    # log|d_k| + i log a_k by digit (0 unused): numpy adds complex numbers
+    # part by part, so one cumsum gives the two sequential real sums
+    steps = np.zeros(r + 1, dtype=complex)
+    steps.real[1:] = logd
+    steps.imag[1:] = loga
+    # the run of the extreme digit after boundary digit b is corrected by K1
+    # when b + 1 (right) or b - 1 (left) has d != 0, and by K2 when b (right)
+    # or b - 1 (left) is in the overlap set; b = 0 (no boundary yet) never
+    if side == "right":
+        extreme, chi_probe, zeta_probe = r, 1, 0
+    else:
+        extreme, chi_probe, zeta_probe = 1, -1, -1
+    k1, k2 = side_run_constants(constants, side)
+    # the correction per boundary digit, K times a 0/1 flag
+    corr1 = np.array([k1 * (b > 0 and b + chi_probe in constants.index_plus)
+                      for b in range(r + 1)])
+    corr2 = np.array([k2 * (b > 0 and b + zeta_probe in constants.lambda_set)
+                      for b in range(r + 1)])
+    zero = np.zeros(r + 1, dtype=bool)
+    zero[list(constants.index_zero)] = True
+    sums = 0j           # (sum log|d|, sum log a) up to the chunk
+    last = 0            # last position with a non-extreme digit, 0 if none
+    boundary = 0        # the digit there, 0 if none
+    for start, d in _digit_chunks(coding, n):
+        if constants.index_zero and zero[d].any():
+            raise errors.InfiniteExponent(
+                "coding contains a zero-contraction digit")
+        z = steps[d]
+        z[0] += sums
+        np.cumsum(z, out=z)
+        sums = complex(z[-1])
+        stop = start + len(d)
+        if stop <= lo:
+            free = np.flatnonzero(d != extreme)
+            if free.size:
+                last, boundary = start + int(free[-1]) + 1, int(d[free[-1]])
+            continue
+        pos = np.arange(start + 1, stop + 1)
+        lastnon = np.where(d != extreme, pos, 0)
+        lastnon[0] = max(lastnon[0], last)
+        np.maximum.accumulate(lastnon, out=lastnon)
+        last = int(lastnon[-1])
+        L = np.subtract(pos, lastnon, out=pos)     # terminal run lengths
+        # boundary digits, the carried one at index 0 of the lookup
+        lastnon -= start
+        np.maximum(lastnon, 0, out=lastnon)
+        b = np.concatenate(([boundary], d))[lastnon]
+        boundary = int(b[-1])
+        num, den = z.real, z.imag
+        # (num + K chi L) / den, in place; a + b is b + a in floats
+        g1, g2 = corr1[b], corr2[b]
+        for g in (g1, g2):
+            g *= L
+            g += num
+            g /= den
+        yield start, num / den, g1, g2
+
+
 def exponent_trace(system: SelfAffineSystem, constants: SpectrumConstants,
                    coding: Coding, n: int, side: str = "right") -> ExponentTrace:
-    """Vectorised ratio traces over the first n digits.
+    """Ratio traces over the first n digits.
+
+    The three output arrays are filled chunk by chunk (_trace_chunks), so
+    the working memory beside them stays bounded whatever n is, and the
+    cost is linear in n.
 
     Raises InfiniteExponent if a zero-contraction digit occurs: after it the
     function is affine on a whole basic interval, so no finite ratio applies.
@@ -78,42 +180,11 @@ def exponent_trace(system: SelfAffineSystem, constants: SpectrumConstants,
     _check_digits(coding, system.r)
     if n < 1:
         raise ValueError("n must be >= 1")
-    digits = np.fromiter(coding.digits(n), dtype=np.int64, count=n)
-    r = system.r
-    if constants.index_zero:
-        zero = np.zeros(r + 1, dtype=bool)
-        for k in constants.index_zero:
-            zero[k] = True
-        if zero[digits].any():
-            raise errors.InfiniteExponent(
-                "coding contains a zero-contraction digit")
-
-    loga, logd = constants._logs
-    num0 = np.cumsum(np.asarray(logd)[digits - 1])
-    den = np.cumsum(np.asarray(loga)[digits - 1])
-
-    extreme = r if side == "right" else 1
-    pos = np.arange(1, n + 1, dtype=np.int64)
-    lastnon = np.maximum.accumulate(np.where(digits != extreme, pos, 0))
-    L = pos - lastnon
-    boundary = np.where(lastnon > 0, digits[np.maximum(lastnon - 1, 0)], 0)
-    probe_chi = boundary + 1 if side == "right" else boundary - 1
-    probe_zeta = boundary if side == "right" else boundary - 1
-
-    in_plus = np.zeros(r + 2, dtype=bool)
-    for k in constants.index_plus:
-        in_plus[k] = True
-    in_lam = np.zeros(r + 2, dtype=bool)
-    for k in constants.lambda_set:
-        in_lam[k] = True
-    valid = lastnon > 0
-    chi = valid & in_plus[np.clip(probe_chi, 0, r + 1)]
-    zeta = valid & in_lam[np.clip(probe_zeta, 0, r + 1)]
-
-    k1, k2 = side_run_constants(constants, side)
-    g0 = num0 / den
-    g1 = (num0 + k1 * chi * L) / den
-    g2 = (num0 + k2 * zeta * L) / den
+    coding.digit(n)     # InvalidCoding when a finite coding is too short
+    g0, g1, g2 = np.empty(n), np.empty(n), np.empty(n)
+    for start, c0, c1, c2 in _trace_chunks(constants, coding, n, side):
+        stop = start + len(c0)
+        g0[start:stop], g1[start:stop], g2[start:stop] = c0, c1, c2
     return ExponentTrace(side=side, g0=g0, g1=g1, g2=g2)
 
 
@@ -166,6 +237,13 @@ def _tail_scan(constants: SpectrumConstants, digits: tuple[int, ...],
     return m0, m1, m2
 
 
+def _has_zero_digit(constants: SpectrumConstants, coding: Coding) -> bool:
+    """True when a zero-contraction digit occurs anywhere in the coding."""
+    zero = constants.index_zero
+    return bool(zero) and not (zero.isdisjoint(coding.prefix)
+                               and zero.isdisjoint(coding.period or ()))
+
+
 @dataclass(frozen=True)
 class GammaBundle:
     """Liminf estimates (or exact values) of the three ratio variants and
@@ -191,16 +269,16 @@ def gammas(system: SelfAffineSystem, constants: SpectrumConstants,
     infimum, which the early-digit transient drags below the liminf.  Fewer
     than 16 digits raise HorizonTooSmall.
 
-    Horizons up to 384 digits (_SCAN_MAX) take the minima in one
+    Horizons up to 256 digits (_SCAN_MAX) take the minima in one
     plain-float pass, as on the one-point path (a 64-digit coding_of_point);
-    longer ones go through exponent_trace.  Both do the same float
-    operations in the same order, so the bundle is bitwise the same
-    whichever path runs.
+    longer ones run the trace in chunks (_trace_chunks) and keep running
+    minima over the chunks that meet the window, so no array holds all n
+    digits.  Both paths do the same float operations in the same order, so
+    the bundle is bitwise the same whichever runs.
     """
     _check_side(side)
     _check_digits(coding, system.r)
-    probe = coding.prefix + (coding.period or ())
-    if not constants.index_zero.isdisjoint(probe):
+    if _has_zero_digit(constants, coding):
         raise errors.InfiniteExponent(
             "coding contains a zero-contraction digit")
 
@@ -222,11 +300,13 @@ def gammas(system: SelfAffineSystem, constants: SpectrumConstants,
     if n <= _SCAN_MAX:
         g0, g1, g2 = _tail_scan(constants, coding.digits(n), side)
     else:
-        tr = exponent_trace(system, constants, coding, n, side)
         lo = n // 2  # tail window (n/2, n], skips the early transient
-        g0 = float(tr.g0[lo:].min())
-        g1 = float(tr.g1[lo:].min())
-        g2 = float(tr.g2[lo:].min())
+        g0 = g1 = g2 = math.inf
+        for start, c0, c1, c2 in _trace_chunks(constants, coding, n, side, lo):
+            k = max(lo - start, 0)
+            g0 = min(g0, float(c0[k:].min()))
+            g1 = min(g1, float(c1[k:].min()))
+            g2 = min(g2, float(c2[k:].min()))
     return GammaBundle(g0, g1, g2, min(g0, g1, g2), "finite-horizon", n, side)
 
 
@@ -278,8 +358,7 @@ def _holder_side(system: SelfAffineSystem, constants: SpectrumConstants,
         raise errors.PolynomialDegenerate(
             "phi is a polynomial; exponent statements do not apply")
 
-    probe = coding.prefix + (coding.period or ())
-    if not constants.index_zero.isdisjoint(probe):
+    if _has_zero_digit(constants, coding):
         deriv = None
         try:
             deriv = derivative_series(system, coding, series_tol)

@@ -1,6 +1,8 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,13 +13,17 @@ from affine_spectra import (
     BasicInterval,
     Coding,
     CutPointQuery,
+    Regime,
+    RunStructure,
     basic_interval,
     coding_from_dict,
     coding_of_point,
     coding_to_dict,
+    compute_constants,
     cut_point_exponents,
     default_schedule,
     errors,
+    exponent_trace,
     format_coding,
     generate_run_structured,
     in_T,
@@ -25,7 +31,8 @@ from affine_spectra import (
     project,
     run_structure_for_target,
 )
-from conftest import random_polygon_system
+from affine_spectra import coding as coding_module
+from conftest import random_polygon_system, random_two_branch_contractive
 from test_exponent import run_stats
 
 SKEW = "skew-takagi:0.3,0.5,0.25"
@@ -441,6 +448,47 @@ def test_default_schedule_shapes():
     assert all(r <= e for e, r in zip(ends, runs))
 
 
+@given(lam=st.floats(0.001, 0.999), length=st.integers(1, 10 ** 9))
+def test_default_schedule_ends_at_length(lam, length):
+    n1 = max(16, math.ceil(3.0 / (1.0 - lam)))
+    if length < n1:
+        with pytest.raises(errors.InvalidSchedule):
+            default_schedule(lam, length)
+        return
+    ends, runs = default_schedule(lam, length)
+    assert ends[-1] == length and ends[0] >= n1
+    RunStructure(lam=lam, k_star=1, block_ends=ends, run_lengths=runs,
+                 p=(0.5, 0.5)).validate()
+
+
+def _case_b_two_branch(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        system = random_two_branch_contractive(rng)
+        constants = compute_constants(system)
+        if constants.regime is Regime.CASE_B:
+            return system, constants
+    return None
+
+
+@given(pick=st.sampled_from([SKEW, "skew-takagi:0.4,1,0.3", "random"]),
+       u=st.floats(0.02, 0.98), seed=st.integers(0, 10 ** 9))
+def test_default_schedule_lands_on_target(make_system, pick, u, seed):
+    # gen-coding's diagnostic: gamma2 at the last block end, on the default
+    # schedule and length, for targets across (1, alpha0)
+    found = make_system(pick) if pick != "random" else _case_b_two_branch(seed)
+    assume(found is not None)
+    system, constants = found
+    alpha = 1.0 + u * (constants.alpha0 - 1.0)
+    assume(1.0 < alpha < constants.alpha0)
+    length = 100_000
+    rs = run_structure_for_target(system, constants, alpha, length=length)
+    assert rs.block_ends[-1] == length
+    coding = generate_run_structured(rs, length, seed)
+    g2 = exponent_trace(system, constants, coding, length).g2[length - 1]
+    assert abs(g2 - alpha) <= 0.02
+
+
 def test_run_structure_rejections(make_system):
     rn, crn = make_system("riesz-nagy:0.3")
     skew, c = make_system(SKEW)
@@ -469,3 +517,66 @@ def test_generate_run_structured(make_system):
         assert cod.prefix[end - run - 1] == rs.k_star  # guard digit
     assert generate_run_structured(rs, 2000, seed=3).prefix == cod.prefix
     assert generate_run_structured(rs, 2000, seed=4).prefix != cod.prefix
+
+
+def _generate_run_structured_reference(rs, length, seed):
+    """The run-structured prefix from one full-length draw: the generator
+    as it was before it drew in blocks, kept as the reference."""
+    rs.validate()
+    r = len(rs.p)
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(rs.p)
+    cum[-1] = 1.0
+    draws = np.searchsorted(cum, rng.random(length), side="right") + 1
+    digits = draws.astype(np.int64)
+    for nj, lj in zip(rs.block_ends, rs.run_lengths):
+        if nj - lj > length:
+            break
+        digits[nj - lj - 1] = rs.k_star
+        hi = min(nj, length)
+        digits[nj - lj: hi] = r
+        if nj + 1 <= length:
+            digits[nj] = rs.k_star
+    return Coding(prefix=tuple(digits.tolist()))
+
+
+@given(seed=st.integers(0, 10 ** 9),
+       block=st.sampled_from([1, 3, 64, coding_module._DRAW_BLOCK]))
+def test_blocked_draws_match_one_shot_reference(seed, block):
+    # lengths around multiples of the block size, with schedules whose
+    # blocks, runs and guards cross block edges and run past the length
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(2, 5))
+    p = tuple(rng.dirichlet(np.ones(r)).tolist())
+    lam = float(rng.uniform(0.1, 0.9))
+    length = max(1, block * int(rng.integers(1, 4)) + int(rng.integers(-2, 3)))
+    if block == coding_module._DRAW_BLOCK:
+        length = min(length, 2 * block + 2)
+    ends = [int(rng.integers(16, 40))]
+    while ends[-1] <= length + block:
+        j = len(ends) + 1
+        nj = j * ends[-1] + j + int(rng.integers(0, 3 * j))
+        while nj - round(lam * nj) <= ends[-1] + 1:
+            nj += j
+        ends.append(nj)
+    rs = RunStructure(lam=lam, k_star=int(rng.integers(1, r)),
+                      block_ends=tuple(ends),
+                      run_lengths=tuple(max(1, round(lam * n)) for n in ends),
+                      p=p)
+    with mock.patch.object(coding_module, "_DRAW_BLOCK", block):
+        got = generate_run_structured(rs, length, seed)
+    assert got == _generate_run_structured_reference(rs, length, seed)
+
+
+def test_generate_run_structured_memory_is_bounded(make_system):
+    # the 1e5-digit prefix alone is a 0.8 MB tuple; the draws stay in blocks
+    skew, c = make_system(SKEW)
+    rs = run_structure_for_target(skew, c, 1.2, block_ends=(100, 100_000))
+    generate_run_structured(rs, 100_000, seed=4)
+    tracemalloc.start()
+    try:
+        generate_run_structured(rs, 100_000, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6

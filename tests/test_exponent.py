@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 from unittest import mock
@@ -17,13 +18,16 @@ from affine_spectra import (
     exponent_report,
     exponent_trace,
     gammas,
+    generate_run_structured,
     holder_left,
     holder_right,
     is_polynomial,
     parse_preset,
+    run_structure_for_target,
     side_run_constants,
 )
 from affine_spectra import exponent as exponent_module
+from affine_spectra.exponent import GammaBundle
 from conftest import random_polygon_system
 
 SKEW = "skew-takagi:0.3,0.5,0.25"
@@ -80,6 +84,64 @@ def run_stats(system, constants, coding, n, side="right"):
             in constants.lambda_set else 0
     return RunStats(n=n, s=s, L_plus=lp, L_minus=lm, chi=chi, zeta=zeta,
                     side=side)
+
+
+# --------------------------------------------- full-array trace, the reference
+
+def _exponent_trace_reference(system, constants, coding, n, side="right"):
+    """The ratio traces as one pass over full-length arrays: the trace as
+    it was before it ran in chunks, kept as the bitwise reference."""
+    digits = np.fromiter(coding.digits(n), dtype=np.int64, count=n)
+    r = system.r
+    if constants.index_zero:
+        zero = np.zeros(r + 1, dtype=bool)
+        for k in constants.index_zero:
+            zero[k] = True
+        if zero[digits].any():
+            raise errors.InfiniteExponent(
+                "coding contains a zero-contraction digit")
+
+    loga, logd = constants._logs
+    num0 = np.cumsum(np.asarray(logd)[digits - 1])
+    den = np.cumsum(np.asarray(loga)[digits - 1])
+
+    extreme = r if side == "right" else 1
+    pos = np.arange(1, n + 1, dtype=np.int64)
+    lastnon = np.maximum.accumulate(np.where(digits != extreme, pos, 0))
+    L = pos - lastnon
+    boundary = np.where(lastnon > 0, digits[np.maximum(lastnon - 1, 0)], 0)
+    probe_chi = boundary + 1 if side == "right" else boundary - 1
+    probe_zeta = boundary if side == "right" else boundary - 1
+
+    in_plus = np.zeros(r + 2, dtype=bool)
+    for k in constants.index_plus:
+        in_plus[k] = True
+    in_lam = np.zeros(r + 2, dtype=bool)
+    for k in constants.lambda_set:
+        in_lam[k] = True
+    valid = lastnon > 0
+    chi = valid & in_plus[np.clip(probe_chi, 0, r + 1)]
+    zeta = valid & in_lam[np.clip(probe_zeta, 0, r + 1)]
+
+    k1, k2 = side_run_constants(constants, side)
+    g0 = num0 / den
+    g1 = (num0 + k1 * chi * L) / den
+    g2 = (num0 + k2 * zeta * L) / den
+    return g0, g1, g2
+
+
+def _gammas_reference(system, constants, coding, side, horizon):
+    """gammas above _SCAN_MAX as it was: the minima of the full reference
+    trace over the tail window (n/2, n]."""
+    if constants.index_zero & set(coding.prefix + (coding.period or ())):
+        raise errors.InfiniteExponent("coding contains a zero-contraction digit")
+    n = len(coding.prefix) if horizon is None else horizon
+    if n < 16:
+        raise errors.HorizonTooSmall(f"need >= 16 digits, have {n}")
+    lo = n // 2
+    g0, g1, g2 = (float(g[lo:].min()) for g in
+                  _exponent_trace_reference(system, constants, coding, n, side))
+    return GammaBundle(g0, g1, g2, min(g0, g1, g2), "finite-horizon", n, side)
 
 
 # ------------------------------------------------------------------- constants
@@ -438,3 +500,79 @@ def test_report_periodic_sides_match_holder_calls(seed):
     assert rep.right == holder_right(system, constants, coding)
     assert rep.left == holder_left(system, constants, coding)
     assert rep.alpha == min(rep.right.alpha, rep.left.alpha)
+
+
+# ------------------------------------------------ the chunked trace is bitwise
+
+def _outcome(call, *args, **kwargs):
+    """call's result, or the type and message of the error it raised."""
+    try:
+        return call(*args, **kwargs)
+    except (errors.InfiniteExponent, errors.HorizonTooSmall) as exc:
+        return type(exc), str(exc)
+
+
+def _trace_bytes(system, constants, coding, n, side):
+    tr = exponent_trace(system, constants, coding, n, side)
+    return tr.g0.tobytes(), tr.g1.tobytes(), tr.g2.tobytes()
+
+
+def _reference_bytes(system, constants, coding, n, side):
+    return tuple(g.tobytes() for g in _exponent_trace_reference(
+        system, constants, coding, n, side))
+
+
+@given(seed=st.integers(0, 10 ** 9), chunk=st.sampled_from([1, 2, 3, 64]))
+def test_chunked_trace_is_bitwise_reference(seed, chunk):
+    # exponent_trace and the long gammas path against the full-array trace,
+    # with lengths and terminal runs placed on both sides of chunk edges and
+    # of the tail window's start n/2
+    rng = np.random.default_rng(seed)
+    system = random_polygon_system(rng, allow_zero=True)
+    constants = compute_constants(system)
+    r = system.r
+    edge = chunk * int(rng.integers(1, 5))
+    n = max(1, int(rng.choice([edge, 2 * edge])) + int(rng.integers(-2, 3)))
+    pool = sorted(system.index_plus) if rng.random() < 0.8 else range(1, r + 1)
+    digits = rng.choice(pool, n).tolist()
+    # a terminal run of 1 or r, often across the last chunk edge
+    run = int(rng.choice([rng.integers(0, n + 1), n - edge + 1, n]))
+    digits[n - max(run, 0):] = [int(rng.choice([1, r]))] * max(run, 0)
+    period = (tuple(rng.integers(1, r + 1, int(rng.integers(1, 4))).tolist())
+              if rng.random() < 0.7 else (int(rng.choice([1, r])),))
+    cut = int(rng.integers(0, n + 1))
+    codings = [Coding(prefix=tuple(digits)),
+               Coding(prefix=tuple(digits[:cut]), period=period)]
+    with mock.patch.object(exponent_module, "_CHUNK", chunk), \
+            mock.patch.object(exponent_module, "_SCAN_MAX", 0):
+        for coding in codings:
+            horizon = None if coding.period is None else n
+            for side in ("right", "left"):
+                args = (system, constants, coding, n, side)
+                assert (_outcome(_trace_bytes, *args)
+                        == _outcome(_reference_bytes, *args))
+                assert (_outcome(gammas, system, constants, coding,
+                                 side=side, horizon=horizon)
+                        == _outcome(_gammas_reference, system, constants,
+                                    coding, side, horizon))
+
+
+def _peak_bytes(call):
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_long_trace_memory_is_bounded(make_system):
+    # at 1e5 digits the chunks keep the working memory small: gammas holds
+    # no full-length array, exponent_trace only its three 0.8 MB outputs
+    skew, c = make_system(SKEW)
+    rs = run_structure_for_target(skew, c, 1.2, block_ends=(100, 100_000))
+    coding = generate_run_structured(rs, 100_000, seed=4)
+    assert _peak_bytes(lambda: gammas(skew, c, coding)) < 1.5e6
+    assert _peak_bytes(
+        lambda: exponent_trace(skew, c, coding, 100_000)) < 3.5e6
