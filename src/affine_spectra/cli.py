@@ -289,8 +289,13 @@ def _cmd_gen_coding(args) -> int:
                                   run_lengths=run_lengths)
     coding = generate_run_structured(rs, args.length, args.seed)
     n_last = max(n for n in rs.block_ends if n <= args.length)
-    tr = exponent.exponent_trace(system, constants, coding, args.length,
-                                 side="right")
+    # the traces at position n_last, from the chunk that holds it; the
+    # chunks run on to --length, so that a zero-contraction digit anywhere
+    # in the coding raises InfiniteExponent
+    for start, c0, _, c2 in exponent._trace_chunks(
+            constants, coding, args.length, "right", n_last - 1):
+        if start < n_last <= start + len(c0):
+            g0, g2 = float(c0[n_last - 1 - start]), float(c2[n_last - 1 - start])
     out = {
         "alpha": args.alpha,
         "lam": rs.lam,
@@ -300,8 +305,8 @@ def _cmd_gen_coding(args) -> int:
         "block_ends": list(rs.block_ends),
         "run_lengths": list(rs.run_lengths),
         "diagnostics": {
-            "gamma2_at_last_block": float(tr.g2[n_last - 1]),
-            "gamma0_at_last_block": float(tr.g0[n_last - 1]),
+            "gamma2_at_last_block": g2,
+            "gamma0_at_last_block": g0,
         },
         "digits": list(coding.prefix),
     }

@@ -29,6 +29,28 @@ from .ifs import SelfAffineSystem
 
 # Uniforms per draw of generate_run_structured
 _DRAW_BLOCK = 8192
+# Longest digit tuple that Coding checks one digit at a time
+_LOOP_MAX = 64
+
+
+def _check_positive(digits) -> int | None:
+    """InvalidCoding at the first digit that is not an integer >= 1; the
+    largest digit of a tuple longer than _LOOP_MAX, None for a shorter one.
+
+    A long tuple takes one pass for the digit types and one for the
+    distinct values, whose extremes are those of the digits once every type
+    is int or bool.  The per-digit loop, faster on short tuples, otherwise
+    runs only to name the culprit, or to accept an int subclass other than
+    bool.
+    """
+    if len(digits) > _LOOP_MAX and set(map(type, digits)) <= {int, bool}:
+        values = set(digits)
+        if min(values) >= 1:
+            return max(values)
+    for k in digits:
+        if not (isinstance(k, int) and k >= 1):
+            raise errors.InvalidCoding(f"digit {k!r} must be an integer >= 1")
+    return None
 
 
 @dataclass(frozen=True)
@@ -40,17 +62,17 @@ class Coding:
     """
     prefix: tuple[int, ...] = ()
     period: tuple[int, ...] | None = None
+    # largest digit of a long prefix, recorded by the check (not a field)
+    _prefix_max = None
 
     def __post_init__(self):
-        for k in self.prefix:
-            if not (isinstance(k, int) and k >= 1):
-                raise errors.InvalidCoding(f"digit {k!r} must be an integer >= 1")
+        top = _check_positive(self.prefix)
+        if top is not None:
+            object.__setattr__(self, "_prefix_max", top)
         if self.period is not None:
             if len(self.period) == 0:
                 raise errors.InvalidCoding("period must be nonempty when given")
-            for k in self.period:
-                if not (isinstance(k, int) and k >= 1):
-                    raise errors.InvalidCoding(f"digit {k!r} must be an integer >= 1")
+            _check_positive(self.period)
 
     @property
     def eventually_periodic(self) -> bool:
@@ -88,10 +110,12 @@ class Coding:
         return None
 
     def max_digit(self) -> int:
-        m = max(self.prefix, default=1)
-        if self.period is not None:
-            m = max(m, max(self.period))
-        return m
+        """Largest digit; a prefix past _LOOP_MAX digits is not scanned
+        again, its maximum having been recorded by the constructor."""
+        top = self._prefix_max
+        if top is None:
+            top = max(self.prefix, default=1)
+        return max(top, max(self.period)) if self.period is not None else top
 
 
 _PERIOD_RE = re.compile(r"\(([^()]*)\)\s*$")

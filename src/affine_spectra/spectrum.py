@@ -10,10 +10,13 @@ the level set at alpha on the concave part of the spectrum; regimes with a
 nonempty overlap set and all |d_k| < a_k additionally carry a linear part
 sigma (alpha - 1) between 1 and the tangency point alpha0.
 
-Every public function rests on _classify, which sorts an alpha into one of
-the branches degenerate, linear, endpoint, empty and legendre, and on
-_legendre, which solves all legendre alphas of a call at once by a bracketed
-Newton iteration on q around an inner Newton iteration for beta(q).
+Every public function rests on _classify, which sorts the alphas of a call
+into the branches degenerate, linear, endpoint, empty and legendre, and on
+_legendre, which solves all legendre alphas of a call at once.  When only
+two branches have d_k != 0 the weights below are fixed by the constraint
+alone, so (q, beta(q)) comes in closed form from a 2 x 2 linear system;
+with three or more it comes from a bracketed Newton iteration on q around
+an inner Newton iteration for beta(q).
 
 The same numbers arise variationally: beta*(alpha) is the maximum of
 H(p) = sum p log p / sum p log a over weight vectors with zeros on the
@@ -79,13 +82,45 @@ def _gibbs(logd, loga, q, b):
 
 def _legendre(constants: SpectrumConstants, alphas):
     """(q, beta(q)) arrays with alpha(q) = alpha, for alphas strictly inside
-    the support.  Newton steps go on log((alpha(q) - alpha_min) / (alpha_max
-    - alpha(q))), nearly linear in q at both ends.  Each evaluation moves an
-    end of the row's bracket on q; a step that leaves the bracket or fails to
-    halve the last one bisects instead.  beta restarts from its tangent."""
+    the support.
+
+    With two d_k != 0 branches the Gibbs weights w_k = |d_k|^q a_k^beta are
+    the one weight vector with sum w_k g_k = 0, g_k = log|d_k| - alpha
+    log a_k: w_1 = g_2 / (g_2 - g_1), w_2 = -g_1 / (g_2 - g_1).  Inside the
+    support g_1 and g_2 have opposite signs, and (q, beta) solves
+    log w_k = q log|d_k| + beta log a_k, k = 1, 2.  No iteration runs.
+
+    Systems with more branches take _legendre_newton, and so does a row
+    whose rounded weights are not both positive: that takes an alpha a few
+    ulps inside an end above about 4e3, where one ulp exceeds the 1e-12 end
+    tolerance of _classify.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    if len(constants.index_plus) != 2:
+        return _legendre_newton(constants, alphas)
+    _, logd, loga = _plus_arrays(constants)
+    (ld1, ld2), (la1, la2) = logd[:, 0].tolist(), loga[:, 0].tolist()
+    g1, g2 = ld1 - alphas * la1, ld2 - alphas * la2
+    w1, w2 = g2 / (g2 - g1), -g1 / (g2 - g1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lw1, lw2 = np.log(w1), np.log(w2)
+    det = ld1 * la2 - ld2 * la1
+    q, b = (lw1 * la2 - lw2 * la1) / det, (ld1 * lw2 - ld2 * lw1) / det
+    off = ~((w1 > 0.0) & (w2 > 0.0))
+    if off.any():
+        q[off], b[off] = _legendre_newton(constants, alphas[off])
+    return q, b
+
+
+def _legendre_newton(constants: SpectrumConstants, alphas):
+    """_legendre by iteration, for any number of d_k != 0 branches.
+
+    Newton steps go on log((alpha(q) - alpha_min) / (alpha_max - alpha(q))),
+    nearly linear in q at both ends.  Each evaluation moves an end of the
+    row's bracket on q; a step that leaves the bracket or fails to halve the
+    last one bisects instead.  beta restarts from its tangent."""
     _, logd, loga = _plus_arrays(constants)
     amin, amax = constants.alpha_min, constants.alpha_max
-    alphas = np.asarray(alphas, dtype=float)
     target = np.log((alphas - amin) / (amax - alphas))
     q = np.zeros(alphas.size)
     b = _pressure(logd, loga, q)
@@ -138,22 +173,23 @@ def q_star(constants: SpectrumConstants, alpha: float) -> float:
     return float(_legendre(constants, [alpha])[0][0])
 
 
-def _classify(constants: SpectrumConstants, alpha: float,
-              overlap: bool = True) -> str:
-    """Branch of a finite alpha.  overlap=False ignores the Case B linear
-    part, which leaves the plain concave conjugate beta*."""
+def _classify(constants: SpectrumConstants, alphas,
+              overlap: bool = True) -> list[str]:
+    """Branch of each finite alpha, by one array comparison per test.
+    overlap=False ignores the Case B linear part, which leaves the plain
+    concave conjugate beta*."""
+    alphas = np.asarray(alphas, dtype=float)
     amin, amax = constants.alpha_min, constants.alpha_max
     if amax - amin <= _DEG_TOL * max(1.0, abs(amax)):
-        return ("degenerate" if abs(alpha - constants.alpha_hat) <= 1e-9
-                else "empty")
-    if (overlap and constants.regime is Regime.CASE_B
-            and alpha < constants.alpha0):
-        return "linear" if alpha >= 1.0 - _END_TOL else "empty"
-    if alpha < amin - _END_TOL or alpha > amax + _END_TOL:
-        return "empty"
-    if alpha <= amin + _END_TOL or alpha >= amax - _END_TOL:
-        return "endpoint"
-    return "legendre"
+        near = np.abs(alphas - constants.alpha_hat) <= 1e-9
+        return np.where(near, "degenerate", "empty").tolist()
+    out = np.full(alphas.shape, "legendre", dtype=object)
+    out[(alphas <= amin + _END_TOL) | (alphas >= amax - _END_TOL)] = "endpoint"
+    out[(alphas < amin - _END_TOL) | (alphas > amax + _END_TOL)] = "empty"
+    if overlap and constants.regime is Regime.CASE_B:
+        low = alphas < constants.alpha0
+        out[low] = np.where(alphas[low] >= 1.0 - _END_TOL, "linear", "empty")
+    return out.tolist()
 
 
 def beta_star(constants: SpectrumConstants, alpha: float) -> float:
@@ -246,7 +282,7 @@ class SpectrumPoint:
 def _solve(constants: SpectrumConstants, alphas, overlap: bool = True):
     """(SpectrumPoint, q) for each finite alpha, q None off the legendre
     branch; the legendre rows share one _legendre call."""
-    branches = [_classify(constants, al, overlap) for al in alphas]
+    branches = _classify(constants, alphas, overlap)
     inner = [al for al, br in zip(alphas, branches) if br == "legendre"]
     qs, bs = _legendre(constants, inner)
     ks, logd, loga = _plus_arrays(constants)
@@ -286,15 +322,15 @@ def spectrum_D(constants: SpectrumConstants, alpha: float) -> SpectrumPoint:
     return _solve(constants, [alpha])[0][0]
 
 
-def spectrum_table(constants: SpectrumConstants, *, points: int = 201,
-                   include_infinite: bool = True) -> tuple[SpectrumPoint, ...]:
+def spectrum_table(constants: SpectrumConstants, *,
+                   points: int = 201) -> tuple[SpectrumPoint, ...]:
     """Spectrum sampled on a uniform grid over the support plus the
     distinguished abscissae (support ends, maximum location, tangency point),
     ending with the alpha = inf point when some branch has d = 0.
     """
     if points < 2:
         raise ValueError("points must be >= 2")
-    if _classify(constants, constants.alpha_hat) == "degenerate":
+    if _classify(constants, [constants.alpha_hat]) == ["degenerate"]:
         alphas = [constants.alpha_hat]
     else:
         special = [constants.alpha_min, constants.alpha_hat,
@@ -304,6 +340,6 @@ def spectrum_table(constants: SpectrumConstants, *, points: int = 201,
         grid = np.linspace(special[0], constants.alpha_max, points)
         alphas = np.unique(np.concatenate([grid, special])).tolist()
     rows = [pt for pt, _ in _solve(constants, alphas)]
-    if include_infinite and constants.index_zero:
+    if constants.index_zero:
         rows.append(spectrum_D(constants, math.inf))
     return tuple(rows)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import io
@@ -11,7 +12,14 @@ import sys
 
 import pytest
 
-from affine_spectra import antiderivative_system, parse_preset, system_to_dict
+from affine_spectra import (
+    Coding,
+    antiderivative_system,
+    compute_constants,
+    exponent_trace,
+    parse_preset,
+    system_to_dict,
+)
 from affine_spectra.cli import main
 
 SKEW = "skew-takagi:0.3,0.5,0.25"
@@ -253,6 +261,24 @@ def test_gen_coding_deterministic(run):
     assert len(doc["digits"]) == 2000
 
 
+@pytest.mark.parametrize("length, ends", [
+    (2000, "100,2000"), (20000, "100,9000"), (20000, "300,8192"),
+    (20000, "300,8193")])
+def test_gen_coding_diagnostics_are_the_trace(run, length, ends):
+    """The diagnostics read at the last block end, wherever it falls among
+    the trace's chunks, are the exponent_trace values there."""
+    out, _ = run("gen-coding", "--preset", SKEW, "--alpha", "1.2", "--length",
+                 str(length), "--seed", "9", "--block-ends", ends)
+    doc = json.loads(out)
+    system = parse_preset(SKEW)
+    trace = exponent_trace(system, compute_constants(system),
+                           Coding(prefix=tuple(doc["digits"])), length)
+    n_last = doc["block_ends"][-1]
+    assert doc["diagnostics"] == {
+        "gamma2_at_last_block": float(trace.g2[n_last - 1]),
+        "gamma0_at_last_block": float(trace.g0[n_last - 1])}
+
+
 def test_error_exit_code(run, capsys):
     _, err = run("eval", "--preset", "riesz-nagy:0.3", "--x", "1.5",
                  expect=1)
@@ -329,3 +355,21 @@ def test_readme_examples_run(run):
             head, tail = shown[:cut], shown[cut + 1:]
             assert lines[:len(head)] == head
             assert lines[len(lines) - len(tail):] == tail
+
+
+def test_readme_python_quick_start():
+    """The README's Python block runs, and every comment that starts with a
+    number is the repr of the expression on its line."""
+    block, = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    lines = block.splitlines()
+    scope, checked = {}, 0
+    for node in ast.parse(block).body:
+        shown = re.search(r"#\s*([-+]?\d[\d.eE+-]*)", lines[node.end_lineno - 1])
+        if isinstance(node, ast.Expr) and shown:
+            value = eval(compile(ast.Expression(node.value), "README", "eval"),
+                         scope)
+            assert repr(value) == shown.group(1), ast.unparse(node)
+            checked += 1
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), scope)
+    assert checked >= 3

@@ -1,3 +1,4 @@
+import enum
 import math
 import time
 import tracemalloc
@@ -78,6 +79,47 @@ def test_coding_indexing():
     assert not bare.eventually_periodic
     with pytest.raises(errors.InvalidCoding):
         bare.digit(4)
+
+
+def _checked_by_loop(prefix, period):
+    """Largest digit, or the InvalidCoding message, from a check of one
+    digit at a time (the oracle for Coding's own check)."""
+    try:
+        for part in (prefix, period or ()):
+            for k in part:
+                if not (isinstance(k, int) and k >= 1):
+                    raise errors.InvalidCoding(f"digit {k!r} must be an integer >= 1")
+            if part is prefix and period is not None and len(period) == 0:
+                raise errors.InvalidCoding("period must be nonempty when given")
+    except errors.InvalidCoding as exc:
+        return str(exc)
+    return max(max(prefix, default=1), max(period or (1,)))
+
+
+class _Digit(enum.IntEnum):
+    TWO = 2
+
+
+@pytest.mark.parametrize("prefix, period", [
+    ((1, 2, True), None), ((True,), (True, 1)), ((), None), ((), (3,)),
+    ((_Digit.TWO,), None), ((1, _Digit.TWO), (1,)),
+    ((1, False), None), ((1, np.int64(1)), None), ((np.int64(2),), None),
+    ((1, 1.0), None), ((0,), None), ((-3,), None), ((2, 0, 5), None),
+    (("1",), None), ((1, 2), (1, -1)), ((0,), ()), ((1,), ()),
+    ((1,) * 100_000, None), ((1,) * 99_999 + (np.int64(3),), None),
+    ((1,) * 50_000 + (0,) + (2,) * 49_999, (1,)),
+])
+def test_coding_checks_digits_like_a_loop(prefix, period):
+    want = _checked_by_loop(prefix, period)
+    if isinstance(want, str):
+        with pytest.raises(errors.InvalidCoding) as exc:
+            Coding(prefix=prefix, period=period)
+        assert str(exc.value) == want
+    else:
+        c = Coding(prefix=prefix, period=period)
+        assert c.max_digit() == want
+        assert c == Coding(prefix=tuple(prefix), period=period)
+        assert repr(c) == f"Coding(prefix={prefix!r}, period={period!r})"
 
 
 def test_dict_round_trip():

@@ -11,11 +11,13 @@ from affine_spectra import (
     alpha_of_q,
     beta,
     beta_star,
+    build_from_polygon,
     compute_constants,
     contraction_ratio,
     duality_maximizer,
     entropy_ratio,
     errors,
+    parse_preset,
     q_star,
     spectrum,
     spectrum_D,
@@ -229,8 +231,6 @@ def test_spectrum_table_degenerate(make_system):
     assert len(tab) == 2
     assert tab[0].branch == "degenerate"
     assert tab[1].alpha == math.inf and tab[1].dim == 1.0
-    finite_only = spectrum_table(c, points=11, include_infinite=False)
-    assert len(finite_only) == 1
 
 
 def test_spectrum_table_matches_pointwise(make_system):
@@ -252,14 +252,99 @@ def test_spectrum_table_matches_pointwise(make_system):
                 assert abs(single.dim - row.dim) <= 1e-12
 
 
+def _classify_one(c, alpha, overlap):
+    """One alpha at a time, by the same comparisons (the oracle for the
+    array classifier)."""
+    amin, amax, tol = c.alpha_min, c.alpha_max, spectrum._END_TOL
+    if amax - amin <= spectrum._DEG_TOL * max(1.0, abs(amax)):
+        return "degenerate" if abs(alpha - c.alpha_hat) <= 1e-9 else "empty"
+    if overlap and c.regime is Regime.CASE_B and alpha < c.alpha0:
+        return "linear" if alpha >= 1.0 - tol else "empty"
+    if alpha < amin - tol or alpha > amax + tol:
+        return "empty"
+    if alpha <= amin + tol or alpha >= amax - tol:
+        return "endpoint"
+    return "legendre"
+
+
+def _edges(c):
+    """The thresholds the classifier compares against, a few ulps either
+    side of each, and a grid beyond the support."""
+    tol = spectrum._END_TOL
+    marks = [c.alpha_min + tol, c.alpha_min - tol, c.alpha_max + tol,
+             c.alpha_max - tol, c.alpha_hat + 1e-9, c.alpha_hat - 1e-9,
+             c.alpha_hat, 1.0 - tol, 1.0]
+    if c.alpha0 is not None:
+        marks.append(c.alpha0)
+    out = []
+    for x in marks:
+        for _ in range(3):
+            x = math.nextafter(x, -math.inf)
+        for _ in range(7):
+            out.append(x)
+            x = math.nextafter(x, math.inf)
+    return out + np.linspace(c.alpha_min - 1.0, c.alpha_max + 1.0, 41).tolist()
+
+
+@given(seed=st.integers(0, 10 ** 9))
+def test_classify_matches_one_alpha_at_a_time(seed):
+    rng = np.random.default_rng(seed)
+    systems = [random_polygon_system(rng, allow_zero=True),
+               random_two_branch_contractive(rng)]
+    systems += [parse_preset(name) for name in
+                ("okamoto:0.5", "okamoto:0.6", "takagi:1.5", SKEW)]
+    for c in map(compute_constants, systems):
+        alphas = _edges(c)
+        for overlap in (True, False):
+            assert spectrum._classify(c, alphas, overlap) == [
+                _classify_one(c, alpha, overlap) for alpha in alphas]
+
+
 def test_legendre_cap_raises(make_system, monkeypatch):
-    _, c = make_system("riesz-nagy:0.3")
+    _, c = make_system("okamoto:0.6")   # three d != 0 branches: Newton
     assert spectrum_D(c, 1.3).branch == "legendre"
     monkeypatch.setattr(spectrum, "_NEWTON_CAP", 1)
     with pytest.raises(errors.NonConvergence, match=r"alpha = \[1\.3\]"):
         spectrum_D(c, 1.3)
     with pytest.raises(errors.NonConvergence):
         spectrum_table(c, points=11)
+
+
+def test_two_branch_needs_no_iteration(make_system, monkeypatch):
+    _, c = make_system("riesz-nagy:0.3")
+    want = [spectrum_D(c, alpha) for alpha in (0.6, 1.0, 1.3)]
+    table = spectrum_table(c, points=31)
+    q = q_star(c, 1.0)
+    monkeypatch.setattr(spectrum, "_NEWTON_CAP", 1)
+    monkeypatch.setattr(spectrum, "_PRESSURE_CAP", 1)
+    assert [spectrum_D(c, pt.alpha) for pt in want] == want
+    assert spectrum_table(c, points=31) == table
+    assert q_star(c, 1.0) == q == duality_maximizer(c, 1.0).q
+
+
+def test_two_branch_rounded_weights_fall_back_to_newton(monkeypatch):
+    """alpha_max is about 1.2e5, whose ulp exceeds the end tolerance, so
+    some alphas a few ulps inside it round to a nonpositive weight; those
+    rows, and only those, go through Newton."""
+    c = compute_constants(build_from_polygon(
+        [(0.0, 0.0), (0.99999, 0.5), (1.0, 1.0)], (0.3, -0.5)))
+    alphas = [c.alpha_max]
+    for _ in range(40):
+        alphas.append(math.nextafter(alphas[-1], 0.0))
+    alphas = np.array(alphas[:0:-1])
+    seen = []
+
+    def newton(constants, rows):
+        seen.extend(rows.tolist())
+        return newton_path(constants, rows)
+
+    newton_path = spectrum._legendre_newton
+    monkeypatch.setattr(spectrum, "_legendre_newton", newton)
+    q, b = spectrum._legendre(c, alphas)
+    assert 0 < len(seen) < alphas.size
+    assert np.all(np.isfinite(q)) and np.all(np.isfinite(b))
+    dims = alphas * q + b
+    assert np.all(np.abs(dims) <= 1e-9)     # beta*(alpha_max) = s_max = 0
 
 
 # ---------------------------------------------------- mpmath references
@@ -361,3 +446,33 @@ def test_case_b_spectrum_matches_mpmath(seed):
                 else _beta_star_mp(system.a, system.d, alpha))
         assert got.branch == ("linear" if alpha < c.alpha0 else "legendre")
         assert abs(got.dim - want) <= 1e-10
+
+
+def _two_branch_system(rng, kind):
+    """A system with exactly two d_k != 0 branches: r = 2 polygons, Case B
+    prone contractive pairs, or r = 3, 4 polygons with the other d_k = 0."""
+    if kind == 0:
+        return random_polygon_system(rng, r=2)
+    if kind == 1:
+        return random_two_branch_contractive(rng)
+    system = random_polygon_system(rng, r=kind + 1)
+    keep = set(rng.choice(system.r, 2, replace=False).tolist())
+    d = [dk if k in keep else 0.0 for k, dk in enumerate(system.d)]
+    return build_from_polygon(system.vertices, d)
+
+
+@settings(max_examples=15)
+@given(seed=st.integers(0, 10 ** 9), kind=st.integers(0, 3))
+def test_two_branch_closed_form_matches_mpmath_and_newton(seed, kind):
+    system = _two_branch_system(np.random.default_rng(seed), kind)
+    c = compute_constants(system)
+    assert len(c.index_plus) == 2
+    if c.alpha_max - c.alpha_min < 1e-6:
+        return
+    alphas = np.array(_interior(c))
+    q, b = spectrum._legendre(c, alphas)
+    qn, bn = spectrum._legendre_newton(c, alphas)
+    closed, newton = alphas * q + b, alphas * qn + bn
+    assert np.all(np.abs(closed - newton) <= 1e-11)
+    for alpha, got in zip(alphas.tolist(), closed.tolist()):
+        assert abs(got - _beta_star_mp(system.a, system.d, alpha)) <= 1e-10
