@@ -256,6 +256,18 @@ class SpectrumConstants:
             logd = np.log(np.abs(np.asarray(self.d)))
         return tuple(np.log(np.asarray(self.a)).tolist()), tuple(logd.tolist())
 
+    @cached_property
+    def _plus_columns(self):
+        """0-based indices of the d_k != 0 branches in increasing order, and
+        log|d_k|, log a_k on them as read-only (m, 1) columns from math.log,
+        built once: the spectrum layer's pressure sums run down these."""
+        import numpy as np
+        cols = sorted(k - 1 for k in self.index_plus)
+        logd = np.array([[math.log(abs(self.d[k]))] for k in cols])
+        loga = np.array([[math.log(self.a[k])] for k in cols])
+        logd.flags.writeable = loga.flags.writeable = False
+        return cols, logd, loga
+
     def to_dict(self) -> dict:
         return {
             "a": list(self.a),

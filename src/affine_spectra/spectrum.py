@@ -16,7 +16,12 @@ _legendre, which solves all legendre alphas of a call at once.  When only
 two branches have d_k != 0 the weights below are fixed by the constraint
 alone, so (q, beta(q)) comes in closed form from a 2 x 2 linear system;
 with three or more it comes from a bracketed Newton iteration on q around
-an inner Newton iteration for beta(q).
+an inner Newton iteration for beta(q).  That inner iteration steps on
+log sum |d_k|^q a_k^beta, which is convex and decreasing in beta and nearly
+linear far from the root, so from a start at or below the root its iterates
+rise monotonically and reach it in a few steps.  A table's rows are then
+assembled in bulk: one array expression for the dimensions alpha q + beta
+and one dictionary update per SpectrumPoint.
 
 The same numbers arise variationally: beta*(alpha) is the maximum of
 H(p) = sum p log p / sum p log a over weight vectors with zeros on the
@@ -44,27 +49,45 @@ _NEWTON_CAP = 100   # iterations on q per row
 _PRESSURE_CAP = 100  # iterations on beta per row and call
 
 
-def _plus_arrays(constants: SpectrumConstants):
-    """Indices with d_k != 0, and log|d_k|, log a_k on them as columns."""
-    ks = sorted(constants.index_plus)
-    logd = np.array([[math.log(abs(constants.d[k - 1]))] for k in ks])
-    loga = np.array([[math.log(constants.a[k - 1])] for k in ks])
-    return ks, logd, loga
+def _degenerate(constants: SpectrumConstants) -> bool:
+    """All ratios rho_k coincide: the support is the one point alpha_hat."""
+    amin, amax = constants.alpha_min, constants.alpha_max
+    return amax - amin <= _DEG_TOL * max(1.0, abs(amax))
 
 
 def _pressure(logd, loga, q, start=-np.inf):
-    """beta at each q by Newton's method from at least max_k (-q rho_k),
-    where the sum, convex and decreasing in b, is >= 1: the iterates rise
-    monotonically to the root.  The builtin sum adds branches in a fixed
-    order, so a row's result does not depend on the rows solved with it."""
+    """beta at each q by Newton's method on F(b) = log sum_k w_k,
+    w_k = |d_k|^q a_k^b, from at least max_k (-q rho_k).
+
+    F is convex (a log-sum-exp of lines in b) and decreasing, and F >= 0 at
+    every start: at max_k (-q rho_k) one w_k is 1 and none exceeds 1, and a
+    tangent restart lies below the convex beta.  Each tangent root then
+    stays left of the root, so the iterates rise monotonically to it; a sum
+    that rounds below 1 there counts as 1, so no step is negative.  Far
+    left of the root the sum grows like an exponential, so a Newton step on
+    the sum minus 1 gains little there, while its log grows nearly like a
+    line, on which a Newton step lands close to the root.  Near the root
+    both converge quadratically.
+
+    np.add.reduce(..., axis=0) adds the rows one by one in branch order, as
+    the builtin sum did, so a row's result does not depend on the rows
+    solved with it.  The one exception is a lone row of eight or more
+    branches, whose column numpy sums pairwise."""
     b = np.maximum(start, (-q * logd / loga).max(axis=0))
-    todo = np.arange(q.size)
+    todo = None                 # every row active: no gathers
     for _ in range(_PRESSURE_CAP):
-        bi = b[todo]
-        w = np.exp(q[todo] * logd + bi * loga)
-        step = (sum(w) - 1.0) / -sum(w * loga)
-        b[todo] = bi + step
-        todo = todo[step > _B_TOL * np.maximum(1.0, np.abs(bi))]
+        qi, bi = (q, b) if todo is None else (q[todo], b[todo])
+        w = np.exp(qi * logd + bi * loga)
+        s = np.add.reduce(w, axis=0)
+        step = (np.maximum(np.log(s), 0.0) * s
+                / -np.add.reduce(w * loga, axis=0))
+        more = step > _B_TOL * np.maximum(1.0, np.abs(bi))
+        if todo is None:
+            b += step
+            todo = np.flatnonzero(more)
+        else:
+            b[todo] = bi + step
+            todo = todo[more]
         if not todo.size:
             return b
     raise errors.NonConvergence(f"beta unsolved at q = {q[todo].tolist()}")
@@ -72,12 +95,13 @@ def _pressure(logd, loga, q, start=-np.inf):
 
 def _gibbs(logd, loga, q, b):
     """alpha(q) and alpha'(q) = Var_w(log|d| - alpha(q) log a) / sum w log a
-    for the Gibbs weights w = |d|^q a^b, b = beta(q)."""
+    for the Gibbs weights w = |d|^q a^b, b = beta(q); rows are added as in
+    _pressure."""
     w = np.exp(q * logd + b * loga)
-    mass = sum(w * loga)
-    mean = sum(w * logd) / mass
+    mass = np.add.reduce(w * loga, axis=0)
+    mean = np.add.reduce(w * logd, axis=0) / mass
     dev = logd - mean * loga
-    return mean, sum(w * dev * dev) / mass
+    return mean, np.add.reduce(w * dev * dev, axis=0) / mass
 
 
 def _legendre(constants: SpectrumConstants, alphas):
@@ -98,7 +122,7 @@ def _legendre(constants: SpectrumConstants, alphas):
     alphas = np.asarray(alphas, dtype=float)
     if len(constants.index_plus) != 2:
         return _legendre_newton(constants, alphas)
-    _, logd, loga = _plus_arrays(constants)
+    _, logd, loga = constants._plus_columns
     (ld1, ld2), (la1, la2) = logd[:, 0].tolist(), loga[:, 0].tolist()
     g1, g2 = ld1 - alphas * la1, ld2 - alphas * la2
     w1, w2 = g2 / (g2 - g1), -g1 / (g2 - g1)
@@ -118,8 +142,11 @@ def _legendre_newton(constants: SpectrumConstants, alphas):
     Newton steps go on log((alpha(q) - alpha_min) / (alpha_max - alpha(q))),
     nearly linear in q at both ends.  Each evaluation moves an end of the
     row's bracket on q; a step that leaves the bracket or fails to halve the
-    last one bisects instead.  beta restarts from its tangent."""
-    _, logd, loga = _plus_arrays(constants)
+    last one bisects instead.  beta restarts from its tangent
+    b - alpha(q) dq, which lies below the convex beta, so _pressure's
+    log-space Newton iterates rise from there to the root in a few
+    steps."""
+    _, logd, loga = constants._plus_columns
     amin, amax = constants.alpha_min, constants.alpha_max
     target = np.log((alphas - amin) / (amax - alphas))
     q = np.zeros(alphas.size)
@@ -151,14 +178,14 @@ def _legendre_newton(constants: SpectrumConstants, alphas):
 
 def beta(constants: SpectrumConstants, q: float) -> float:
     """Root of sum |d_k|^q a_k^beta = 1 over the d_k != 0 branches."""
-    _, logd, loga = _plus_arrays(constants)
+    _, logd, loga = constants._plus_columns
     return float(_pressure(logd, loga, np.array([float(q)]))[0])
 
 
 def alpha_of_q(constants: SpectrumConstants, q: float) -> float:
     """Negated slope of beta at q: the alpha whose conjugate is attained
     there.  Strictly decreasing from alpha_max (q -> -inf) to alpha_min."""
-    _, logd, loga = _plus_arrays(constants)
+    _, logd, loga = constants._plus_columns
     qs = np.array([float(q)])
     return float(_gibbs(logd, loga, qs, _pressure(logd, loga, qs))[0][0])
 
@@ -180,7 +207,7 @@ def _classify(constants: SpectrumConstants, alphas,
     concave conjugate beta*."""
     alphas = np.asarray(alphas, dtype=float)
     amin, amax = constants.alpha_min, constants.alpha_max
-    if amax - amin <= _DEG_TOL * max(1.0, abs(amax)):
+    if _degenerate(constants):
         near = np.abs(alphas - constants.alpha_hat) <= 1e-9
         return np.where(near, "degenerate", "empty").tolist()
     out = np.full(alphas.shape, "legendre", dtype=object)
@@ -279,23 +306,38 @@ class SpectrumPoint:
     note: str | None = None
 
 
+def _point(alpha, dim, branch, p_opt, note) -> SpectrumPoint:
+    """SpectrumPoint(alpha, dim, branch, p_opt, note) by one __dict__ update
+    instead of the frozen dataclass's five object.__setattr__ calls; the
+    fields are the same, so the point compares, hashes and reprs the same."""
+    pt = object.__new__(SpectrumPoint)
+    pt.__dict__.update(alpha=alpha, dim=dim, branch=branch, p_opt=p_opt,
+                       note=note)
+    return pt
+
+
 def _solve(constants: SpectrumConstants, alphas, overlap: bool = True):
     """(SpectrumPoint, q) for each finite alpha, q None off the legendre
-    branch; the legendre rows share one _legendre call."""
+    branch; the legendre rows share one _legendre call, and their
+    dimensions alpha q + beta are one array expression."""
     branches = _classify(constants, alphas, overlap)
     inner = [al for al, br in zip(alphas, branches) if br == "legendre"]
-    qs, bs = _legendre(constants, inner)
-    ks, logd, loga = _plus_arrays(constants)
-    gibbs = np.zeros((len(inner), len(constants.a)))
-    gibbs[:, [k - 1 for k in ks]] = np.exp(qs * logd + bs * loga).T
-    solved = zip(qs.tolist(), bs.tolist(), map(tuple, gibbs.tolist()))
+    x = np.array(inner, dtype=float)
+    qs, bs = _legendre(constants, x)
+    cols, logd, loga = constants._plus_columns
+    gibbs = np.zeros((x.size, len(constants.a)))
+    gibbs[:, cols] = np.exp(qs * logd + bs * loga).T
+    solved = iter([(_point(alpha, dim, "legendre", p, None), q)
+                   for alpha, q, dim, p in zip(inner, qs.tolist(),
+                                               (x * qs + bs).tolist(),
+                                               map(tuple, gibbs.tolist()))])
     out = []
     for alpha, branch in zip(alphas, branches):
-        q = note = p = dim = None
         if branch == "legendre":
-            q, b, p = next(solved)
-            dim = alpha * q + b
-        elif branch == "linear":
+            out.append(next(solved))
+            continue
+        note = p = dim = None
+        if branch == "linear":
             p, dim = constants.p_star, constants.sigma * (alpha - 1.0)
             if alpha <= 1.0 + _END_TOL:
                 dim, note = 0.0, ("left edge of the linear part; the level "
@@ -308,8 +350,7 @@ def _solve(constants: SpectrumConstants, alphas, overlap: bool = True):
                         if alpha <= constants.alpha_min + _END_TOL else
                         (constants.alpha_max, constants.s_max))
             p = _tie_weights(constants, end, dim)
-        out.append((SpectrumPoint(alpha=alpha, dim=dim, branch=branch,
-                                  p_opt=p, note=note), q))
+        out.append((_point(alpha, dim, branch, p, note), None))
     return out
 
 
@@ -330,7 +371,7 @@ def spectrum_table(constants: SpectrumConstants, *,
     """
     if points < 2:
         raise ValueError("points must be >= 2")
-    if _classify(constants, [constants.alpha_hat]) == ["degenerate"]:
+    if _degenerate(constants):
         alphas = [constants.alpha_hat]
     else:
         special = [constants.alpha_min, constants.alpha_hat,

@@ -168,6 +168,27 @@ def test_spectrum_round_trip(run, tmp_path):
     assert lines[1].startswith("1,0,linear")
 
 
+# sha256 of the stdout of `spectrum --preset P --points 201`, as the
+# closed-form two-branch Legendre rows printed it before rows were assembled
+# in bulk: two-branch tables must stay byte for byte the same
+SPECTRUM_TWO_BRANCH_SHA256 = {
+    "riesz-nagy:0.3":
+        "40dc16e8e225f25d43412a7605cc906193dacb814e0f4fc15434790ab08ec671",
+    "skew-takagi:0.3,0.5,0.25":
+        "312cb7921ca6d30d1087fb6b5ee6a25cf45a82dc440710f878507388c6ec4020",
+    "skew-takagi:0.4,1,0.3":
+        "8daa39e54c6cf012a5e35d198bdab2c48f60d4861b09b79efdd760322160209d",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(SPECTRUM_TWO_BRANCH_SHA256))
+def test_spectrum_two_branch_output_is_pinned(run, preset):
+    out, _ = run("spectrum", "--preset", preset, "--points", "201")
+    assert len(out.splitlines()) >= 202
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == SPECTRUM_TWO_BRANCH_SHA256[preset])
+
+
 def test_spectrum_json_and_inf(run):
     out, _ = run("spectrum", "--preset", "okamoto:0.5", "--points", "11",
                  "--json")

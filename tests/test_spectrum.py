@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -347,6 +348,46 @@ def test_two_branch_rounded_weights_fall_back_to_newton(monkeypatch):
     assert np.all(np.abs(dims) <= 1e-9)     # beta*(alpha_max) = s_max = 0
 
 
+def test_solve_rows_are_ordinary_points(make_system):
+    """Rows built by one __dict__ update equal, hash and repr like points
+    the dataclass builds, and dataclasses.replace and asdict work on them."""
+    seen = set()
+    for name in ("riesz-nagy:0.3", "okamoto:0.6", "okamoto:0.5", SKEW):
+        _, c = make_system(name)
+        alphas = [c.alpha_min - 1.0, c.alpha_min, 1.0, 1.2, c.alpha_hat,
+                  0.5 * (c.alpha_hat + c.alpha_max), c.alpha_max]
+        for pt, _ in spectrum._solve(c, alphas):
+            seen.add(pt.branch)
+            fields = {f.name: getattr(pt, f.name)
+                      for f in dataclasses.fields(pt)}
+            ref = spectrum.SpectrumPoint(**fields)
+            assert pt == ref and hash(pt) == hash(ref)
+            assert repr(pt) == repr(ref) and vars(pt) == vars(ref)
+            assert dataclasses.asdict(pt) == fields
+            assert dataclasses.replace(pt) == ref
+            assert dataclasses.replace(pt, note="n") == dataclasses.replace(
+                ref, note="n")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                pt.dim = 0.0
+    assert seen == {"empty", "endpoint", "linear", "legendre", "degenerate"}
+
+
+def test_empty_calls_return_at_once(make_system):
+    """No legendre rows: _legendre and _pressure return empty arrays after
+    one pass, on the closed form and on the Newton path."""
+    for name in ("riesz-nagy:0.3", "okamoto:0.6"):
+        _, c = make_system(name)
+        _, logd, loga = c._plus_columns
+        for f in (spectrum._legendre, spectrum._legendre_newton):
+            q, b = f(c, np.zeros(0))
+            assert q.shape == b.shape == (0,)
+        assert spectrum._legendre(c, [])[0].shape == (0,)
+        assert spectrum._pressure(logd, loga, np.zeros(0)).shape == (0,)
+        rows = spectrum._solve(c, [c.alpha_min - 1.0, c.alpha_max])
+        assert [(pt.branch, q) for pt, q in rows] == [("empty", None),
+                                                     ("endpoint", None)]
+
+
 # ---------------------------------------------------- mpmath references
 
 _DPS = 40
@@ -476,3 +517,69 @@ def test_two_branch_closed_form_matches_mpmath_and_newton(seed, kind):
     assert np.all(np.abs(closed - newton) <= 1e-11)
     for alpha, got in zip(alphas.tolist(), closed.tolist()):
         assert abs(got - _beta_star_mp(system.a, system.d, alpha)) <= 1e-10
+
+
+@settings(max_examples=15)
+@given(seed=st.integers(0, 10 ** 9), r=st.integers(3, 7))
+def test_rows_do_not_depend_on_their_companions(seed, r):
+    """A row solved alone gives the bits it gets among others: the pressure
+    sums add the branches in one order whatever the number of rows."""
+    rng = np.random.default_rng(seed)
+    c = compute_constants(random_polygon_system(rng, r=r, allow_zero=True))
+    _, logd, loga = c._plus_columns
+    qs = np.linspace(-20.0, 20.0, 9)
+    together = spectrum._pressure(logd, loga, qs)
+    assert [spectrum._pressure(logd, loga, qs[i:i + 1])[0]
+            for i in range(qs.size)] == together.tolist()
+    if c.alpha_max - c.alpha_min < 1e-6:
+        return
+    alphas = np.array(_interior(c))
+    q, b = spectrum._legendre(c, alphas)
+    for i in range(alphas.size):
+        qi, bi = spectrum._legendre(c, alphas[i:i + 1])
+        assert (qi[0], bi[0]) == (q[i], b[i])
+
+
+class _AbsSpy:
+    """numpy for the spectrum module, except that np.abs records what it
+    is given: _pressure's stop test takes np.abs of the active iterates
+    once per step."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def abs(self, x):
+        self.seen.append(float(x[0]))
+        return np.abs(x)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 10 ** 9), r=st.integers(3, 5),
+       q=st.floats(-50.0, 50.0), dq=st.floats(0.01, 2.0))
+def test_log_pressure_matches_mpmath_and_rises(seed, r, q, dq):
+    """The log-space Newton solve for beta(q), from max_k (-q rho_k) and
+    from a tangent restart at q - dq: within 1e-13 relative of an mpmath
+    root, and its iterates never decrease."""
+    rng = np.random.default_rng(seed)
+    system = random_polygon_system(rng, r=r, allow_zero=True)
+    c = compute_constants(system)
+    _, logd, loga = c._plus_columns
+    with mpmath.workdps(_DPS):
+        want = float(_beta_mp(_mp_terms(system.a, system.d), q))
+    q0 = np.array([q - dq])
+    b0 = spectrum._pressure(logd, loga, q0)
+    tangent = b0 - spectrum._gibbs(logd, loga, q0, b0)[0] * dq
+    for start in (-np.inf, tangent):
+        spy = _AbsSpy()
+        spectrum.np = spy
+        try:
+            got = spectrum._pressure(logd, loga, np.array([q]), start)
+        finally:
+            spectrum.np = np
+        steps = spy.seen + [float(got[0])]
+        assert len(steps) >= 2
+        assert all(x <= y for x, y in zip(steps, steps[1:]))
+        assert abs(got[0] - want) <= 1e-13 * max(1.0, abs(want))
