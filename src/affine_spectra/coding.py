@@ -74,6 +74,20 @@ class Coding:
                 raise errors.InvalidCoding("period must be nonempty when given")
             _check_positive(self.period)
 
+    @classmethod
+    def _of_digits(cls, prefix: tuple[int, ...],
+                   period: tuple[int, ...] | None = None,
+                   prefix_max: int | None = None) -> "Coding":
+        """A Coding of digits the package produced, which are integers in
+        1..r already: no check runs.  prefix_max, when given, is recorded
+        as the largest prefix digit for max_digit.  The result equals,
+        hashes and reprs like Coding(prefix, period)."""
+        coding = object.__new__(cls)
+        coding.__dict__.update(prefix=prefix, period=period)
+        if prefix_max is not None:
+            coding.__dict__["_prefix_max"] = prefix_max
+        return coding
+
     @property
     def eventually_periodic(self) -> bool:
         return self.period is not None
@@ -110,8 +124,8 @@ class Coding:
         return None
 
     def max_digit(self) -> int:
-        """Largest digit; a prefix past _LOOP_MAX digits is not scanned
-        again, its maximum having been recorded by the constructor."""
+        """Largest digit; a prefix whose maximum a constructor recorded (past
+        _LOOP_MAX digits, or given to _of_digits) is not scanned again."""
         top = self._prefix_max
         if top is None:
             top = max(self.prefix, default=1)
@@ -212,28 +226,33 @@ def _exact_interval(digits: tuple[int, ...], left: int, width: int,
 
 
 @lru_cache(maxsize=128)
-def _partition(system: SelfAffineSystem) -> tuple[tuple[int, ...], int]:
-    """The stored abscissae over one power of two: x_k = X[k] / 2**p,
-    built once per system."""
+def _partition(system: SelfAffineSystem):
+    """The stored abscissae over one power of two, x_k = X[k] / 2**p, and
+    the widths W[k - 1] = X[k] - X[k - 1], built once per system: returns
+    (X, W, p)."""
     ratios = [x.as_integer_ratio() for x in system.xs]
     p = max(den for _, den in ratios).bit_length() - 1
-    return tuple(num * ((1 << p) // den) for num, den in ratios), p
+    X = tuple(num * ((1 << p) // den) for num, den in ratios)
+    return X, tuple(hi - lo for lo, hi in zip(X, X[1:])), p
 
 
-def _orbit(X: tuple[int, ...], p: int, u: int, v: int,
+def _orbit(X: tuple[int, ...], W: tuple[int, ...], p: int, u: int, v: int,
            n: int) -> tuple[list[int], int, int]:
-    """Up to n digits of t = u / v in [0, 1) under the partition X / 2**p.
+    """Up to n digits of t = u / v in [0, 1) under the partition X / 2**p
+    with widths W.
 
     Each step picks the branch k with x_{k-1} <= t < x_k and maps t to
     (t - x_{k-1}) / (x_k - x_{k-1}), all in integers: t >= x_k reads
     u 2^p >= X_k v, and the new t is
-    (u 2^p - X_{k-1} v) / ((X_k - X_{k-1}) v).  Stops early when t
-    reaches 0, where the digits so far end the right coding of a vertex
-    image.  Returns (digits, u, v).
+    (u 2^p - X_{k-1} v) / (W_{k-1} v).  Stops early when t reaches 0,
+    where the digits so far end the right coding of a vertex image.
+    Returns (digits, u, v).
     """
-    r = len(X) - 1
+    r = len(W)
     digits = []
-    while u and len(digits) < n:
+    for _ in range(n):
+        if not u:
+            break
         w = u << p
         k, low = 1, 0
         while k < r:
@@ -243,7 +262,7 @@ def _orbit(X: tuple[int, ...], p: int, u: int, v: int,
             k, low = k + 1, high    # low = X_{k-1} v, reused by the update
         digits.append(k)
         u = w - low
-        v *= X[k] - X[k - 1]
+        v *= W[k - 1]
     return digits, u, v
 
 
@@ -262,9 +281,9 @@ def coding_of_point(system: SelfAffineSystem, x, depth: int) -> PointCoding:
     xv = x if isinstance(x, (Fraction, int)) else float(x)
     if not (0 < xv < 1):
         raise errors.OutOfDomain(f"x = {xv} not in (0, 1)")
-    X, p = _partition(system)
+    X, W, p = _partition(system)
     num, den = xv.as_integer_ratio()
-    digits, u, v = _orbit(X, p, num, den, depth)
+    digits, u, v = _orbit(X, W, p, num, den, depth)
     cut = u == 0
     pad = depth - len(digits)
     prefix = tuple(digits) + (1,) * pad
@@ -275,8 +294,8 @@ def coding_of_point(system: SelfAffineSystem, x, depth: int) -> PointCoding:
     shift = p * depth
     interval = _exact_interval(prefix, (num << shift) - u, v * X[1] ** pad,
                                den << shift)
-    return PointCoding(coding=Coding(prefix=prefix, period=(1,) if cut else None),
-                       interval=interval, cut_point=cut)
+    coding = Coding._of_digits(prefix, (1,) if cut else None)
+    return PointCoding(coding=coding, interval=interval, cut_point=cut)
 
 
 def basic_interval(system: SelfAffineSystem, digits) -> BasicInterval:
@@ -285,11 +304,11 @@ def basic_interval(system: SelfAffineSystem, digits) -> BasicInterval:
     outward."""
     digits = tuple(digits)
     _check_digits(Coding(prefix=digits), system.r)
-    X, p = _partition(system)
+    X, W, p = _partition(system)
     left, width = 0, 1          # over 2^(p n) after n digits
     for k in digits:
         left = (left << p) + width * X[k - 1]
-        width *= X[k] - X[k - 1]
+        width *= W[k - 1]
     return _exact_interval(digits, left, width, 1 << (p * len(digits)))
 
 
@@ -305,9 +324,9 @@ def project(system: SelfAffineSystem, coding: Coding, *, exact: bool = False):
     """
     _check_digits(coding, system.r)
     if exact:
-        X, p = _partition(system)
+        X, W, p = _partition(system)
         b = [Fraction(v, 1 << p) for v in X[:-1]]
-        a = [Fraction(X[k + 1] - X[k], 1 << p) for k in range(system.r)]
+        a = [Fraction(w, 1 << p) for w in W]
         t = Fraction(0)
     else:
         a = list(system.a)
@@ -341,13 +360,14 @@ class CutPointQuery:
 
 
 def _cut_codings_from_stem(stem: tuple[int, ...], r: int) -> CutPointQuery:
-    """stem = digits of the all-r-tail coding with trailing r's stripped."""
+    """stem = digits of the all-r-tail coding with trailing r's stripped,
+    each in 1..r already."""
     if not stem:
         # the point 1; only the all-r coding exists
-        return CutPointQuery(member=True, left=Coding(period=(r,)), right=None,
-                             n0=0, boundary_digit=None)
-    left = Coding(prefix=stem, period=(r,))
-    right = Coding(prefix=stem[:-1] + (stem[-1] + 1,), period=(1,))
+        return CutPointQuery(member=True, left=Coding._of_digits((), (r,)),
+                             right=None, n0=0, boundary_digit=None)
+    left = Coding._of_digits(stem, (r,))
+    right = Coding._of_digits(stem[:-1] + (stem[-1] + 1,), (1,))
     return CutPointQuery(member=True, left=left, right=right,
                          n0=len(stem), boundary_digit=stem[-1])
 
@@ -404,7 +424,7 @@ def in_T(system: SelfAffineSystem, target, *, max_depth: int = 4096) -> CutPoint
                              n0=0, boundary_digit=None)
     if not (0 < x < 1):
         raise errors.OutOfDomain(f"x = {x} not in [0, 1]")
-    X, p = _partition(system)
+    X, W, p = _partition(system)
     u, v = x.numerator, x.denominator
     digits: list[int] = []
     seen: set[tuple[int, int]] = set()
@@ -414,8 +434,16 @@ def in_T(system: SelfAffineSystem, target, *, max_depth: int = 4096) -> CutPoint
         if v & (v - 1) or (u, v) in seen:
             return CutPointQuery(member=False)
         seen.add((u, v))
-        step, u, v = _orbit(X, p, u, v, 1)
-        digits += step
+        # one step of _orbit
+        w = u << p
+        k, low = 1, 0
+        while k < r:
+            high = X[k] * v
+            if w < high:
+                break
+            k, low = k + 1, high
+        digits.append(k)
+        u, v = w - low, v * W[k - 1]
         if u == 0:
             # digits is the right coding's stem with an incremented last digit
             stem = tuple(digits[:-1]) + (digits[-1] - 1,)
@@ -570,6 +598,8 @@ def generate_run_structured(rs: RunStructure, length: int, seed: int) -> Coding:
         spans += [(nj - lj - 1, nj - lj, rs.k_star), (nj - lj, nj, r),
                   (nj, nj + 1, rs.k_star)]
 
+    tops = []           # largest digit of each block
+
     def blocks():
         for start in range(0, length, _DRAW_BLOCK):
             stop = min(start + _DRAW_BLOCK, length)
@@ -578,6 +608,9 @@ def generate_run_structured(rs: RunStructure, length: int, seed: int) -> Coding:
             for lo, hi, k in spans:
                 if lo < stop and hi > start:
                     block[max(lo, start) - start:min(hi, stop) - start] = k
+            tops.append(int(block.max()))
             yield block.tolist()
 
-    return Coding(prefix=tuple(itertools.chain.from_iterable(blocks())))
+    # the digits are ints in 1..r by construction: nothing to check
+    prefix = tuple(itertools.chain.from_iterable(blocks()))
+    return Coding._of_digits(prefix, prefix_max=max(tops, default=None))

@@ -11,7 +11,9 @@ are relative to IEEE double arithmetic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -159,6 +161,16 @@ def evaluate_many(system: SelfAffineSystem, xs, tol: float,
             depth.reshape(pts.shape))
 
 
+@lru_cache(maxsize=128)
+def _table(system: SelfAffineSystem):
+    """What scalar evaluate reads, built once per system: the abscissae,
+    the cuts, a tuple (x_{k-1}, a_k, c_k, d_k, e_k) per branch and
+    sup_bound."""
+    xs = system.xs
+    rows = tuple(zip(xs[:-1], system.a, system.c, system.d, system.e))
+    return xs, xs[1:-1], rows, sup_bound(system)
+
+
 def evaluate(system: SelfAffineSystem, x: float, tol: float,
              max_depth: int | None = None) -> EvalResult:
     """phi(x) with |returned - phi(x)| <= error_bound <= tol.
@@ -177,14 +189,10 @@ def evaluate(system: SelfAffineSystem, x: float, tol: float,
         raise errors.OutOfDomain("points must lie in [0, 1]")
     if max_depth is None:
         max_depth = _DEFAULT_MAX_DEPTH
-    part = system.xs
+    part, cuts, rows, bound = _table(system)
     if t in part:
         return EvalResult(system.ys[part.index(t)], 0.0, 0)
 
-    cuts = part[1:-1]
-    n_cuts = len(cuts)
-    a, c, d, e = system.a, system.c, system.d, system.e
-    bound = sup_bound(system)
     A, B, R = 0.0, 0.0, 1.0
     depth = 0
     while abs(R) * bound > tol and t != 0.0 and t != 1.0:
@@ -193,14 +201,12 @@ def evaluate(system: SelfAffineSystem, x: float, tol: float,
             raise errors.NonConvergence(
                 f"depth cap {max_depth} hit; achieved bound {worst:g} > tol {tol:g}",
                 achieved_bound=worst, depth=depth)
-        k = 0
-        while k < n_cuts and cuts[k] <= t:
-            k += 1
-        left = part[k]
-        t = (t - left) / a[k]    # left <= t: the difference is never negative
-        A += B * left + R * e[k]
-        B = B * a[k] + R * c[k]
-        R = R * d[k]
+        # branch k + 1 holds t when exactly k cuts are <= t
+        left, a, c, d, e = rows[bisect_right(cuts, t)]
+        t = (t - left) / a    # left <= t: the difference is never negative
+        A += B * left + R * e
+        B = B * a + R * c
+        R = R * d
         depth += 1
 
     if t == 0.0 or t == 1.0:
@@ -218,61 +224,87 @@ def sample(system: SelfAffineSystem, n_points: int, tol: float):
     return xs, values, errs
 
 
+def _derivative(system: SelfAffineSystem, coding: Coding):
+    """The series of derivative_series and a bound on its rounding error.
+
+    Running error analysis (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3): a running product of m ratios is within m u of the
+    exact product, relatively, and each rounded operation adds at most u
+    times its computed result, u = 2^-53.  The bound sums these first-order
+    terms and is inflated by 1% for the second-order ones; it ignores
+    underflow.  Returns (value, bound).
+    """
+    if coding.period is None and system.index_zero.isdisjoint(coding.prefix):
+        raise errors.TailBoundUnavailable(
+            "tail bound needs an eventually periodic coding")
+    a, c, d = system.a, system.c, system.d
+    eps = 1.01 * 2.0 ** -53
+    total, err = 0.0, 0.0    # prefix sum; its error over eps
+    P, n = 1.0, 0            # signed prod_{i<m} d/a, within n eps of exact
+    for k in coding.prefix:
+        ck, dk = c[k - 1] / a[k - 1], d[k - 1] / a[k - 1]
+        term = ck * P
+        total += term
+        err += (n + 2) * abs(term) + abs(total)
+        if dk == 0.0:
+            return total, eps * err    # the series terminates exactly
+        P *= dk
+        n += 2
+
+    S, m, errS = 0.0, 0, 0.0  # the same over one period, from Q = 1
+    Q = 1.0
+    for k in coding.period:
+        ck, dk = c[k - 1] / a[k - 1], d[k - 1] / a[k - 1]
+        term = ck * Q
+        S += term
+        errS += (m + 2) * abs(term) + abs(S)
+        Q *= dk
+        m += 2
+    if not abs(Q) < 1.0:
+        raise errors.NotDifferentiable(
+            "period is not width-contracting; the series diverges")
+    den = 1.0 - Q
+    den_err = eps * (m * abs(Q) + abs(den))
+    if den_err >= den:
+        return math.nan, math.inf     # 1 - Q may vanish
+    num = P * S
+    num_err = eps * (abs(P) * errS + (n + 1) * abs(num))
+    tail = num / den
+    value = total + tail
+    tail_err = (num_err + abs(tail) * den_err) / (den - den_err)
+    return value, eps * (err + abs(tail) + abs(value)) + tail_err
+
+
 def derivative_series(system: SelfAffineSystem, coding: Coding,
-                      tol: float = 1e-12, *, gamma: float | None = None,
-                      max_windows: int = 5_000_000) -> float:
+                      tol: float = 1e-12, *,
+                      gamma: float | None = None) -> float:
     """One-sided derivative at the point addressed by the coding:
 
         sum_m (c_{k_m} / a_{k_m}) prod_{i<m} (d_{k_i} / a_{k_i}).
 
-    Requires an eventually periodic coding so the tail admits a certified
-    geometric bound: with per-period factor q = prod |d/a| < 1 the tail after
-    a window of one period is (window sum) q / (1 - q).  Digits with d = 0
-    terminate the series exactly.
+    For an eventually periodic coding the series is one geometric sum,
+    prefix + P S / (1 - Q), where P is the product of d/a over the prefix,
+    Q the same over one period and S the series of one period alone; no
+    window is iterated.  A digit with d = 0 ends the series exactly.  The
+    value carries a running bound on its rounding error, which grows like
+    u / (1 - |Q|) as |Q| nears 1, and is returned only when that bound is
+    at most tol.
 
     Raises NotDifferentiable when the supplied exponent gamma is <= 1 or the
-    period is not contracting relative to the widths; TailBoundUnavailable
-    when no period is available or the cap is hit.
+    period is not contracting relative to the widths (|Q| >= 1);
+    TailBoundUnavailable, before any summing, for a coding that is neither
+    periodic nor ended by a d = 0 digit, and with the bound named when the
+    bound exceeds tol.
     """
     if coding.max_digit() > system.r:
         raise errors.InvalidCoding("digit exceeds branch count")
     if gamma is not None and not gamma > 1.0:
         raise errors.NotDifferentiable(f"exponent {gamma} <= 1")
-    a, c, d = system.a, system.c, system.d
-
-    total = 0.0
-    P = 1.0              # signed prod_{i<m} d/a
-    for k in coding.prefix:
-        total += (c[k - 1] / a[k - 1]) * P
-        P *= d[k - 1] / a[k - 1]
-        if P == 0.0:
-            return total       # series terminates exactly
-
-    if coding.period is None:
+    value, bound = _derivative(system, coding)
+    if not bound <= tol:
         raise errors.TailBoundUnavailable(
-            "tail bound needs an eventually periodic coding")
-    period = coding.period
-    q = 1.0
-    for k in period:
-        q *= abs(d[k - 1]) / a[k - 1]
-    if q >= 1.0:
-        raise errors.NotDifferentiable(
-            "period is not width-contracting; the series diverges")
-
-    for _ in range(max_windows):
-        window_abs = 0.0
-        for k in period:
-            term = (c[k - 1] / a[k - 1]) * P
-            total += term
-            window_abs += abs(term)
-            P *= d[k - 1] / a[k - 1]
-        if P == 0.0:
-            return total
-        tail = window_abs * q / (1.0 - q)
-        if tail <= tol:
-            return total
-    raise errors.TailBoundUnavailable(
-        f"tail bound {tail:g} above tol after {max_windows} windows")
+            f"rounding bound {bound:g} above tol {tol:g}")
+    return value
 
 
 def divided_difference(points, values) -> float:

@@ -19,15 +19,15 @@ vertex the point sits on carries a slope mismatch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import errors
-from .coding import Coding, _check_digits, _cut_codings_from_stem, in_T
-from .evaluate import derivative_series, evaluate_many
-from .ifs import SelfAffineSystem, SpectrumConstants, _terminal_run_constants
+from .coding import Coding, CutPointQuery, _check_digits, in_T
+from .evaluate import _derivative, derivative_series, evaluate_many
+from .ifs import SelfAffineSystem, SpectrumConstants
 
 _MIN_HORIZON = 16
 # Longest horizon the plain-float tail scan takes; longer ones go through
@@ -55,10 +55,7 @@ def side_run_constants(constants: SpectrumConstants, side: str):
     divides by vanishes.  The left side swaps the roles of branches 1 and r.
     """
     _check_side(side)
-    a, d = constants.a, constants.d
-    if side == "left":
-        a, d = a[::-1], d[::-1]
-    return _terminal_run_constants(a, d)
+    return constants._run_flags[side][0]
 
 
 @dataclass(frozen=True)
@@ -112,19 +109,11 @@ def _trace_chunks(constants: SpectrumConstants, coding: Coding, n: int,
     steps = np.zeros(r + 1, dtype=complex)
     steps.real[1:] = logd
     steps.imag[1:] = loga
-    # the run of the extreme digit after boundary digit b is corrected by K1
-    # when b + 1 (right) or b - 1 (left) has d != 0, and by K2 when b (right)
-    # or b - 1 (left) is in the overlap set; b = 0 (no boundary yet) never
-    if side == "right":
-        extreme, chi_probe, zeta_probe = r, 1, 0
-    else:
-        extreme, chi_probe, zeta_probe = 1, -1, -1
-    k1, k2 = side_run_constants(constants, side)
+    extreme = r if side == "right" else 1
     # the correction per boundary digit, K times a 0/1 flag
-    corr1 = np.array([k1 * (b > 0 and b + chi_probe in constants.index_plus)
-                      for b in range(r + 1)])
-    corr2 = np.array([k2 * (b > 0 and b + zeta_probe in constants.lambda_set)
-                      for b in range(r + 1)])
+    (k1, k2), flags = constants._run_flags[side]
+    corr1 = np.array([k1 * chi for chi, _ in flags])
+    corr2 = np.array([k2 * zeta for _, zeta in flags])
     zero = np.zeros(r + 1, dtype=bool)
     zero[list(constants.index_zero)] = True
     sums = 0j           # (sum log|d|, sum log a) up to the chunk
@@ -188,53 +177,70 @@ def exponent_trace(system: SelfAffineSystem, constants: SpectrumConstants,
     return ExponentTrace(side=side, g0=g0, g1=g1, g2=g2)
 
 
-def _tail_scan(constants: SpectrumConstants, digits: tuple[int, ...],
-               side: str) -> tuple[float, float, float]:
+def _tail_scan(constants: SpectrumConstants, digits: tuple[int, ...]):
     """Minima of g0, g1 and g2 over the tail window (n/2, n], n = len(digits),
-    in one plain-float pass.
+    on both sides in one plain-float pass: ((right), (left)) triples.
 
-    The arithmetic is exponent_trace's, in its order: sequential sums of
-    the same log tables, then num/den, (num + K1 L)/den and (num + K2 L)/den.
-    A correction that does not fire adds a zero to num, which is never zero,
-    so that ratio is g0 itself.  The minima are therefore bitwise those of
-    the trace.
+    g0 does not depend on the side and is formed once per position; each
+    side keeps its own terminal run (of digit r on the right, of digit 1 on
+    the left) and boundary flags for g1 and g2.  The arithmetic is
+    exponent_trace's, in its order: sequential sums of the same log tables,
+    then num/den, (num + K1 L)/den and (num + K2 L)/den.  A correction that
+    does not fire adds a zero to num, which is never zero, so that ratio is
+    g0 itself.  The minima are therefore bitwise those of the trace on
+    either side.
     """
     loga, logd = constants._logs
     r = len(loga)
-    # the run of the extreme digit after boundary digit b is corrected by K1
-    # when b + 1 (right) or b - 1 (left) has d != 0, and by K2 when b (right)
-    # or b - 1 (left) is in the overlap set
-    if side == "right":
-        extreme, chi_probe, zeta_probe = r, 1, 0
-    else:
-        extreme, chi_probe, zeta_probe = 1, -1, -1
-    chi_at = [b + chi_probe in constants.index_plus for b in range(r + 1)]
-    zeta_at = [b + zeta_probe in constants.lambda_set for b in range(r + 1)]
-    k1, k2 = side_run_constants(constants, side)
+    (k1r, k2r), right_at = constants._run_flags["right"]
+    (k1l, k2l), left_at = constants._run_flags["left"]
     lo = len(digits) // 2
     num = den = 0.0
-    run = 0                 # length of the terminal run of the extreme digit
-    chi = zeta = False      # no boundary digit yet: no correction
-    m0 = m1 = m2 = math.inf
-    for i, k in enumerate(digits):
+    run_r = run_l = 0       # terminal runs of r and of 1
+    chi_r = zeta_r = chi_l = zeta_l = False   # no boundary digit yet
+    for k in digits[:lo]:
         num += logd[k - 1]
         den += loga[k - 1]
-        if k == extreme:
-            run += 1
+        if k == r:
+            run_r += 1
         else:
-            run = 0
-            chi, zeta = chi_at[k], zeta_at[k]
-        if i >= lo:
-            g0 = num / den
-            g1 = (num + k1 * run) / den if chi and run else g0
-            g2 = (num + k2 * run) / den if zeta and run else g0
-            if g0 < m0:
-                m0 = g0
-            if g1 < m1:
-                m1 = g1
-            if g2 < m2:
-                m2 = g2
-    return m0, m1, m2
+            run_r = 0
+            chi_r, zeta_r = right_at[k]
+        if k == 1:
+            run_l += 1
+        else:
+            run_l = 0
+            chi_l, zeta_l = left_at[k]
+    m0 = m1r = m2r = m1l = m2l = math.inf
+    for k in digits[lo:]:
+        num += logd[k - 1]
+        den += loga[k - 1]
+        if k == r:
+            run_r += 1
+        else:
+            run_r = 0
+            chi_r, zeta_r = right_at[k]
+        if k == 1:
+            run_l += 1
+        else:
+            run_l = 0
+            chi_l, zeta_l = left_at[k]
+        g0 = num / den
+        if g0 < m0:
+            m0 = g0
+        g = (num + k1r * run_r) / den if chi_r and run_r else g0
+        if g < m1r:
+            m1r = g
+        g = (num + k2r * run_r) / den if zeta_r and run_r else g0
+        if g < m2r:
+            m2r = g
+        g = (num + k1l * run_l) / den if chi_l and run_l else g0
+        if g < m1l:
+            m1l = g
+        g = (num + k2l * run_l) / den if zeta_l and run_l else g0
+        if g < m2l:
+            m2l = g
+    return (m0, m1r, m2r), (m0, m1l, m2l)
 
 
 def _has_zero_digit(constants: SpectrumConstants, coding: Coding) -> bool:
@@ -269,24 +275,34 @@ def gammas(system: SelfAffineSystem, constants: SpectrumConstants,
     infimum, which the early-digit transient drags below the liminf.  Fewer
     than 16 digits raise HorizonTooSmall.
 
-    Horizons up to 256 digits (_SCAN_MAX) take the minima in one
-    plain-float pass, as on the one-point path (a 64-digit coding_of_point);
-    longer ones run the trace in chunks (_trace_chunks) and keep running
-    minima over the chunks that meet the window, so no array holds all n
-    digits.  Both paths do the same float operations in the same order, so
-    the bundle is bitwise the same whichever runs.
+    Horizons up to 256 digits (_SCAN_MAX) take the minima of both sides in
+    one plain-float pass (_tail_scan), as on the one-point path (a 64-digit
+    coding_of_point), and keep this side's; longer ones run this side's
+    trace in chunks (_trace_chunks) and keep running minima over the chunks
+    that meet the window, so no array holds all n digits.  Both paths do
+    the same float operations in the same order, so the bundle is bitwise
+    the same whichever runs.
     """
     _check_side(side)
     _check_digits(coding, system.r)
     if _has_zero_digit(constants, coding):
         raise errors.InfiniteExponent(
             "coding contains a zero-contraction digit")
+    return _bundles(system, constants, coding, (side,), horizon)[0]
 
+
+def _bundles(system: SelfAffineSystem, constants: SpectrumConstants,
+             coding: Coding, sides: tuple[str, ...],
+             horizon: int | None) -> list[GammaBundle]:
+    """gammas for each of the sides, for a checked coding with no d = 0
+    digit: the one-period ratio, or the digits scanned once for all the
+    sides (horizons up to _SCAN_MAX)."""
     if coding.eventually_periodic and horizon is None:
         num = math.fsum(math.log(abs(system.d[k - 1])) for k in coding.period)
         den = math.fsum(math.log(system.a[k - 1]) for k in coding.period)
         g = num / den
-        return GammaBundle(g, g, g, g, "exact-periodic", None, side)
+        return [GammaBundle(g, g, g, g, "exact-periodic", None, side)
+                for side in sides]
 
     avail = coding.available()
     n = horizon if horizon is not None else avail
@@ -298,16 +314,26 @@ def gammas(system: SelfAffineSystem, constants: SpectrumConstants,
         raise errors.HorizonTooSmall(
             f"need >= {_MIN_HORIZON} digits, have {n}")
     if n <= _SCAN_MAX:
-        g0, g1, g2 = _tail_scan(constants, coding.digits(n), side)
+        minima = _tail_scan(constants, coding.digits(n))
+        found = [minima[side == "left"] for side in sides]
     else:
-        lo = n // 2  # tail window (n/2, n], skips the early transient
-        g0 = g1 = g2 = math.inf
-        for start, c0, c1, c2 in _trace_chunks(constants, coding, n, side, lo):
-            k = max(lo - start, 0)
-            g0 = min(g0, float(c0[k:].min()))
-            g1 = min(g1, float(c1[k:].min()))
-            g2 = min(g2, float(c2[k:].min()))
-    return GammaBundle(g0, g1, g2, min(g0, g1, g2), "finite-horizon", n, side)
+        found = [_chunk_minima(constants, coding, n, side) for side in sides]
+    return [GammaBundle(g0, g1, g2, min(g0, g1, g2), "finite-horizon", n, side)
+            for (g0, g1, g2), side in zip(found, sides)]
+
+
+def _chunk_minima(constants: SpectrumConstants, coding: Coding, n: int,
+                  side: str) -> tuple[float, float, float]:
+    """Minima of g0, g1 and g2 over the tail window (n/2, n] of one side,
+    from the chunked trace."""
+    lo = n // 2  # tail window (n/2, n], skips the early transient
+    g0 = g1 = g2 = math.inf
+    for start, c0, c1, c2 in _trace_chunks(constants, coding, n, side, lo):
+        k = max(lo - start, 0)
+        g0 = min(g0, float(c0[k:].min()))
+        g1 = min(g1, float(c1[k:].min()))
+        g2 = min(g2, float(c2[k:].min()))
+    return g0, g1, g2
 
 
 @lru_cache(maxsize=128)
@@ -354,28 +380,40 @@ def _holder_side(system: SelfAffineSystem, constants: SpectrumConstants,
             raise errors.CutPointCoding(
                 "eventually constant coding addresses a two-coding point; "
                 "use cut_point_exponents")
+    return _sides(system, constants, coding, (side,), horizon, series_tol)[0]
+
+
+def _sides(system: SelfAffineSystem, constants: SpectrumConstants,
+           coding: Coding, sides: tuple[str, ...], horizon: int | None,
+           series_tol: float) -> list[SideExponent]:
+    """SideExponents of a checked coding for each of the sides.  What does
+    not depend on the side is done once: the polynomial gate, the d = 0
+    test, the bundles (_bundles) and the derivative series, which is the
+    same number on both sides."""
     if is_polynomial(system):
         raise errors.PolynomialDegenerate(
             "phi is a polynomial; exponent statements do not apply")
 
     if _has_zero_digit(constants, coding):
-        deriv = None
-        try:
-            deriv = derivative_series(system, coding, series_tol)
-        except (errors.TailBoundUnavailable, errors.NotDifferentiable):
-            pass
-        return SideExponent(side=side, alpha=math.inf, derivative=deriv,
-                            bundle=None, infinite=True)
+        deriv = _series_or_none(system, coding, series_tol)
+        return [SideExponent(side=side, alpha=math.inf, derivative=deriv,
+                             bundle=None, infinite=True) for side in sides]
 
-    bundle = gammas(system, constants, coding, side=side, horizon=horizon)
-    alpha = bundle.gamma
+    bundles = _bundles(system, constants, coding, sides, horizon)
     deriv = None
-    if alpha > 1.0 and coding.eventually_periodic:
-        try:
-            deriv = derivative_series(system, coding, series_tol, gamma=alpha)
-        except (errors.TailBoundUnavailable, errors.NotDifferentiable):
-            deriv = None
-    return SideExponent(side=side, alpha=alpha, derivative=deriv, bundle=bundle)
+    if coding.eventually_periodic and any(b.gamma > 1.0 for b in bundles):
+        deriv = _series_or_none(system, coding, series_tol)
+    return [SideExponent(side=b.side, alpha=b.gamma,
+                         derivative=deriv if b.gamma > 1.0 else None,
+                         bundle=b) for b in bundles]
+
+
+def _series_or_none(system: SelfAffineSystem, coding: Coding,
+                    series_tol: float) -> float | None:
+    try:
+        return derivative_series(system, coding, series_tol)
+    except (errors.TailBoundUnavailable, errors.NotDifferentiable):
+        return None
 
 
 def holder_right(system: SelfAffineSystem, constants: SpectrumConstants,
@@ -428,18 +466,15 @@ def _rho_or_inf(constants: SpectrumConstants, k: int) -> float:
 
 
 def _cut_result(system: SelfAffineSystem, constants: SpectrumConstants,
-                stem: tuple[int, ...], series_tol: float) -> CutPointResult:
-    if not stem:
-        raise errors.Endpoint("0 and 1 are not two-coding points")
+                query: CutPointQuery, series_tol: float) -> CutPointResult:
+    """Exponents at the two-coding point of an in_T answer whose stem is
+    not empty, from the codings that in_T built."""
     if is_polynomial(system):
         raise errors.PolynomialDegenerate(
             "phi is a polynomial; exponent statements do not apply")
     r = system.r
-    k = stem[-1]
-    if not 1 <= k < r:
-        raise errors.InvalidCoding(f"stem must end in a digit below r, got {k}")
-    codings = _cut_codings_from_stem(stem, r)
-    left, right = codings.left, codings.right
+    left, right = query.left, query.right
+    stem, k = left.prefix, query.boundary_digit
     # a d = 0 digit anywhere in a side's coding puts that side inside an
     # affine piece, which the rho of the tail digit alone would miss
     shared = set(stem[:-1])
@@ -453,18 +488,17 @@ def _cut_result(system: SelfAffineSystem, constants: SpectrumConstants,
     else:
         alpha_left = _rho_or_inf(constants, r)
 
-    def _series(coding):
-        try:
-            return derivative_series(system, coding, series_tol)
-        except (errors.TailBoundUnavailable, errors.NotDifferentiable):
-            return None
-
-    deriv_right = _series(right) if alpha_right > 1.0 else None
-    deriv_left = _series(left) if alpha_left > 1.0 else None
+    deriv_right = (_series_or_none(system, right, series_tol)
+                   if alpha_right > 1.0 else None)
+    deriv_left = (_series_or_none(system, left, series_tol)
+                  if alpha_left > 1.0 else None)
     if math.isinf(alpha_right) and math.isinf(alpha_left):
-        # affine on both sides; the terminating series are exact slopes
-        scale = max(1.0, abs(deriv_right), abs(deriv_left))
-        if abs(deriv_right - deriv_left) <= 1e-12 * scale:
+        # affine on both sides; the terminating series are exact slopes up
+        # to rounding, compared whether or not their bounds meet series_tol
+        slope_right, slope_left = (_derivative(system, c)[0]
+                                   for c in (right, left))
+        scale = max(1.0, abs(slope_right), abs(slope_left))
+        if abs(slope_right - slope_left) <= 1e-12 * scale:
             alpha, differentiable = math.inf, True
         else:
             alpha, differentiable = 1.0, False  # corner of two lines
@@ -475,7 +509,7 @@ def _cut_result(system: SelfAffineSystem, constants: SpectrumConstants,
             alpha, differentiable = min(alpha_right, alpha_left), True
     else:
         alpha, differentiable = min(alpha_right, alpha_left), False
-    return CutPointResult(n0=len(stem), boundary_digit=k, coding_left=left,
+    return CutPointResult(n0=query.n0, boundary_digit=k, coding_left=left,
                           coding_right=right, alpha_left=alpha_left,
                           alpha_right=alpha_right, alpha=alpha,
                           differentiable=differentiable,
@@ -492,8 +526,7 @@ def cut_point_exponents(system: SelfAffineSystem, constants: SpectrumConstants,
     if not query.member:
         raise ValueError(f"x = {x} is not a two-coding point"
                          + ("" if query.decided else " (undecided at depth cap)"))
-    stem = query.left.prefix
-    return _cut_result(system, constants, stem, series_tol)
+    return _cut_result(system, constants, query, series_tol)
 
 
 @dataclass(frozen=True)
@@ -531,10 +564,11 @@ def exponent_report(system: SelfAffineSystem, constants: SpectrumConstants,
     Eventually constant codings are normalised: the endpoints keep their
     single side, interior two-coding points go through the vertex routine,
     and everything else gets both one-sided liminfs with alpha their minimum.
-    Finite codings, and periodic ones with a horizon, are scanned once per
-    side (see gammas for the path by length).  Other periodic codings get
-    the exact one-period ratio and derivative series once, shared by both
-    sides; each side equals its own holder_right / holder_left result.
+    Both sides share one pass: finite codings, and periodic ones with a
+    horizon, are scanned once for both (see gammas for the path by
+    length), other periodic codings get the exact one-period ratio once,
+    and the derivative series is summed once.  Each side equals its own
+    holder_right / holder_left result.
     """
     _check_digits(coding, system.r)
     r = system.r
@@ -550,23 +584,12 @@ def exponent_report(system: SelfAffineSystem, constants: SpectrumConstants,
                                horizon=horizon, series_tol=series_tol)
             return ExponentReport(coding=coding, cut_point=False,
                                   alpha=left.alpha, left=left)
-        stem = in_T(system, coding).left.prefix
-        cut = _cut_result(system, constants, stem, series_tol)
+        cut = _cut_result(system, constants, in_T(system, coding), series_tol)
         return ExponentReport(coding=coding, cut_point=True,
                               alpha=cut.alpha, cut=cut)
 
-    right = holder_right(system, constants, coding,
-                         horizon=horizon, series_tol=series_tol)
-    if coding.eventually_periodic and horizon is None:
-        # the one-period ratio and the derivative series do not depend on
-        # the side: the left result is the right one under its own name
-        bundle = right.bundle
-        if bundle is not None:
-            bundle = replace(bundle, side="left")
-        left = replace(right, side="left", bundle=bundle)
-    else:
-        left = holder_left(system, constants, coding,
-                           horizon=horizon, series_tol=series_tol)
+    right, left = _sides(system, constants, coding, ("right", "left"),
+                         horizon, series_tol)
     return ExponentReport(coding=coding, cut_point=False,
                           alpha=min(right.alpha, left.alpha),
                           right=right, left=left)

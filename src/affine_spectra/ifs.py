@@ -257,6 +257,24 @@ class SpectrumConstants:
         return tuple(np.log(np.asarray(self.a)).tolist()), tuple(logd.tolist())
 
     @cached_property
+    def _run_flags(self) -> dict:
+        """Terminal-run corrections by side, built once: side -> ((K1, K2),
+        flags), where flags[b] tells for each boundary digit b = 0..r
+        whether K1 and K2 correct the run of the extreme digit after b.  A
+        run of r (right side) takes K1 when b + 1 has d != 0 and K2 when b
+        is in the overlap set; a run of 1 (left side) when b - 1 does, resp.
+        is.  b = 0 stands for no boundary digit yet and never corrects."""
+        r = len(self.a)
+        plus, lam = self.index_plus, self.lambda_set
+        right = [(b > 0 and b + 1 in plus, b > 0 and b in lam)
+                 for b in range(r + 1)]
+        left = [(b > 0 and b - 1 in plus, b > 0 and b - 1 in lam)
+                for b in range(r + 1)]
+        return {"right": (_terminal_run_constants(self.a, self.d), right),
+                "left": (_terminal_run_constants(self.a[::-1], self.d[::-1]),
+                         left)}
+
+    @cached_property
     def _plus_columns(self):
         """0-based indices of the d_k != 0 branches in increasing order, and
         log|d_k|, log a_k on them as read-only (m, 1) columns from math.log,

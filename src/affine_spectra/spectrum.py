@@ -145,17 +145,27 @@ def _legendre_newton(constants: SpectrumConstants, alphas):
     last one bisects instead.  beta restarts from its tangent
     b - alpha(q) dq, which lies below the convex beta, so _pressure's
     log-space Newton iterates rise from there to the root in a few
-    steps."""
+    steps.
+
+    Every row starts at q = 0, where beta and the Gibbs moments are one
+    and the same for all rows: they are solved once and repeated.  The
+    solve runs on two columns when there are two rows or more, because
+    np.add.reduce sums a lone column of eight or more branches pairwise,
+    not one row after another as in a table, so each row keeps the bits
+    it would get solved with its companions."""
     _, logd, loga = constants._plus_columns
     amin, amax = constants.alpha_min, constants.alpha_max
     target = np.log((alphas - amin) / (amax - alphas))
     q = np.zeros(alphas.size)
-    b = _pressure(logd, loga, q)
+    start = np.zeros(min(q.size, 2))
+    b0 = _pressure(logd, loga, start)
+    b = np.repeat(b0[:1], q.size)
+    mean, slope = (np.repeat(v[:1], q.size)
+                   for v in _gibbs(logd, loga, start, b0))
     lo, hi, last = (np.full(q.size, x) for x in (-np.inf, np.inf, np.inf))
     todo = np.arange(q.size)
     for _ in range(_NEWTON_CAP):
         qi, bi = q[todo], b[todo]
-        mean, slope = _gibbs(logd, loga, qi, bi)
         g = mean - alphas[todo]
         lo[todo] = li = np.where(g > 0.0, qi, lo[todo])
         hi[todo] = hj = np.where(g < 0.0, qi, hi[todo])
@@ -172,6 +182,7 @@ def _legendre_newton(constants: SpectrumConstants, alphas):
         q[todo] = qi + step
         b[todo] = _pressure(logd, loga, q[todo], bi - mean * step)
         last[todo] = np.abs(step)
+        mean, slope = _gibbs(logd, loga, q[todo], b[todo])
     raise errors.NonConvergence(
         f"Legendre solve unconverged at alpha = {alphas[todo].tolist()}")
 

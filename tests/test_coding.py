@@ -610,6 +610,52 @@ def test_blocked_draws_match_one_shot_reference(seed, block):
     assert got == _generate_run_structured_reference(rs, length, seed)
 
 
+def _assert_like_validated(coding):
+    """A Coding the package built without checks equals, hashes, reprs and
+    reports its largest digit like one that Coding(...) checked."""
+    checked = Coding(prefix=coding.prefix, period=coding.period)
+    assert coding == checked and checked == coding
+    assert hash(coding) == hash(checked)
+    assert repr(coding) == repr(checked)
+    assert coding.max_digit() == checked.max_digit()
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_run_structured_coding_is_a_validated_coding(r):
+    ends, runs = default_schedule(0.3, 20_000)
+    rs = RunStructure(lam=0.3, k_star=1, block_ends=ends, run_lengths=runs,
+                      p=(1.0 / r,) * r)
+    coding = generate_run_structured(rs, 20_000, seed=r)
+    _assert_like_validated(coding)
+    # the largest digit was recorded while drawing: max_digit scans nothing
+    assert coding.__dict__["_prefix_max"] == r
+
+
+@given(seed=st.integers(0, 10 ** 9))
+def test_internal_codings_are_validated_codings(seed):
+    rng = np.random.default_rng(seed)
+    system = random_polygon_system(rng)
+    r = system.r
+    x = float(rng.uniform(0.001, 0.999))
+    _assert_like_validated(
+        coding_of_point(system, x, int(rng.integers(1, 130))).coding)
+    # a vertex image over the stored abscissae: its cut coding, and in_T's
+    # two codings from the number and from a coding
+    stem = tuple(rng.integers(1, r + 1, int(rng.integers(0, 4))).tolist())
+    vertex = int(rng.integers(1, r))
+    xs = [Fraction(v) for v in system.xs]
+    xc = xs[vertex]
+    for k in reversed(stem):
+        xc = xs[k - 1] + (xs[k] - xs[k - 1]) * xc
+    pc = coding_of_point(system, xc, 8)
+    assert pc.cut_point
+    _assert_like_validated(pc.coding)
+    for query in (in_T(system, xc), in_T(system, pc.coding)):
+        assert query.member
+        _assert_like_validated(query.left)
+        _assert_like_validated(query.right)
+
+
 def test_generate_run_structured_memory_is_bounded(make_system):
     # the 1e5-digit prefix alone is a 0.8 MB tuple; the draws stay in blocks
     skew, c = make_system(SKEW)

@@ -1,10 +1,12 @@
 import importlib
 import math
+import time
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_spectra import (
@@ -353,6 +355,96 @@ def test_series_guards(make_system):
         derivative_series(tak, Coding(period=(1,)))  # |d/a| = sqrt(2) > 1
     with pytest.raises(errors.TailBoundUnavailable):
         derivative_series(rn, Coding(prefix=(1, 2, 1)))
+
+
+def _series_exact(system, coding) -> Fraction:
+    """The derivative series of the stored coefficients in exact
+    arithmetic: the prefix terms, then the period as one geometric sum (or
+    up to a d = 0 digit, where the series ends)."""
+    a = [Fraction(v) for v in system.a]
+    c = [Fraction(v) for v in system.c]
+    d = [Fraction(v) for v in system.d]
+    total, P = Fraction(0), Fraction(1)
+    for k in coding.prefix:
+        total += c[k - 1] / a[k - 1] * P
+        P *= d[k - 1] / a[k - 1]
+        if P == 0:
+            return total
+    window, Q = Fraction(0), Fraction(1)
+    for k in coding.period:
+        window += c[k - 1] / a[k - 1] * Q
+        Q *= d[k - 1] / a[k - 1]
+    return total + P * window / (1 - Q)
+
+
+def _series_outcome(system, coding, tol):
+    """(value or None, best of three call times in s): the value must lie
+    within tol of the exact series, or the call must raise
+    TailBoundUnavailable."""
+    best, value = math.inf, None
+    for _ in range(3):
+        start = time.perf_counter()
+        try:
+            value = derivative_series(system, coding, tol)
+        except errors.TailBoundUnavailable:
+            value = None
+        best = min(best, time.perf_counter() - start)
+    if value is not None:
+        assert abs(Fraction(value) - _series_exact(system, coding)) <= tol
+    return value, best
+
+
+def _near_one_system(d1):
+    # |Q| = |d1| / 0.5 for the coding 2,(1)
+    return build_from_polygon([(0.0, 0.0), (0.5, 0.3), (1.0, 1.0)], [d1, 0.2])
+
+
+@pytest.mark.parametrize("d1", [0.4999, 0.499999])
+def test_series_near_unit_ratio_is_within_tol_or_named(d1):
+    # the window loop returned 1.8e-11 off at tol 1e-12 for 0.4999 and spun
+    # 1.55 s for 0.499999; the closed form answers at once, honestly
+    _, seconds = _series_outcome(_near_one_system(d1),
+                                 Coding(prefix=(2,), period=(1,)), 1e-12)
+    assert seconds < 1e-3
+    value, _ = _series_outcome(_near_one_system(d1),
+                               Coding(prefix=(2,), period=(1,)), 1e-3)
+    assert value is not None
+
+
+@settings(max_examples=80)
+@given(seed=st.integers(0, 10 ** 9),
+       tol=st.sampled_from([1e-14, 1e-12, 1e-10, 1e-6]),
+       near=st.booleans())
+def test_series_closed_form_within_tol_or_named(seed, tol, near):
+    rng = np.random.default_rng(seed)
+    if near:
+        # |Q| within 1e-6 of 1, either side of the sign
+        d1 = 0.5 * (1.0 - float(rng.uniform(1e-12, 1e-6)))
+        system = _near_one_system(d1 * float(rng.choice([-1.0, 1.0])))
+    else:
+        system = random_polygon_system(rng, allow_zero=True)
+    r = system.r
+    prefix = tuple(rng.integers(1, r + 1, int(rng.integers(0, 257))).tolist())
+    period = tuple(rng.integers(1, r + 1, int(rng.integers(1, 4))).tolist())
+    if near:
+        period = (1,)
+    coding = Coding(prefix=prefix, period=period)
+    try:
+        _, seconds = _series_outcome(system, coding, tol)
+    except errors.NotDifferentiable:
+        return
+    assert seconds < 1e-3
+
+
+def test_series_stops_at_a_flat_digit_without_a_period():
+    s = build_from_polygon([(0.0, 0.0), (0.3, 0.7), (0.6, 0.2), (1.0, 1.0)],
+                           (0.4, 0.0, 0.3))
+    coding = Coding(prefix=(1, 3, 2, 1, 3))
+    value, _ = _series_outcome(s, coding, 1e-12)
+    assert value is not None
+    # a finite coding with no d = 0 digit raises before summing anything
+    with pytest.raises(errors.TailBoundUnavailable, match="periodic"):
+        derivative_series(s, Coding(prefix=(1, 3) * 1000))
 
 
 # -------------------------------------------------- divided-difference helpers

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_spectra import (
@@ -500,6 +500,71 @@ def test_report_periodic_sides_match_holder_calls(seed):
     assert rep.right == holder_right(system, constants, coding)
     assert rep.left == holder_left(system, constants, coding)
     assert rep.alpha == min(rep.right.alpha, rep.left.alpha)
+
+
+def _side_outcome(call, *args, **kwargs):
+    """repr of the result (exact for floats, -0.0 included), or the type
+    of the error raised."""
+    try:
+        return repr(call(*args, **kwargs))
+    except errors.AffineSpectraError as exc:
+        return type(exc)
+
+
+@given(seed=st.integers(0, 10 ** 9))
+def test_report_scans_once_for_both_sides(seed):
+    # a finite coding of 16-256 digits, with a terminal run of 1 or r and at
+    # times d = 0 digits: exponent_report scans its digits once, and each
+    # side is bitwise what its own holder_* call gives
+    rng = np.random.default_rng(seed)
+    system = random_polygon_system(rng, allow_zero=True)
+    constants = compute_constants(system)
+    r = system.r
+    n = int(rng.integers(16, 257))
+    pool = sorted(system.index_plus) if rng.random() < 0.8 else range(1, r + 1)
+    digits = rng.choice(pool, n).tolist()
+    run = int(rng.choice([rng.integers(1, 4), rng.integers(0, n + 1), n]))
+    digits[n - run:] = [int(rng.choice([1, r]))] * run
+    coding = Coding(prefix=tuple(digits))
+    scans = mock.Mock(wraps=exponent_module._tail_scan)
+    with mock.patch.object(exponent_module, "_tail_scan", scans):
+        try:
+            rep = exponent_report(system, constants, coding)
+        except errors.AffineSpectraError as exc:
+            rep = exc
+    right = _side_outcome(holder_right, system, constants, coding)
+    left = _side_outcome(holder_left, system, constants, coding)
+    if isinstance(rep, Exception):
+        assert right == left == type(rep)
+        return
+    assert (repr(rep.right), repr(rep.left)) == (right, left)
+    zero = not system.index_zero.isdisjoint(digits)
+    assert scans.call_count == (0 if zero else 1)
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 10 ** 9))
+def test_cut_point_exponents_is_the_report_of_both_codings(seed):
+    # at a vertex image given exactly (over the stored abscissae, as in_T
+    # reads them), cut_point_exponents equals the cut block of
+    # exponent_report on each of the point's two codings
+    rng = np.random.default_rng(seed)
+    system = random_polygon_system(rng, allow_zero=True)
+    constants = compute_constants(system)
+    if is_polynomial(system):
+        return
+    r = system.r
+    stem = tuple(rng.integers(1, r + 1, int(rng.integers(0, 4))).tolist())
+    vertex = int(rng.integers(1, r))
+    xs = [Fraction(v) for v in system.xs]
+    x = xs[vertex]
+    for k in reversed(stem):
+        x = xs[k - 1] + (xs[k] - xs[k - 1]) * x
+    cut = cut_point_exponents(system, constants, x)
+    assert cut.coding_left == Coding(prefix=stem + (vertex,), period=(r,))
+    for coding in (cut.coding_left, cut.coding_right):
+        rep = exponent_report(system, constants, coding)
+        assert rep.cut_point and repr(rep.cut) == repr(cut)
 
 
 # ------------------------------------------------ the chunked trace is bitwise
