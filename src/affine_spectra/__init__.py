@@ -3,17 +3,16 @@ digit codings, pointwise Holder exponents and dimension spectra."""
 
 from . import errors
 from .coding import (BasicInterval, Coding, CutPointQuery, PointCoding,
-                     RunStructure, basic_interval, coding_from_dict,
-                     coding_of_point, coding_to_dict, default_schedule,
-                     format_coding, generate_run_structured, in_T,
-                     parse_coding, project, run_structure_for_target)
+                     RunStructure, basic_interval, coding_of_point,
+                     default_schedule, format_coding, generate_run_structured,
+                     in_T, parse_coding, project, run_structure_for_target)
 from .evaluate import (EvalResult, derivative_series, divided_difference,
                        evaluate, evaluate_many, oscillation_lower_bound,
                        sample, sup_bound)
 from .exponent import (CutPointResult, ExponentReport, ExponentTrace,
                        GammaBundle, SideExponent, cut_point_exponents,
                        exponent_report, exponent_trace, gammas, holder_left,
-                       holder_right, is_polynomial, side_run_constants)
+                       holder_right, is_polynomial)
 from .ifs import (Branch, Regime, SelfAffineSystem, SpectrumConstants,
                   antiderivative_system, build_from_polygon,
                   compute_constants, from_branches, lambda_set,
@@ -41,7 +40,6 @@ __all__ = [
     "Coding", "PointCoding", "BasicInterval", "CutPointQuery",
     "RunStructure", "parse_coding", "format_coding", "coding_of_point",
     "project", "basic_interval", "in_T", "default_schedule",
-    "coding_to_dict", "coding_from_dict",
     "run_structure_for_target", "generate_run_structured",
     # evaluation
     "EvalResult", "evaluate", "evaluate_many", "sample", "sup_bound",
@@ -50,7 +48,6 @@ __all__ = [
     "ExponentTrace", "GammaBundle", "SideExponent", "CutPointResult",
     "ExponentReport", "exponent_trace", "gammas", "holder_right",
     "holder_left", "exponent_report", "cut_point_exponents", "is_polynomial",
-    "side_run_constants",
     # spectrum
     "SpectrumPoint", "DualityResult", "beta", "alpha_of_q", "q_star",
     "beta_star", "entropy_ratio", "contraction_ratio", "duality_maximizer",

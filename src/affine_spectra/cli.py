@@ -257,11 +257,7 @@ def _cmd_verify(args) -> int:
 
     deriv = None
     if bundle.gamma > 1.0 and coding.eventually_periodic:
-        try:
-            deriv = derivative_series(system, coding, args.series_tol,
-                                      gamma=bundle.gamma)
-        except (errors.NotDifferentiable, errors.TailBoundUnavailable):
-            deriv = None
+        deriv = exponent._series_or_none(system, coding, args.series_tol)
     est = oracle.estimate_exponent(system, xi, side, derivative=deriv)
     err = abs(est.slope - bundle.gamma)
     out = {"mode": "exponent", "x": xi, "side": side,

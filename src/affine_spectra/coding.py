@@ -29,28 +29,13 @@ from .ifs import SelfAffineSystem
 
 # Uniforms per draw of generate_run_structured
 _DRAW_BLOCK = 8192
-# Longest digit tuple that Coding checks one digit at a time
-_LOOP_MAX = 64
 
 
-def _check_positive(digits) -> int | None:
-    """InvalidCoding at the first digit that is not an integer >= 1; the
-    largest digit of a tuple longer than _LOOP_MAX, None for a shorter one.
-
-    A long tuple takes one pass for the digit types and one for the
-    distinct values, whose extremes are those of the digits once every type
-    is int or bool.  The per-digit loop, faster on short tuples, otherwise
-    runs only to name the culprit, or to accept an int subclass other than
-    bool.
-    """
-    if len(digits) > _LOOP_MAX and set(map(type, digits)) <= {int, bool}:
-        values = set(digits)
-        if min(values) >= 1:
-            return max(values)
+def _check_positive(digits) -> None:
+    """InvalidCoding at the first digit that is not an integer >= 1."""
     for k in digits:
         if not (isinstance(k, int) and k >= 1):
             raise errors.InvalidCoding(f"digit {k!r} must be an integer >= 1")
-    return None
 
 
 @dataclass(frozen=True)
@@ -62,13 +47,11 @@ class Coding:
     """
     prefix: tuple[int, ...] = ()
     period: tuple[int, ...] | None = None
-    # largest digit of a long prefix, recorded by the check (not a field)
+    # largest prefix digit, when _of_digits recorded it (not a field)
     _prefix_max = None
 
     def __post_init__(self):
-        top = _check_positive(self.prefix)
-        if top is not None:
-            object.__setattr__(self, "_prefix_max", top)
+        _check_positive(self.prefix)
         if self.period is not None:
             if len(self.period) == 0:
                 raise errors.InvalidCoding("period must be nonempty when given")
@@ -124,8 +107,8 @@ class Coding:
         return None
 
     def max_digit(self) -> int:
-        """Largest digit; a prefix whose maximum a constructor recorded (past
-        _LOOP_MAX digits, or given to _of_digits) is not scanned again."""
+        """Largest digit; a prefix whose maximum _of_digits recorded is not
+        scanned again."""
         top = self._prefix_max
         if top is None:
             top = max(self.prefix, default=1)
@@ -162,21 +145,10 @@ def format_coding(coding: Coding) -> str:
     return ",".join(parts) if coding.prefix else (parts[-1] if parts else "")
 
 
-def coding_to_dict(coding: Coding) -> dict:
-    return {"prefix": list(coding.prefix),
-            "period": list(coding.period) if coding.period is not None else None}
-
-
-def coding_from_dict(data: dict) -> Coding:
-    period = data.get("period")
-    return Coding(prefix=tuple(data.get("prefix", ())),
-                  period=tuple(period) if period is not None else None)
-
-
 def _check_digits(coding: Coding, r: int) -> None:
-    if coding.max_digit() > r:
-        raise errors.InvalidCoding(
-            f"digit {coding.max_digit()} exceeds branch count r = {r}")
+    top = coding.max_digit()
+    if top > r:
+        raise errors.InvalidCoding(f"digit {top} exceeds branch count r = {r}")
 
 
 @dataclass(frozen=True)
@@ -372,6 +344,28 @@ def _cut_codings_from_stem(stem: tuple[int, ...], r: int) -> CutPointQuery:
                          n0=len(stem), boundary_digit=stem[-1])
 
 
+def _cut_query(coding: Coding, r: int) -> CutPointQuery:
+    """in_T's answer for a coding whose digits are checked: members are
+    exactly the codings that end in all 1s or all rs."""
+    tail = coding.constant_tail()
+    if tail not in (1, r):
+        # a non-constant period is definitely not in T; an unspecified tail
+        # is undecided
+        return CutPointQuery(member=False, decided=coding.period is not None)
+    digits = list(coding.prefix)
+    while digits and digits[-1] == tail:
+        digits.pop()
+    if tail == r:
+        return _cut_codings_from_stem(tuple(digits), r)
+    if not digits:
+        # the point 0; only the all-1 coding exists
+        return CutPointQuery(member=True, left=None,
+                             right=Coding._of_digits((), (1,)),
+                             n0=0, boundary_digit=None)
+    # the last digit before the 1s is at least 2
+    return _cut_codings_from_stem(tuple(digits[:-1]) + (digits[-1] - 1,), r)
+
+
 def in_T(system: SelfAffineSystem, target, *, max_depth: int = 4096) -> CutPointQuery:
     """Decide membership of the two-coding set T.
 
@@ -390,28 +384,7 @@ def in_T(system: SelfAffineSystem, target, *, max_depth: int = 4096) -> CutPoint
     r = system.r
     if isinstance(target, Coding):
         _check_digits(target, r)
-        tail = target.constant_tail()
-        if tail is None or (tail not in (1, r)):
-            # non-constant period, or unspecified tail: not decidable as a
-            # member unless the tail is constant; periodic non-constant tails
-            # are definitely not in T
-            return CutPointQuery(member=False,
-                                 decided=target.period is not None)
-        digits = list(target.prefix)
-        if tail == r:
-            while digits and digits[-1] == r:
-                digits.pop()
-            return _cut_codings_from_stem(tuple(digits), r)
-        while digits and digits[-1] == 1:
-            digits.pop()
-        if not digits:
-            # the point 0; only the all-1 coding exists
-            return CutPointQuery(member=True, left=None, right=Coding(period=(1,)),
-                                 n0=0, boundary_digit=None)
-        stem = tuple(digits[:-1]) + (digits[-1] - 1,)
-        if stem[-1] == 0:
-            raise errors.InvalidCoding("digit 0 produced while normalising")
-        return _cut_codings_from_stem(stem, r)
+        return _cut_query(target, r)
 
     if isinstance(target, float) and not math.isfinite(target):
         raise errors.OutOfDomain(f"x = {target} not in [0, 1]")
@@ -434,16 +407,8 @@ def in_T(system: SelfAffineSystem, target, *, max_depth: int = 4096) -> CutPoint
         if v & (v - 1) or (u, v) in seen:
             return CutPointQuery(member=False)
         seen.add((u, v))
-        # one step of _orbit
-        w = u << p
-        k, low = 1, 0
-        while k < r:
-            high = X[k] * v
-            if w < high:
-                break
-            k, low = k + 1, high
-        digits.append(k)
-        u, v = w - low, v * W[k - 1]
+        step, u, v = _orbit(X, W, p, u, v, 1)
+        digits += step
         if u == 0:
             # digits is the right coding's stem with an incremented last digit
             stem = tuple(digits[:-1]) + (digits[-1] - 1,)

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import errors
-from .coding import Coding
+from .coding import Coding, _check_digits
 from .ifs import SelfAffineSystem
 
 _DEFAULT_MAX_DEPTH = 500_000
@@ -275,6 +275,16 @@ def _derivative(system: SelfAffineSystem, coding: Coding):
     return value, eps * (err + abs(tail) + abs(value)) + tail_err
 
 
+def _series(system: SelfAffineSystem, coding: Coding, tol: float) -> float:
+    """derivative_series of a checked coding, without the gamma test."""
+    value, bound = _derivative(system, coding)
+    if not bound <= tol * max(1.0, abs(value)):
+        raise errors.TailBoundUnavailable(
+            f"rounding bound {bound:g} above tol {tol:g} x max(1, |value|)"
+            f" at value {value:g}")
+    return value
+
+
 def derivative_series(system: SelfAffineSystem, coding: Coding,
                       tol: float = 1e-12, *,
                       gamma: float | None = None) -> float:
@@ -288,23 +298,19 @@ def derivative_series(system: SelfAffineSystem, coding: Coding,
     window is iterated.  A digit with d = 0 ends the series exactly.  The
     value carries a running bound on its rounding error, which grows like
     u / (1 - |Q|) as |Q| nears 1, and is returned only when that bound is
-    at most tol.
+    at most tol * max(1, |value|): tol is relative for derivatives above 1
+    in magnitude, whose last bit alone can exceed an absolute tol.
 
     Raises NotDifferentiable when the supplied exponent gamma is <= 1 or the
     period is not contracting relative to the widths (|Q| >= 1);
     TailBoundUnavailable, before any summing, for a coding that is neither
     periodic nor ended by a d = 0 digit, and with the bound named when the
-    bound exceeds tol.
+    bound exceeds tol * max(1, |value|).
     """
-    if coding.max_digit() > system.r:
-        raise errors.InvalidCoding("digit exceeds branch count")
+    _check_digits(coding, system.r)
     if gamma is not None and not gamma > 1.0:
         raise errors.NotDifferentiable(f"exponent {gamma} <= 1")
-    value, bound = _derivative(system, coding)
-    if not bound <= tol:
-        raise errors.TailBoundUnavailable(
-            f"rounding bound {bound:g} above tol {tol:g}")
-    return value
+    return _series(system, coding, tol)
 
 
 def divided_difference(points, values) -> float:

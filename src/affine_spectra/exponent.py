@@ -25,8 +25,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import errors
-from .coding import Coding, CutPointQuery, _check_digits, in_T
-from .evaluate import _derivative, derivative_series, evaluate_many
+from .coding import Coding, CutPointQuery, _check_digits, _cut_query, in_T
+from .evaluate import _derivative, _series, evaluate_many
 from .ifs import SelfAffineSystem, SpectrumConstants
 
 _MIN_HORIZON = 16
@@ -45,17 +45,6 @@ _CHUNK = 8192
 def _check_side(side: str) -> None:
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
-
-
-def side_run_constants(constants: SpectrumConstants, side: str):
-    """(K1, K2) for the requested side.
-
-    Right side:  K1 = (log a_r / log a_1) log|d_1| - log|d_r|,
-                 K2 = log a_r - log|d_r|; each is 0 when the contraction it
-    divides by vanishes.  The left side swaps the roles of branches 1 and r.
-    """
-    _check_side(side)
-    return constants._run_flags[side][0]
 
 
 @dataclass(frozen=True)
@@ -359,27 +348,30 @@ class SideExponent:
     infinite: bool = False
 
 
-def _is_constant(coding: Coding, digit: int) -> bool:
-    return (coding.constant_tail() == digit
-            and all(k == digit for k in coding.prefix))
+def _route(coding: Coding, r: int) -> str:
+    """The case of the pointwise formula a coding falls in: "zero" (all 1s,
+    x = 0), "one" (all rs, x = 1), "cut" (any other coding that ends in all
+    1s or all rs: a two-coding point) or "plain" (every other coding)."""
+    tail = coding.constant_tail()
+    if tail not in (1, r):
+        return "plain"
+    if all(k == tail for k in coding.prefix):
+        return "zero" if tail == 1 else "one"
+    return "cut"
 
 
 def _holder_side(system: SelfAffineSystem, constants: SpectrumConstants,
                  coding: Coding, side: str, horizon: int | None,
                  series_tol: float) -> SideExponent:
-    _check_side(side)
     _check_digits(coding, system.r)
-    r = system.r
-    tail = coding.constant_tail()
-    if tail in (1, r):
-        own = r if side == "right" else 1      # x = 1 resp. x = 0
-        if _is_constant(coding, own):
-            raise errors.Endpoint(
-                f"x = {'1' if own == r else '0'} has no {side} side")
-        if not _is_constant(coding, r if own == 1 else 1):
-            raise errors.CutPointCoding(
-                "eventually constant coding addresses a two-coding point; "
-                "use cut_point_exponents")
+    route = _route(coding, system.r)
+    if route == ("one" if side == "right" else "zero"):
+        raise errors.Endpoint(
+            f"x = {'1' if route == 'one' else '0'} has no {side} side")
+    if route == "cut":
+        raise errors.CutPointCoding(
+            "eventually constant coding addresses a two-coding point; "
+            "use cut_point_exponents")
     return _sides(system, constants, coding, (side,), horizon, series_tol)[0]
 
 
@@ -410,8 +402,9 @@ def _sides(system: SelfAffineSystem, constants: SpectrumConstants,
 
 def _series_or_none(system: SelfAffineSystem, coding: Coding,
                     series_tol: float) -> float | None:
+    """derivative_series of a checked coding, None where it raises."""
     try:
-        return derivative_series(system, coding, series_tol)
+        return _series(system, coding, series_tol)
     except (errors.TailBoundUnavailable, errors.NotDifferentiable):
         return None
 
@@ -559,11 +552,12 @@ class ExponentReport:
 def exponent_report(system: SelfAffineSystem, constants: SpectrumConstants,
                     coding: Coding, *, horizon: int | None = None,
                     series_tol: float = 1e-12) -> ExponentReport:
-    """Route a coding to the applicable exponent computation.
+    """Route a coding to the applicable exponent computation (_route).
 
     Eventually constant codings are normalised: the endpoints keep their
     single side, interior two-coding points go through the vertex routine,
     and everything else gets both one-sided liminfs with alpha their minimum.
+    The caller's digits are checked once, here.
     Both sides share one pass: finite codings, and periodic ones with a
     horizon, are scanned once for both (see gammas for the path by
     length), other periodic codings get the exact one-period ratio once,
@@ -571,25 +565,21 @@ def exponent_report(system: SelfAffineSystem, constants: SpectrumConstants,
     holder_right / holder_left result.
     """
     _check_digits(coding, system.r)
-    r = system.r
-    tail = coding.constant_tail()
-    if tail in (1, r):
-        if _is_constant(coding, 1):
-            right = holder_right(system, constants, coding,
-                                 horizon=horizon, series_tol=series_tol)
-            return ExponentReport(coding=coding, cut_point=False,
-                                  alpha=right.alpha, right=right)
-        if _is_constant(coding, r):
-            left = holder_left(system, constants, coding,
-                               horizon=horizon, series_tol=series_tol)
-            return ExponentReport(coding=coding, cut_point=False,
-                                  alpha=left.alpha, left=left)
-        cut = _cut_result(system, constants, in_T(system, coding), series_tol)
+    route = _route(coding, system.r)
+    if route == "cut":
+        cut = _cut_result(system, constants, _cut_query(coding, system.r),
+                          series_tol)
         return ExponentReport(coding=coding, cut_point=True,
                               alpha=cut.alpha, cut=cut)
-
-    right, left = _sides(system, constants, coding, ("right", "left"),
-                         horizon, series_tol)
-    return ExponentReport(coding=coding, cut_point=False,
-                          alpha=min(right.alpha, left.alpha),
-                          right=right, left=left)
+    if route == "plain":
+        right, left = _sides(system, constants, coding, ("right", "left"),
+                             horizon, series_tol)
+        return ExponentReport(coding=coding, cut_point=False,
+                              alpha=min(right.alpha, left.alpha),
+                              right=right, left=left)
+    # x = 0 has only a right side, x = 1 only a left one
+    side, = _sides(system, constants, coding,
+                   ("right",) if route == "zero" else ("left",), horizon,
+                   series_tol)
+    return ExponentReport(coding=coding, cut_point=False, alpha=side.alpha,
+                          **{side.side: side})

@@ -115,22 +115,14 @@ def build_from_polygon(vertices, d) -> SelfAffineSystem:
         d: sequence of r vertical contractions, each |d_k| < 1.
 
     Raises:
-        NonMonotonePartition, ContractionOutOfRange, DegenerateSystem.
+        ValueError when the counts do not match, and validate()'s errors
+        (NonMonotonePartition, ContractionOutOfRange, DegenerateSystem).
     """
     verts = tuple((float(x), float(y)) for x, y in vertices)
     dd = tuple(float(v) for v in d)
     if len(verts) < 3 or len(dd) != len(verts) - 1:
         raise ValueError(
             f"need r+1 vertices and r contractions, got {len(verts)} and {len(dd)}")
-    xs = [v[0] for v in verts]
-    if xs[0] != 0.0 or xs[-1] != 1.0 or any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
-        raise errors.NonMonotonePartition(
-            "vertex abscissae must satisfy 0 = x_0 < ... < x_r = 1")
-    for k, dk in enumerate(dd, start=1):
-        if not abs(dk) < 1.0:
-            raise errors.ContractionOutOfRange(f"|d| = {abs(dk)} >= 1", branch=k)
-    if sum(1 for dk in dd if dk != 0.0) < 2:
-        raise errors.DegenerateSystem("need at least two branches with d_k != 0")
     y0, yr = verts[0][1], verts[-1][1]
     branches = []
     for k in range(1, len(verts)):
@@ -141,7 +133,9 @@ def build_from_polygon(vertices, d) -> SelfAffineSystem:
         c = (y_hi - y_lo) - dd[k - 1] * (yr - y0)
         e = y_lo - dd[k - 1] * y0
         branches.append(Branch(a, b, c, dd[k - 1], e))
-    return SelfAffineSystem(tuple(branches), verts)
+    system = SelfAffineSystem(tuple(branches), verts)
+    validate(system)
+    return system
 
 
 def from_branches(branches) -> SelfAffineSystem:
@@ -398,8 +392,13 @@ def two_branch_lambda_empty(system: SelfAffineSystem, tol: float = 1e-9) -> bool
 
 
 def _terminal_run_constants(a, d) -> tuple[float, float]:
-    """(K1, K2) of the terminal-run correction at the right end (formulas in
-    exponent.side_run_constants); reversed a and d give the left end."""
+    """(K1, K2) of the terminal-run correction at the right end:
+
+        K1 = (log a_r / log a_1) log|d_1| - log|d_r|,
+        K2 = log a_r - log|d_r|,
+
+    each 0 when a contraction it takes the log of vanishes.  Reversed a and
+    d give the left end, with the roles of branches 1 and r swapped."""
     d1, dr = abs(d[0]), abs(d[-1])
     lar = math.log(a[-1])
     k1 = 0.0 if (d1 == 0.0 or dr == 0.0) else \

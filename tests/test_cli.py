@@ -246,6 +246,183 @@ def test_verify_ae_readme_output_is_pinned(run):
     assert out == VERIFY_AE_README
 
 
+# stdout of the README's `coding` and `exponent` examples, and of the
+# report at x = 0 (the all-1 coding), byte for byte
+PINNED_OUTPUTS = [
+    (('coding', '--preset', 'okamoto:0.6', '--x', '0.4', '--depth', '64'), """\
+{
+  "ambiguous": false,
+  "coding": "2,1,2,3,2,1,2,3,2,1,2,3,2,1,2,3,2,1,2,3,2,1,2,3,2,1,2,3,2,1,2,3,2,2,2,2,2,1,1,2,3,3,1,3,1,2,3,2,3,1,3,3,1,1,2,1,3,1,3,1,2,1,1,2",
+  "cut_point": false,
+  "interval": {
+    "left": 0.39999999999999997,
+    "length": 2.9123240587562607e-31,
+    "right": 0.4000000000000001
+  },
+  "period": null,
+  "prefix": [
+    2,
+    1,
+    2,
+    3,
+    2,
+    1,
+    2,
+    3,
+    2,
+    1,
+    2,
+    3,
+    2,
+    1,
+    2,
+    3,
+    2,
+    1,
+    2,
+    3,
+    2,
+    1,
+    2,
+    3,
+    2,
+    1,
+    2,
+    3,
+    2,
+    1,
+    2,
+    3,
+    2,
+    2,
+    2,
+    2,
+    2,
+    1,
+    1,
+    2,
+    3,
+    3,
+    1,
+    3,
+    1,
+    2,
+    3,
+    2,
+    3,
+    1,
+    3,
+    3,
+    1,
+    1,
+    2,
+    1,
+    3,
+    1,
+    3,
+    1,
+    2,
+    1,
+    1,
+    2
+  ],
+  "x": 0.4
+}
+"""),
+    (('coding', '--preset', 'okamoto:0.6', '--coding', '1,2,(1,3)', '--in-t'), """\
+{
+  "coding": "1,2,(1,3)",
+  "in_t": {
+    "boundary_digit": null,
+    "decided": true,
+    "left": null,
+    "member": false,
+    "n0": null,
+    "right": null
+  },
+  "x": 0.13888888888888887
+}
+"""),
+    (('exponent', '--preset', 'riesz-nagy:0.3', '--coding', '1,(1,2)'), """\
+{
+  "alpha": 1.1257693834979823,
+  "coding": "1,(1,2)",
+  "cut_point": false,
+  "left": {
+    "alpha": 1.1257693834979823,
+    "derivative": 0.0,
+    "gamma": 1.1257693834979823,
+    "gamma0": 1.1257693834979823,
+    "gamma1": 1.1257693834979823,
+    "gamma2": 1.1257693834979823,
+    "horizon_used": null,
+    "infinite": false,
+    "method": "exact-periodic",
+    "side": "left"
+  },
+  "right": {
+    "alpha": 1.1257693834979823,
+    "derivative": 0.0,
+    "gamma": 1.1257693834979823,
+    "gamma0": 1.1257693834979823,
+    "gamma1": 1.1257693834979823,
+    "gamma2": 1.1257693834979823,
+    "horizon_used": null,
+    "infinite": false,
+    "method": "exact-periodic",
+    "side": "right"
+  }
+}
+"""),
+    (('exponent', '--preset', 'okamoto:0.5', '--x', '0.4444444444444444'), """\
+{
+  "alpha": "inf",
+  "coding": "2,2,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,3,3,1,3,3,3,3,2,3,3,3,1,3,3,1,1,3,1,3,2,3,2,2,2,2,2,3,1",
+  "cut_point": false,
+  "left": {
+    "alpha": "inf",
+    "derivative": 0.0,
+    "infinite": true,
+    "side": "left"
+  },
+  "right": {
+    "alpha": "inf",
+    "derivative": 0.0,
+    "infinite": true,
+    "side": "right"
+  }
+}
+"""),
+    (('exponent', '--preset', 'riesz-nagy:0.3', '--coding', '1,1,(1)'), """\
+{
+  "alpha": 1.7369655941662063,
+  "coding": "1,1,(1)",
+  "cut_point": false,
+  "left": null,
+  "right": {
+    "alpha": 1.7369655941662063,
+    "derivative": 0.0,
+    "gamma": 1.7369655941662063,
+    "gamma0": 1.7369655941662063,
+    "gamma1": 1.7369655941662063,
+    "gamma2": 1.7369655941662063,
+    "horizon_used": null,
+    "infinite": false,
+    "method": "exact-periodic",
+    "side": "right"
+  }
+}
+"""),
+]
+
+
+@pytest.mark.parametrize("argv, want", PINNED_OUTPUTS,
+                         ids=[" ".join(argv) for argv, _ in PINNED_OUTPUTS])
+def test_coding_and_exponent_output_is_pinned(run, argv, want):
+    out, _ = run(*argv)
+    assert out == want
+
+
 def test_verify_exponent(run):
     out, _ = run("verify", "--preset", "riesz-nagy:0.3", "--mode",
                  "exponent", "--coding", "(1,2)")

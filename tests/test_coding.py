@@ -17,9 +17,7 @@ from affine_spectra import (
     Regime,
     RunStructure,
     basic_interval,
-    coding_from_dict,
     coding_of_point,
-    coding_to_dict,
     compute_constants,
     cut_point_exponents,
     default_schedule,
@@ -120,12 +118,6 @@ def test_coding_checks_digits_like_a_loop(prefix, period):
         assert c.max_digit() == want
         assert c == Coding(prefix=tuple(prefix), period=period)
         assert repr(c) == f"Coding(prefix={prefix!r}, period={period!r})"
-
-
-def test_dict_round_trip():
-    for c in (Coding(prefix=(1, 2)), Coding(period=(2,)),
-              Coding(prefix=(1,), period=(2, 1))):
-        assert coding_from_dict(coding_to_dict(c)) == c
 
 
 # ------------------------------------------------------------ point <-> coding

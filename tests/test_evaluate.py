@@ -379,8 +379,8 @@ def _series_exact(system, coding) -> Fraction:
 
 def _series_outcome(system, coding, tol):
     """(value or None, best of three call times in s): the value must lie
-    within tol of the exact series, or the call must raise
-    TailBoundUnavailable."""
+    within tol * max(1, |value|) of the exact series, or the call must
+    raise TailBoundUnavailable."""
     best, value = math.inf, None
     for _ in range(3):
         start = time.perf_counter()
@@ -390,7 +390,8 @@ def _series_outcome(system, coding, tol):
             value = None
         best = min(best, time.perf_counter() - start)
     if value is not None:
-        assert abs(Fraction(value) - _series_exact(system, coding)) <= tol
+        assert (abs(Fraction(value) - _series_exact(system, coding))
+                <= tol * max(1.0, abs(value)))
     return value, best
 
 
@@ -434,6 +435,18 @@ def test_series_closed_form_within_tol_or_named(seed, tol, near):
     except errors.NotDifferentiable:
         return
     assert seconds < 1e-3
+
+
+def test_series_tol_is_relative_to_large_derivatives():
+    # a derivative near -92 carries a rounding bound of 1.39e-12, above an
+    # absolute 1e-12 but within 1e-12 of the value relatively
+    system = random_polygon_system(np.random.default_rng(248))
+    coding = Coding(prefix=(1, 3), period=(1, 1))
+    value, _ = _series_outcome(system, coding, 1e-12)
+    assert value == pytest.approx(-92.0147137902, abs=1e-9)
+    # a bound beyond tol * |value| is still named
+    with pytest.raises(errors.TailBoundUnavailable, match="rounding bound"):
+        derivative_series(system, coding, 1e-15)
 
 
 def test_series_stops_at_a_flat_digit_without_a_period():

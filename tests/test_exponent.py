@@ -23,8 +23,8 @@ from affine_spectra import (
     holder_right,
     is_polynomial,
     parse_preset,
+    project,
     run_structure_for_target,
-    side_run_constants,
 )
 from affine_spectra import exponent as exponent_module
 from affine_spectra.exponent import GammaBundle
@@ -123,7 +123,7 @@ def _exponent_trace_reference(system, constants, coding, n, side="right"):
     chi = valid & in_plus[np.clip(probe_chi, 0, r + 1)]
     zeta = valid & in_lam[np.clip(probe_zeta, 0, r + 1)]
 
-    k1, k2 = side_run_constants(constants, side)
+    (k1, k2), _ = constants._run_flags[side]
     g0 = num0 / den
     g1 = (num0 + k1 * chi * L) / den
     g2 = (num0 + k2 * zeta * L) / den
@@ -146,18 +146,17 @@ def _gammas_reference(system, constants, coding, side, horizon):
 
 # ------------------------------------------------------------------- constants
 
-def test_side_run_constants(make_system):
+def test_run_constants_by_side(make_system):
     _, c = make_system("riesz-nagy:0.3")
-    k1r, k2r = side_run_constants(c, "right")
+    (k1r, k2r), _ = c._run_flags["right"]
     assert k1r == pytest.approx(math.log(3.0 / 7.0), abs=1e-14)
     assert k2r == pytest.approx(math.log(5.0 / 7.0), abs=1e-14)
-    k1l, k2l = side_run_constants(c, "left")
+    assert (k1r, k2r) == (c.k1, c.k2)
+    (k1l, k2l), _ = c._run_flags["left"]
     assert k1l == pytest.approx(math.log(7.0 / 3.0), abs=1e-14)
     assert k2l == pytest.approx(math.log(5.0 / 3.0), abs=1e-14)
     _, ct = make_system("takagi:1.5")
-    assert side_run_constants(ct, "left") == side_run_constants(ct, "right")
-    with pytest.raises(ValueError):
-        side_run_constants(c, "up")
+    assert ct._run_flags["left"][0] == ct._run_flags["right"][0]
 
 
 def test_trace_matches_run_stats(make_system):
@@ -168,7 +167,7 @@ def test_trace_matches_run_stats(make_system):
     a, d = skew.a, skew.d
     for side in ("right", "left"):
         tr = exponent_trace(skew, c, coding, len(digits), side)
-        k1, k2 = side_run_constants(c, side)
+        (k1, k2), _ = c._run_flags[side]
         for n in range(1, len(digits) + 1):
             st_ = run_stats(skew, c, coding, n, side=side)
             num = sum(cnt * math.log(abs(d[k - 1]))
@@ -565,6 +564,65 @@ def test_cut_point_exponents_is_the_report_of_both_codings(seed):
     for coding in (cut.coding_left, cut.coding_right):
         rep = exponent_report(system, constants, coding)
         assert rep.cut_point and repr(rep.cut) == repr(cut)
+
+
+@given(seed=st.integers(0, 10 ** 9))
+def test_report_routes_eventually_constant_codings(seed):
+    # a random prefix, then all 1s or all rs: the report is holder_right at
+    # x = 0, holder_left at x = 1 and the cut block of cut_point_exponents
+    # at the exact point otherwise, or raises the same error
+    rng = np.random.default_rng(seed)
+    system = random_polygon_system(rng, allow_zero=True)
+    constants = compute_constants(system)
+    r = system.r
+    # digits 1 and r only, at times, so that x = 0 and x = 1 come up often
+    pool = (1, r) if rng.random() < 0.5 else range(1, r + 1)
+    prefix = tuple(int(k) for k in rng.choice(pool, int(rng.integers(0, 5))))
+    tail = int(rng.choice([1, r]))
+    coding = Coding(prefix=prefix, period=(tail,))
+    try:
+        rep = exponent_report(system, constants, coding)
+    except errors.AffineSpectraError as exc:
+        rep = type(exc)
+    if all(k == tail for k in prefix):
+        call = holder_right if tail == 1 else holder_left
+        want = _side_outcome(call, system, constants, coding)
+        if isinstance(rep, type):
+            assert rep == want
+            return
+        side = rep.right if tail == 1 else rep.left
+        assert (rep.left if tail == 1 else rep.right) is None
+        assert not rep.cut_point and rep.alpha == side.alpha
+        assert repr(side) == want
+        return
+    want = _side_outcome(cut_point_exponents, system, constants,
+                         project(system, coding, exact=True))
+    if isinstance(rep, type):
+        assert rep == want
+        return
+    assert rep.cut_point and rep.alpha == rep.cut.alpha
+    assert repr(rep.cut) == want
+
+
+def test_report_checks_digits_once(make_system):
+    # a caller's digits are range-checked once per report, whatever the
+    # kind of coding, and not at all for the codings in_T builds
+    rn, c = make_system("riesz-nagy:0.3")
+    codings = [Coding(prefix=(1,), period=(1, 2)),       # plain, periodic
+               Coding(prefix=(1, 2) * 16),               # plain, finite
+               Coding(prefix=(1, 1), period=(1,)),       # x = 0
+               Coding(prefix=(2,), period=(2,)),         # x = 1
+               Coding(prefix=(1, 2), period=(1,))]       # two-coding point
+    for coding in codings:
+        with mock.patch.object(Coding, "max_digit", autospec=True,
+                               side_effect=Coding.max_digit) as spy:
+            exponent_report(rn, c, coding)
+        assert spy.call_count == 1, coding
+    with mock.patch.object(Coding, "max_digit", autospec=True,
+                           side_effect=Coding.max_digit) as spy:
+        cut = cut_point_exponents(rn, c, 0.5)
+    assert spy.call_count == 0
+    assert cut.derivative_right is not None
 
 
 # ------------------------------------------------ the chunked trace is bitwise
