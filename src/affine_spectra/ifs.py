@@ -23,7 +23,7 @@ from enum import Enum
 from functools import cached_property
 
 from . import errors
-from .roots import solve_decreasing
+from .roots import unit_sum_root
 
 _REL_TOL = 1e-12          # linear pin relations
 LAMBDA_TOL = 1e-10        # membership test for the overlap set
@@ -328,15 +328,6 @@ class SpectrumConstants:
         )
 
 
-def _partition_exponent(a_subset) -> float:
-    """Solve sum a_k^s = 1 over the subset; s = 0 for a single branch."""
-    subset = list(a_subset)
-    if len(subset) == 1:
-        return 0.0
-    return solve_decreasing(lambda s: math.fsum(ak ** s for ak in subset) - 1.0,
-                            0.0, 1.0)
-
-
 def lambda_set(system: SelfAffineSystem, tol: float = LAMBDA_TOL):
     """Overlap index set: k in 1..r-1 where the two one-sided expansions of
     phi at the interior vertex x_k genuinely differ.
@@ -407,9 +398,31 @@ def _terminal_run_constants(a, d) -> tuple[float, float]:
     return k1, k2
 
 
+def _log_ratio(x: float, y: float) -> float:
+    """log(x / y) for 0 < x < y, within a few ulps relative.  Near x = y the
+    log is small and the rounding of x / y would dominate it; there
+    (x >= y / 2) x - y is exact (Sterbenz's lemma), so log1p((x - y) / y)
+    loses only the division's rounding."""
+    return math.log1p((x - y) / y) if x + x >= y else math.log(x / y)
+
+
+def _end_ties(rho: dict[int, float], end: float) -> list[int]:
+    """The branches k, in increasing order, whose ratio rho_k equals the
+    support end `end` to within 1e-12: the branches that carry the mass of
+    the spectrum's endpoint rows, and whose widths fix s_min and s_max."""
+    return [k for k in sorted(rho) if abs(rho[k] - end) <= _TIE_TOL]
+
+
 def compute_constants(system: SelfAffineSystem, *,
                       lambda_tol: float = LAMBDA_TOL) -> SpectrumConstants:
-    """Derive every spectrum constant for a validated system."""
+    """Derive every spectrum constant for a validated system.
+
+    s_hat, s_min, s_max and, in Case B, sigma are the roots of unit sums,
+    solved by roots.unit_sum_root: sum a_k^s = 1 over the d_k != 0
+    branches, over those tied at alpha_min and over those tied at alpha_max
+    (_end_ties; a lone branch gives s = 0), and sum (|d_k| / a_k)^sigma = 1
+    over the d_k != 0 branches, whose terms are p_star.
+    """
     validate(system)
     a, d = system.a, system.d
     iplus = sorted(system.index_plus)
@@ -418,12 +431,9 @@ def compute_constants(system: SelfAffineSystem, *,
     rho = {k: math.log(abs(d[k - 1])) / math.log(a[k - 1]) for k in iplus}
     alpha_min = min(rho.values())
     alpha_max = max(rho.values())
-    min_ties = [k for k in iplus if abs(rho[k] - alpha_min) <= _TIE_TOL]
-    max_ties = [k for k in iplus if abs(rho[k] - alpha_max) <= _TIE_TOL]
-    s_min = _partition_exponent(a[k - 1] for k in min_ties)
-    s_max = _partition_exponent(a[k - 1] for k in max_ties)
-    s_hat = solve_decreasing(
-        lambda s: math.fsum(a[k - 1] ** s for k in iplus) - 1.0, 0.0, 1.0)
+    s_min, s_max, s_hat = (
+        unit_sum_root([math.log(a[k - 1]) for k in ks])
+        for ks in (_end_ties(rho, alpha_min), _end_ties(rho, alpha_max), iplus))
 
     wts = [a[k - 1] ** s_hat for k in iplus]
     alpha_hat = (math.fsum(w * math.log(abs(d[k - 1])) for w, k in zip(wts, iplus))
@@ -436,11 +446,9 @@ def compute_constants(system: SelfAffineSystem, *,
     contractive = all(abs(d[k - 1]) < a[k - 1] for k in range(1, system.r + 1))
     if contractive and lam:
         regime = Regime.CASE_B
-        sigma = solve_decreasing(
-            lambda s: math.fsum((abs(d[k - 1]) / a[k - 1]) ** s for k in iplus) - 1.0,
-            0.0, 2.0)
-        p_star = tuple((abs(d[k - 1]) / a[k - 1]) ** sigma
-                       if (k in system.index_plus) else 0.0
+        logs = {k: _log_ratio(abs(d[k - 1]), a[k - 1]) for k in iplus}
+        sigma = unit_sum_root(list(logs.values()))
+        p_star = tuple(math.exp(sigma * logs[k]) if k in logs else 0.0
                        for k in range(1, system.r + 1))
         num = math.fsum(p_star[k - 1] * math.log(abs(d[k - 1])) for k in iplus)
         den = math.fsum(p_star[k - 1] * math.log(a[k - 1]) for k in iplus)

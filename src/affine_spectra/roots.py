@@ -1,54 +1,41 @@
-"""Bracketed bisection for strictly monotone scalar equations.
+"""One Newton solver for the unit sums behind the system constants.
 
-The system constants s_hat, s_min, s_max and sigma (ifs.compute_constants)
-each solve f(t) = 0 for a strictly monotone f, once per system.  Bisection
-is slower than Newton but has no conditioning failure modes; brackets are
-expanded geometrically until they straddle the root.  beta(q) and q*, which
-a spectrum table needs at hundreds of points, are solved in the spectrum
-module instead, by bracketed Newton iterations over whole arrays.
+s_hat, s_min, s_max and the Case B slope sigma (ifs.compute_constants) each
+solve sum_k exp(s l_k) = 1 with every l_k < 0, an equation of the form of
+beta(q)'s pressure equation at q = 0.  unit_sum_root takes
+spectrum._pressure's monotone log-space Newton step in plain floats: on one
+equation numpy's per-call overhead would cost several times the solve, and
+ifs stays free of numpy.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import math
+
+from . import errors
+
+_TOL = 1e-14    # relative Newton step
+_CAP = 100      # Newton steps
 
 
-def solve_decreasing(f: Callable[[float], float], lo: float = 0.0,
-                     hi: float = 1.0, *, rtol: float = 1e-12) -> float:
-    """Root of a strictly decreasing f, expanding [lo, hi] as needed.
+def unit_sum_root(logs) -> float:
+    """s with sum_k exp(s l_k) = 1, for a sequence of logs l_k < 0.
 
-    Final bracket width is below rtol * max(1, |root|).
-    """
-    flo, fhi = f(lo), f(hi)
-    step = max(1.0, hi - lo)
-    while flo < 0.0:
-        # root lies below lo
-        hi, fhi = lo, flo
-        lo -= step
-        step *= 2.0
-        flo = f(lo)
-        if step > 1e18:
-            raise ArithmeticError("bracket expansion failed (decreasing)")
-    while fhi > 0.0:
-        lo, flo = hi, fhi
-        hi += step
-        step *= 2.0
-        fhi = f(hi)
-        if step > 1e18:
-            raise ArithmeticError("bracket expansion failed (decreasing)")
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    for _ in range(256):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= rtol * max(1.0, abs(mid)):
-            break
-        fm = f(mid)
-        if fm > 0.0:
-            lo = mid
-        elif fm < 0.0:
-            hi = mid
-        else:
-            return mid
-    return 0.5 * (lo + hi)
+    Newton's method on F(s) = log sum_k exp(s l_k) from s = 0, where
+    F = log(len(logs)) >= 0.  F is convex and decreasing, so each tangent
+    root stays left of the root and the iterates rise monotonically to it;
+    a sum that rounds below 1 counts as 1, so no step is negative.  Far
+    left of the root the sum grows like an exponential while its log grows
+    nearly like a line, on which a Newton step lands close to the root.
+    One log gives s = 0 at once.  Stops on a step of at most 1e-14
+    max(1, s); raises NonConvergence after 100 steps."""
+    s = 0.0
+    for _ in range(_CAP):
+        w = [math.exp(s * lk) for lk in logs]
+        total = math.fsum(w)
+        step = (max(math.log(total), 0.0) * total
+                / -math.fsum(wk * lk for wk, lk in zip(w, logs)))
+        s += step
+        if step <= _TOL * max(1.0, s):
+            return s
+    raise errors.NonConvergence(f"unit sum unsolved for logs {list(logs)}")

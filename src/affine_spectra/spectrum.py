@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .ifs import Regime, SpectrumConstants
+from .ifs import Regime, SpectrumConstants, _end_ties
 
 _END_TOL = 1e-12    # slack when classifying alpha against the support ends
 _DEG_TOL = 1e-12    # all-rho-equal degeneracy
@@ -278,14 +278,6 @@ class DualityResult:
     branch: str
 
 
-def _tie_weights(constants: SpectrumConstants, alpha: float, s: float):
-    """a_k^s on the branches whose ratio is alpha; s = 0 for a single one."""
-    ties = [k for k in sorted(constants.index_plus)
-            if abs(constants.rho[k] - alpha) <= 1e-9 * max(1.0, abs(alpha))]
-    return tuple(ak ** s if k in ties else 0.0
-                 for k, ak in enumerate(constants.a, start=1))
-
-
 def duality_maximizer(constants: SpectrumConstants, alpha: float) -> DualityResult:
     """Maximising weights for the dimension at alpha.
 
@@ -354,13 +346,18 @@ def _solve(constants: SpectrumConstants, alphas, overlap: bool = True):
                 dim, note = 0.0, ("left edge of the linear part; the level "
                                   "set is nonempty with dimension 0")
         elif branch != "empty":
-            # all mass on the branches whose ratio is the extremal one
-            end, dim = ((constants.alpha_hat, constants.s_hat)
-                        if branch == "degenerate" else
-                        (constants.alpha_min, constants.s_min)
-                        if alpha <= constants.alpha_min + _END_TOL else
-                        (constants.alpha_max, constants.s_max))
-            p = _tie_weights(constants, end, dim)
+            # all mass on the branches whose ratio is the extremal one,
+            # tied by the rule that fixed s_min and s_max
+            if branch == "degenerate":
+                ties, dim = constants.index_plus, constants.s_hat
+            elif alpha <= constants.alpha_min + _END_TOL:
+                ties = _end_ties(constants.rho, constants.alpha_min)
+                dim = constants.s_min
+            else:
+                ties = _end_ties(constants.rho, constants.alpha_max)
+                dim = constants.s_max
+            p = tuple(ak ** dim if k in ties else 0.0
+                      for k, ak in enumerate(constants.a, start=1))
         out.append((_point(alpha, dim, branch, p, note), None))
     return out
 

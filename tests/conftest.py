@@ -1,8 +1,28 @@
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from affine_spectra import build_from_polygon, compute_constants, parse_preset
+
+# The independent Fraction and mpmath references of bench/reference.py are
+# shared with the tests, which import them as `reference`.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+
+# For a failing property Hypothesis writes an explicit-example patch through
+# libcst, whose use of mypy_extensions.TypedDict warns.  Under
+# -W error::DeprecationWarning that warning becomes an INTERNALERROR that
+# hides the failure, so the patch writer is imported here, once, with the
+# warning ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:         # no libcst: Hypothesis writes no patches
+        pass
 
 settings.register_profile(
     "suite",

@@ -170,14 +170,16 @@ def test_spectrum_round_trip(run, tmp_path):
 
 # sha256 of the stdout of `spectrum --preset P --points 201`, as the
 # closed-form two-branch Legendre rows printed it before rows were assembled
-# in bulk: two-branch tables must stay byte for byte the same
+# in bulk: two-branch tables must stay byte for byte the same.  The two Case B
+# tables were refreshed when s_hat and sigma moved from bisection to the
+# Newton solver of roots.py, which moved their rows by at most 1.9e-13
 SPECTRUM_TWO_BRANCH_SHA256 = {
     "riesz-nagy:0.3":
         "40dc16e8e225f25d43412a7605cc906193dacb814e0f4fc15434790ab08ec671",
     "skew-takagi:0.3,0.5,0.25":
-        "312cb7921ca6d30d1087fb6b5ee6a25cf45a82dc440710f878507388c6ec4020",
+        "336a5fbfdc64df0b66b85d34bba97d29548306bb4df85a226bf475498fd191e8",
     "skew-takagi:0.4,1,0.3":
-        "8daa39e54c6cf012a5e35d198bdab2c48f60d4861b09b79efdd760322160209d",
+        "a6fd0d782eaafb3c12695c19d7fadd71517fbc7f262c5d297a63936057dda582",
 }
 
 

@@ -1,5 +1,6 @@
 import importlib
 import math
+import random
 import time
 from fractions import Fraction
 from unittest import mock
@@ -21,6 +22,7 @@ from affine_spectra import (
     sample,
     sup_bound,
 )
+import reference
 from conftest import random_polygon_system
 
 # the package exports the function evaluate under the module's name
@@ -486,3 +488,37 @@ def test_oscillation_bound_is_a_lower_bound(make_system):
     assert bound <= resid + 1e-12
     with pytest.raises(errors.NotIncreasing):
         oscillation_lower_bound([0.3, 0.2], [1.0, 2.0])
+
+
+# ------------------------------------------- certified bound, exact reference
+
+_ITEM_1 = ("ROADMAP item 1: evaluate_many's certified bound does not hold "
+           "here ({})")
+
+
+@pytest.mark.parametrize("name", [
+    "takagi:1", "takagi:2", "riesz-nagy:0.3", "riesz-nagy:0.5", "okamoto:1/2",
+    "skew-takagi:0.3,0.5,0.25", "skew-takagi:0.4,1,0.3",
+    pytest.param("takagi:0.5", marks=pytest.mark.xfail(strict=True, reason=(
+        _ITEM_1.format("the accumulation rounds on orbits that land on 0 "
+                       "or 1, 100 of 100 points")))),
+    pytest.param("okamoto:0.6", marks=pytest.mark.xfail(strict=True, reason=(
+        _ITEM_1.format("the float orbit drifts, 3 of 100 points")))),
+    pytest.param("okamoto:5/6", marks=pytest.mark.xfail(strict=True, reason=(
+        _ITEM_1.format("the float orbit drifts, 100 of 100 points")))),
+])
+def test_evaluate_many_within_bound_of_exact_phi(make_system, name):
+    """|value - phi(x)| <= error_bound at 100 seeded points, tol 1e-12,
+    against the exact Fraction orbit of bench/reference.py (its own
+    remainder, at most 1e-16, counted on the side of the bound)."""
+    system, _ = make_system(name)
+    rng = random.Random(1)
+    xs = [rng.random() for _ in range(100)]
+    values, bounds, _ = evaluate_many(system, np.array(xs), 1e-12)
+    exact = reference.ExactSystem(system)
+    off = []
+    for x, value, bound in zip(xs, values.tolist(), bounds.tolist()):
+        want, rem = reference.phi_exact(exact, x, 1e-16)
+        if abs(Fraction(value) - want) > Fraction(bound) + rem:
+            off.append(x)
+    assert not off, f"{len(off)} of {len(xs)} points off, first x = {off[0]!r}"

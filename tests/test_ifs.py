@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from affine_spectra import (
@@ -20,9 +20,11 @@ from affine_spectra import (
     from_branches,
     lambda_set,
     parse_preset,
+    roots,
     two_branch_lambda_empty,
     validate,
 )
+import reference
 from conftest import random_polygon_system, random_two_branch_contractive
 
 LN2 = math.log(2.0)
@@ -283,3 +285,54 @@ def test_constants_internal_order(seed):
         assert math.fsum(c.p_star) == pytest.approx(1.0, abs=1e-9)
     else:
         assert c.sigma is None
+
+
+# ------------------------------------------------ unit sums against mpmath
+
+CONSTANT_PRESETS = ("takagi:0.5", "takagi:1.5", "riesz-nagy:0.3",
+                    "okamoto:0.6", "okamoto:5/6", "okamoto:0.5",
+                    "skew-takagi:0.3,0.5,0.25", "skew-takagi:0.4,1,0.3")
+
+
+def _check_unit_sums(system):
+    """s_hat, s_min, s_max and sigma within 1e-15 relative of mpmath's
+    roots, and p_star summing to 1 within two ulps."""
+    c = compute_constants(system)
+    plus = sorted(c.index_plus)
+    rho = {k: reference.rho(system, k) for k in plus}
+
+    def exponent(end=None):
+        return reference.partition_exponent_mp(
+            [system.a[k - 1] for k in plus
+             if end is None or abs(rho[k] - end) <= 1e-12])
+
+    want = {"s_hat": exponent(), "s_min": exponent(min(rho.values())),
+            "s_max": exponent(max(rho.values()))}
+    if c.regime is Regime.CASE_B:
+        want["sigma"] = reference.sigma_mp(system.a, system.d)
+        assert abs(math.fsum(c.p_star) - 1.0) <= 4.4e-16
+    for name, value in want.items():
+        assert abs(getattr(c, name) - value) <= 1e-15 * abs(value), name
+
+
+@pytest.mark.parametrize("name", CONSTANT_PRESETS)
+def test_unit_sums_match_mpmath_on_presets(name):
+    _check_unit_sums(parse_preset(name))
+
+
+# the two examples have ratios |d_2| / a_2 of 0.992 and 0.9944, where the
+# log of the rounded quotient put sigma 1.1e-15 and 2.4e-15 off
+@given(st.integers(0, 10 ** 9))
+@example(525020128)
+@example(146228303)
+def test_unit_sums_match_mpmath_on_random_systems(seed):
+    rng = np.random.default_rng(seed)
+    _check_unit_sums(random_polygon_system(rng, allow_zero=True))
+    _check_unit_sums(random_two_branch_contractive(rng))
+
+
+def test_unit_sum_root_cap_raises(monkeypatch):
+    monkeypatch.setattr(roots, "_CAP", 1)
+    with pytest.raises(errors.NonConvergence):
+        roots.unit_sum_root([math.log(0.5), math.log(0.25)])
+    assert roots.unit_sum_root([math.log(0.5)]) == 0.0

@@ -140,6 +140,22 @@ def test_duality_endpoint_concentrates(make_system):
     assert res.entropy == pytest.approx(LN2 / LN3, abs=1e-9)
 
 
+def test_endpoint_weights_use_the_ties_of_s_min():
+    """rho_3 lies 1e-10 above rho_1 = alpha_min: branch 3 is not tied for
+    s_min, so the endpoint row puts no mass on it either, and the weights
+    sum to 1."""
+    rho1 = math.log(0.6) / math.log(1.0 / 3.0)
+    d3 = math.exp((rho1 + 1e-10) * math.log(1.0 / 3.0))
+    c = compute_constants(build_from_polygon(
+        [(0.0, 0.0), (1.0 / 3.0, 0.6), (2.0 / 3.0, 0.4), (1.0, 1.0)],
+        [0.6, -0.2, d3]))
+    assert c.s_min == 0.0
+    assert duality_maximizer(c, c.alpha_min).p == (1.0, 0.0, 0.0)
+    ends = [row for row in spectrum_table(c, points=11)
+            if row.branch == "endpoint"]
+    assert [row.p_opt for row in ends] == [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+
+
 def test_duality_linear_branch(make_system):
     _, c = make_system(SKEW)
     res = duality_maximizer(c, 1.2)
