@@ -513,14 +513,16 @@ def run_structure_for_target(system: SelfAffineSystem, constants, alpha: float,
     if p is None:
         p = constants.p_star
     p = tuple(float(v) for v in p)
-    a, d = system.a, system.d
-    num = math.fsum(p[k - 1] * (math.log(abs(d[k - 1])) - alpha * math.log(a[k - 1]))
+    if any(p[k - 1] > 0.0 for k in constants.index_zero):
+        raise errors.InvalidSchedule("p puts mass on a branch with d = 0")
+    loga, logd = constants._logs
+    num = math.fsum(p[k - 1] * (logd[k - 1] - alpha * loga[k - 1])
                     for k in range(1, r + 1) if p[k - 1] > 0.0)
-    tau = num / ((alpha - 1.0) * math.log(a[-1]))
+    tau = num / ((alpha - 1.0) * loga[-1])
     if tau <= 0.0:
         raise errors.OutOfRange("constraint gives nonpositive run density")
     lam = tau / (1.0 + tau)
-    pivots = [k for k in sorted(constants.lambda_set) if d[k - 1] != 0.0]
+    pivots = sorted(constants.lambda_set & constants.index_plus)
     if not pivots:
         raise errors.OutOfRange("no overlap digit with nonzero contraction")
     k_star = pivots[0]

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import errors
 from .coding import Coding, CutPointQuery, _check_digits, _cut_query, in_T
-from .evaluate import _derivative, _series, evaluate_many
-from .ifs import SelfAffineSystem, SpectrumConstants
+from .evaluate import _derivative, _series
+from .ifs import _REL_TOL, SelfAffineSystem, SpectrumConstants
 
 _MIN_HORIZON = 16
 # Longest horizon the plain-float tail scan takes; longer ones go through
@@ -287,9 +287,9 @@ def _bundles(system: SelfAffineSystem, constants: SpectrumConstants,
     digit: the one-period ratio, or the digits scanned once for all the
     sides (horizons up to _SCAN_MAX)."""
     if coding.eventually_periodic and horizon is None:
-        num = math.fsum(math.log(abs(system.d[k - 1])) for k in coding.period)
-        den = math.fsum(math.log(system.a[k - 1]) for k in coding.period)
-        g = num / den
+        loga, logd = constants._logs
+        g = (math.fsum(logd[k - 1] for k in coding.period)
+             / math.fsum(loga[k - 1] for k in coding.period))
         return [GammaBundle(g, g, g, g, "exact-periodic", None, side)
                 for side in sides]
 
@@ -327,16 +327,29 @@ def _chunk_minima(constants: SpectrumConstants, coding: Coding, n: int,
 
 @lru_cache(maxsize=128)
 def is_polynomial(system: SelfAffineSystem) -> bool:
-    """True when phi agrees with a cubic at a 7-point grid to 1e-10.
+    """True when phi is a polynomial, decided exactly from the parameters.
 
-    Polynomial phi (the parabola family and friends) fall outside every
-    exponent statement below; values and derivative series stay valid.
+    If phi has degree m >= 2, the x^m coefficients of phi(a_k x + b_k) =
+    c_k x + d_k phi(x) + e_k give d_k = a_k^m, and the x^(m-1) ones at
+    b_1 = 0 < b_2 then rule out m >= 3.  Conversely a line through all r+1
+    vertices, or a parabola through them when every d_k = a_k^2, satisfies
+    the pinned equations, so it is phi.  Both tests hold at validate's
+    relative 1e-12, the ordinates scaled by max(1, |y_k|).  Polynomial phi
+    fall outside every exponent statement below; values and derivative
+    series stay valid.
     """
-    xs = np.linspace(0.0, 1.0, 7)
-    values, _, _ = evaluate_many(system, xs, 1e-13)
-    coeffs = np.polynomial.polynomial.polyfit(xs, values, 3)
-    fit = np.polynomial.polynomial.polyval(xs, coeffs)
-    return bool(np.max(np.abs(fit - values)) <= 1e-10)
+    xs, ys = system.xs, system.ys
+    tol = _REL_TOL * max(1.0, *map(abs, ys))
+    # the chord through the end vertices; a parabola through them is
+    # chord + t x (x - 1), and vertex 1 fixes t
+    chord = [ys[0] + (ys[-1] - ys[0]) * x for x in xs]
+    if all(abs(y - l) <= tol for y, l in zip(ys, chord)):
+        return True
+    if any(abs(dk - ak * ak) > _REL_TOL for ak, dk in zip(system.a, system.d)):
+        return False
+    t = (ys[1] - chord[1]) / (xs[1] * (xs[1] - 1.0))
+    return all(abs(y - l - t * x * (x - 1.0)) <= tol
+               for x, y, l in zip(xs, ys, chord))
 
 
 @dataclass(frozen=True)

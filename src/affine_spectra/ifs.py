@@ -18,7 +18,7 @@ branch the vertical contraction d_k is the one free parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 
@@ -241,14 +241,11 @@ class SpectrumConstants:
 
     @cached_property
     def _logs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """(log a_k, log|d_k|) by branch, from numpy's log (-inf where
-        d_k = 0), built once.  The exponent traces and the tail scan both
-        read these; math.log differs from np.log in the last bit on some
-        inputs, so one source keeps the two paths bitwise equal."""
-        import numpy as np      # the rest of this module needs no arrays
-        with np.errstate(divide="ignore"):
-            logd = np.log(np.abs(np.asarray(self.d)))
-        return tuple(np.log(np.asarray(self.a)).tolist()), tuple(logd.tolist())
+        """(log a_k, log|d_k|) by branch, -inf where d_k = 0, from
+        _branch_logs and built once.  The pressure columns, the run
+        constants, the periodic ratio and both finite-horizon traces read
+        this table, so every exponent of a point comes from the same bits."""
+        return _branch_logs(self.a, self.d)
 
     @cached_property
     def _run_flags(self) -> dict:
@@ -264,68 +261,47 @@ class SpectrumConstants:
                  for b in range(r + 1)]
         left = [(b > 0 and b - 1 in plus, b > 0 and b - 1 in lam)
                 for b in range(r + 1)]
-        return {"right": (_terminal_run_constants(self.a, self.d), right),
-                "left": (_terminal_run_constants(self.a[::-1], self.d[::-1]),
-                         left)}
+        loga, logd = self._logs
+        return {"right": ((self.k1, self.k2), right),
+                "left": (_terminal_run_constants(loga[::-1], logd[::-1]), left)}
 
     @cached_property
     def _plus_columns(self):
         """0-based indices of the d_k != 0 branches in increasing order, and
-        log|d_k|, log a_k on them as read-only (m, 1) columns from math.log,
-        built once: the spectrum layer's pressure sums run down these."""
+        log|d_k|, log a_k on them as read-only (m, 1) columns of _logs, built
+        once: the spectrum layer's pressure sums run down these."""
         import numpy as np
         cols = sorted(k - 1 for k in self.index_plus)
-        logd = np.array([[math.log(abs(self.d[k]))] for k in cols])
-        loga = np.array([[math.log(self.a[k])] for k in cols])
+        loga, logd = (np.array([[logs[k]] for k in cols]) for logs in self._logs)
         logd.flags.writeable = loga.flags.writeable = False
         return cols, logd, loga
 
     def to_dict(self) -> dict:
-        return {
-            "a": list(self.a),
-            "d": list(self.d),
-            "index_plus": sorted(self.index_plus),
-            "index_zero": sorted(self.index_zero),
-            "rho": {str(k): v for k, v in sorted(self.rho.items())},
-            "alpha_min": self.alpha_min,
-            "alpha_max": self.alpha_max,
-            "s_min": self.s_min,
-            "s_max": self.s_max,
-            "s_hat": self.s_hat,
-            "alpha_hat": self.alpha_hat,
-            "k1": self.k1,
-            "k2": self.k2,
-            "lambda_set": sorted(self.lambda_set),
-            "lambda_borderline": sorted(self.lambda_borderline),
-            "regime": self.regime.value,
-            "sigma": self.sigma,
-            "p_star": list(self.p_star) if self.p_star is not None else None,
-            "alpha0": self.alpha0,
-        }
+        return {f.name: _json_field(f, getattr(self, f.name), 0)
+                for f in fields(self)}
 
     @staticmethod
     def from_dict(data: dict) -> "SpectrumConstants":
-        return SpectrumConstants(
-            a=tuple(data["a"]),
-            d=tuple(data["d"]),
-            index_plus=frozenset(data["index_plus"]),
-            index_zero=frozenset(data["index_zero"]),
-            rho={int(k): v for k, v in data["rho"].items()},
-            alpha_min=data["alpha_min"],
-            alpha_max=data["alpha_max"],
-            s_min=data["s_min"],
-            s_max=data["s_max"],
-            s_hat=data["s_hat"],
-            alpha_hat=data["alpha_hat"],
-            k1=data["k1"],
-            k2=data["k2"],
-            lambda_set=frozenset(data["lambda_set"]),
-            lambda_borderline=frozenset(data["lambda_borderline"]),
-            regime=Regime(data["regime"]),
-            sigma=data["sigma"],
-            p_star=tuple(data["p_star"]) if data["p_star"] is not None else None,
-            alpha0=data["alpha0"],
-        )
+        return SpectrumConstants(**{f.name: _json_field(f, data[f.name], 1)
+                                    for f in fields(SpectrumConstants)})
+
+
+# JSON form of a constants field by the head of its type annotation (a
+# string under the __future__ import): (to JSON, back)
+_JSON_FORMS = {
+    "tuple": (list, tuple),
+    "frozenset": (sorted, frozenset),
+    "dict": (lambda m: {str(k): v for k, v in sorted(m.items())},
+             lambda m: {int(k): v for k, v in m.items()}),
+    "Regime": (lambda g: g.value, Regime),
+}
+
+
+def _json_field(f, value, way: int):
+    """value of field f converted to JSON (way 0) or back (way 1); None and
+    plain floats pass through."""
+    forms = _JSON_FORMS.get(f.type.split("[")[0])
+    return value if value is None or forms is None else forms[way](value)
 
 
 def lambda_set(system: SelfAffineSystem, tol: float = LAMBDA_TOL):
@@ -382,19 +358,25 @@ def two_branch_lambda_empty(system: SelfAffineSystem, tol: float = 1e-9) -> bool
     return abs(d1 / a1 + d2 / a2 - 1.0) <= tol
 
 
-def _terminal_run_constants(a, d) -> tuple[float, float]:
-    """(K1, K2) of the terminal-run correction at the right end:
+def _branch_logs(a, d) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(log a_k, log|d_k|) by branch, -inf where d_k = 0: the one place a
+    branch log is taken, so that every layer reads the same bits."""
+    return (tuple(map(math.log, a)),
+            tuple(math.log(abs(dk)) if dk else -math.inf for dk in d))
+
+
+def _terminal_run_constants(loga, logd) -> tuple[float, float]:
+    """(K1, K2) of the terminal-run correction at the right end, from the
+    branch logs:
 
         K1 = (log a_r / log a_1) log|d_1| - log|d_r|,
         K2 = log a_r - log|d_r|,
 
-    each 0 when a contraction it takes the log of vanishes.  Reversed a and
-    d give the left end, with the roles of branches 1 and r swapped."""
-    d1, dr = abs(d[0]), abs(d[-1])
-    lar = math.log(a[-1])
-    k1 = 0.0 if (d1 == 0.0 or dr == 0.0) else \
-        (lar / math.log(a[0])) * math.log(d1) - math.log(dr)
-    k2 = 0.0 if dr == 0.0 else lar - math.log(dr)
+    each 0 when a log|d| it reads is -inf.  Reversed tables give the left
+    end, with the roles of branches 1 and r swapped."""
+    k1 = 0.0 if -math.inf in (logd[0], logd[-1]) else \
+        (loga[-1] / loga[0]) * logd[0] - logd[-1]
+    k2 = 0.0 if logd[-1] == -math.inf else loga[-1] - logd[-1]
     return k1, k2
 
 
@@ -428,18 +410,19 @@ def compute_constants(system: SelfAffineSystem, *,
     iplus = sorted(system.index_plus)
     izero = system.index_zero
 
-    rho = {k: math.log(abs(d[k - 1])) / math.log(a[k - 1]) for k in iplus}
+    loga, logd = _branch_logs(a, d)
+    rho = {k: logd[k - 1] / loga[k - 1] for k in iplus}
     alpha_min = min(rho.values())
     alpha_max = max(rho.values())
     s_min, s_max, s_hat = (
-        unit_sum_root([math.log(a[k - 1]) for k in ks])
+        unit_sum_root([loga[k - 1] for k in ks])
         for ks in (_end_ties(rho, alpha_min), _end_ties(rho, alpha_max), iplus))
 
     wts = [a[k - 1] ** s_hat for k in iplus]
-    alpha_hat = (math.fsum(w * math.log(abs(d[k - 1])) for w, k in zip(wts, iplus))
-                 / math.fsum(w * math.log(a[k - 1]) for w, k in zip(wts, iplus)))
+    alpha_hat = (math.fsum(w * logd[k - 1] for w, k in zip(wts, iplus))
+                 / math.fsum(w * loga[k - 1] for w, k in zip(wts, iplus)))
 
-    k1, k2 = _terminal_run_constants(a, d)
+    k1, k2 = _terminal_run_constants(loga, logd)
 
     lam, borderline = lambda_set(system, tol=lambda_tol)
 
@@ -450,9 +433,8 @@ def compute_constants(system: SelfAffineSystem, *,
         sigma = unit_sum_root(list(logs.values()))
         p_star = tuple(math.exp(sigma * logs[k]) if k in logs else 0.0
                        for k in range(1, system.r + 1))
-        num = math.fsum(p_star[k - 1] * math.log(abs(d[k - 1])) for k in iplus)
-        den = math.fsum(p_star[k - 1] * math.log(a[k - 1]) for k in iplus)
-        alpha0 = num / den
+        alpha0 = (math.fsum(p_star[k - 1] * logd[k - 1] for k in iplus)
+                  / math.fsum(p_star[k - 1] * loga[k - 1] for k in iplus))
     else:
         regime = Regime.CASE_A
         sigma = None

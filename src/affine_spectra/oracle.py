@@ -14,7 +14,7 @@ import numpy as np
 
 from . import errors
 from .evaluate import evaluate_many
-from .ifs import SelfAffineSystem
+from .ifs import SelfAffineSystem, _branch_logs
 
 _EVAL_TOL = 1e-18          # keep value noise far below the oscillations read
 _UNIFORM_PER_WINDOW = 64
@@ -198,9 +198,9 @@ def almost_everywhere_exponent(system: SelfAffineSystem) -> float:
     sum a_k log|d_k| / sum a_k log a_k, infinite when some d_k = 0."""
     if system.index_zero:
         return math.inf
-    num = math.fsum(ak * math.log(abs(dk)) for ak, dk in zip(system.a, system.d))
-    den = math.fsum(ak * math.log(ak) for ak in system.a)
-    return num / den
+    loga, logd = _branch_logs(system.a, system.d)
+    return (math.fsum(ak * lk for ak, lk in zip(system.a, logd))
+            / math.fsum(ak * lk for ak, lk in zip(system.a, loga)))
 
 
 @dataclass(frozen=True)
@@ -234,13 +234,11 @@ def ae_exponent_sample(system: SelfAffineSystem, n_points: int, horizon: int,
     if horizon < 4:
         raise errors.HorizonTooSmall("horizon must be >= 4")
     rng = np.random.default_rng(seed)
-    a = np.asarray(system.a)
-    cum = np.cumsum(a)
-    with np.errstate(divide="ignore"):
-        logd = np.log(np.abs(np.asarray(system.d)))
+    cum = np.cumsum(system.a)
+    loga, logd = _branch_logs(system.a, system.d)
     # one complex gather and one cumsum carry both sums: real and imaginary
     # parts are added, and rounded, exactly as two float64 cumsums
-    table = logd + 1j * np.log(a)
+    table = np.array(logd) + 1j * np.array(loga)
     h0 = max(1, horizon // 2)
 
     values = np.empty(n_points)

@@ -261,9 +261,9 @@ def contraction_ratio(p, constants: SpectrumConstants) -> float:
     for k in constants.index_zero:
         if p[k - 1] != 0.0:
             raise ValueError(f"p_{k} must be 0 on a branch with d = 0")
+    loga, logd = constants._logs
     num = math.fsum(pk * math.log(pk) for pk in p if pk > 0.0)
-    den = math.fsum(p[k - 1] * (math.log(abs(constants.d[k - 1]))
-                                - math.log(constants.a[k - 1]))
+    den = math.fsum(p[k - 1] * (logd[k - 1] - loga[k - 1])
                     for k in sorted(constants.index_plus) if p[k - 1] > 0.0)
     return num / den
 

@@ -22,6 +22,7 @@ from affine_spectra import (
     holder_left,
     holder_right,
     is_polynomial,
+    parse_coding,
     parse_preset,
     project,
     run_structure_for_target,
@@ -299,12 +300,34 @@ def test_polynomial_gate(make_system):
     assert is_polynomial(t2)
     assert not is_polynomial(parse_preset("takagi:0.5"))
     assert is_polynomial(parse_preset("riesz-nagy:0.5"))  # identity map
+    # d_k = 2^-2.000000001 misses a_k^2 = 1/4 by 1.7e-10: no polynomial,
+    # however close to the parabola 2x(1 - x) its values lie
+    assert not is_polynomial(parse_preset("takagi:2.000000001"))
     with pytest.raises(errors.PolynomialDegenerate):
         holder_right(t2, c2, Coding(period=(1, 2)))
     with pytest.raises(errors.PolynomialDegenerate):
         cut_point_exponents(t2, c2, 0.5)
     # raw traces stay available
     assert gammas(t2, c2, Coding(period=(1, 2))).gamma == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("vertices, d, polynomial", [
+    # phi(x) = 10^6 x: the gate does not depend on the scale of phi
+    ([(0, 0), (0.3, 3e5), (1, 1e6)], [0.5, -0.2], True),
+    # the parabola 4 10^6 x (1 - x)
+    ([(0, 0), (0.5, 1e6), (1, 0)], [0.25, 0.25], True),
+    # 2x(1 - x) on four vertices, d_k = a_k^2
+    ([(0, 0), (0.2, 0.32), (0.7, 0.42), (1, 0)], [0.04, 0.25, 0.09], True),
+    # d_k = a_k^2, but one vertex off that parabola
+    ([(0, 0), (0.2, 0.32), (0.7, 0.43), (1, 0)], [0.04, 0.25, 0.09], False),
+])
+def test_polynomial_gate_is_exact(vertices, d, polynomial):
+    system = build_from_polygon(vertices, d)
+    assert is_polynomial(system) is polynomial
+    if polynomial:
+        with pytest.raises(errors.PolynomialDegenerate):
+            exponent_report(system, compute_constants(system),
+                            parse_coding("1,2,(1,2)"))
 
 
 # ------------------------------------------------------------------ cut points

@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from affine_spectra import (
+    Coding,
     Regime,
     SelfAffineSystem,
     SpectrumConstants,
@@ -18,6 +19,7 @@ from affine_spectra import (
     errors,
     evaluate,
     from_branches,
+    gammas,
     lambda_set,
     parse_preset,
     roots,
@@ -168,6 +170,21 @@ def test_takagi_k_constants(make_system):
     assert c.regime is Regime.CASE_B
     assert c.sigma == pytest.approx(2.0, abs=1e-11)
     assert c.alpha0 == pytest.approx(1.5, abs=1e-11)
+
+
+def test_every_layer_reads_one_table_of_branch_logs():
+    # width 0.806 is an input on which np.log and math.log round apart
+    system = build_from_polygon([(0, 0), (0.194, 0.6), (1, 1)], [0.5, -0.3])
+    c = compute_constants(system)
+    loga, logd = c._logs
+    assert loga == tuple(math.log(ak) for ak in system.a)
+    assert logd == tuple(math.log(abs(dk)) for dk in system.d)
+    cols, col_d, col_a = c._plus_columns
+    assert col_d[:, 0].tolist() == [logd[k] for k in cols]
+    assert col_a[:, 0].tolist() == [loga[k] for k in cols]
+    assert c.rho == {k: logd[k - 1] / loga[k - 1] for k in (1, 2)}
+    g = gammas(system, c, Coding(period=(2,)))
+    assert g.method == "exact-periodic" and g.gamma == logd[1] / loga[1]
 
 
 # ----------------------------------------------------------------- overlap set

@@ -162,9 +162,9 @@ def _ae_values_reference(system, n_points, horizon, seed):
     a = np.asarray(system.a)
     cum = np.cumsum(a)
     cum[-1] = 1.0
-    with np.errstate(divide="ignore"):
-        logd = np.log(np.abs(np.asarray(system.d)))
-    loga = np.log(a)
+    # the branch logs every layer reads: math.log, -inf where d = 0
+    logd = np.array([math.log(abs(dk)) if dk else -math.inf for dk in system.d])
+    loga = np.array([math.log(ak) for ak in system.a])
     zero_ids = np.array([k - 1 for k in sorted(system.index_zero)], dtype=np.int64)
     h0 = max(1, horizon // 2)
 
