@@ -29,6 +29,9 @@ from .ifs import SelfAffineSystem
 
 # Uniforms per draw of generate_run_structured
 _DRAW_BLOCK = 8192
+# Largest shift of gamma2 at the last block end that the earlier runs of the
+# default schedule may cause
+_EARLIER_RUNS_BIAS = 0.002
 
 
 def _check_positive(digits) -> None:
@@ -464,20 +467,23 @@ class RunStructure:
             prev = nj
 
 
-def default_schedule(lam: float, length: int):
+def default_schedule(lam: float, length: int, max_ratio: float = 1.0):
     """Block ends and run lengths whose last block ends at `length`.
 
     Going down from n_J = length, each earlier end is the integer square
-    root of the next (lowered if need be to leave the next block a free
-    segment) for as long as it is at least max(16, ceil(3 / (1 - lam))).
-    So n_j >= n_(j-1)^2 >= 16^(2^(j-1)), and n_(j-1) / n_j <= n_j^(-1/2)
-    stays below the 1/j that `RunStructure.validate` allows.  The earlier
-    blocks then weigh little at the last one: with 1e5 digits, gamma2 at
-    the last block end lands within 0.02 of its target (0.009 at worst
-    over 7 targets x 3 seeds on each of 8 Case B systems).
+    root of the next, at most max_ratio times it, and lowered if need be to
+    leave the next block a free segment, for as long as it is at least
+    max(16, ceil(3 / (1 - lam))).  So n_j >= n_(j-1)^2 >= 16^(2^(j-1)), and
+    n_(j-1) / n_j <= n_j^(-1/2) stays below the 1/j that
+    `RunStructure.validate` allows.  `run_structure_for_target` sets
+    max_ratio so that the earlier runs move gamma2 at the last block end
+    by at most _EARLIER_RUNS_BIAS; 0 leaves the last block alone (d_r = 0,
+    where an earlier run's shift is infinite).
     """
     if not 0.0 < lam < 1.0:
         raise errors.InvalidSchedule("lam must be in (0, 1)")
+    if not 0.0 <= max_ratio <= 1.0:
+        raise errors.InvalidSchedule("max_ratio must be in [0, 1]")
     n1 = max(16, math.ceil(3.0 / (1.0 - lam)))
     if n1 > length:
         raise errors.InvalidSchedule(
@@ -485,7 +491,8 @@ def default_schedule(lam: float, length: int):
     ends = [length]
     while True:
         nj = ends[-1]
-        prev = min(math.isqrt(nj), nj - max(1, round(lam * nj)) - 2)
+        prev = min(math.isqrt(nj), math.floor(max_ratio * nj),
+                   nj - max(1, round(lam * nj)) - 2)
         if prev < n1:
             break
         ends.append(prev)
@@ -527,7 +534,16 @@ def run_structure_for_target(system: SelfAffineSystem, constants, alpha: float,
         raise errors.OutOfRange("no overlap digit with nonzero contraction")
     k_star = pivots[0]
     if block_ends is None:
-        block_ends, run_lengths = default_schedule(lam, length)
+        # Each digit of an earlier run of r stands where a free digit would,
+        # and no terminal-run correction reaches it at a later block end n:
+        # per digit it moves num - alpha den there by the difference of
+        # their two expectations, so gamma2 at n by about
+        # (n_(j-1) / n) * spread.
+        mean_loga = math.fsum(pk * la for pk, la in zip(p, loga))
+        spread = lam * abs(logd[-1] - alpha * loga[-1] - num) / abs(
+            lam * loga[-1] + (1.0 - lam) * mean_loga)
+        max_ratio = min(1.0, _EARLIER_RUNS_BIAS / spread) if spread else 1.0
+        block_ends, run_lengths = default_schedule(lam, length, max_ratio)
     else:
         block_ends = tuple(block_ends)
         if run_lengths is None:
