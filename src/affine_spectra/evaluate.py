@@ -23,6 +23,7 @@ from .ifs import SelfAffineSystem
 
 _DEFAULT_MAX_DEPTH = 500_000
 _BLOCK = 8_192       # points per block: a block's working arrays stay in cache
+_WORDS = 256         # most words in a table: m is the longest with r^m <= 256
 
 
 def sup_bound(system: SelfAffineSystem) -> float:
@@ -39,36 +40,249 @@ class EvalResult:
     depth_used: int
 
 
-def evaluate_many(system: SelfAffineSystem, xs, tol: float,
-                  max_depth: int | None = None):
-    """Vectorised evaluate.  Returns (values, error_bounds, depths) arrays.
+@lru_cache(maxsize=128)
+def _words(system: SelfAffineSystem):
+    """The word length m and one affine map per word of m digits.
 
-    Exact vertex hits return the stored ordinate with a zero bound.  Other
-    points run in blocks of _BLOCK through compact arrays, and each leaves
-    its block at the step where it stops.  Every point sees the operations
-    of evaluate in the same order, so results are bitwise those of evaluate
-    and do not depend on the batch or its partition into blocks.  Cost is
-    linear in the sum of the depths; beyond the per-point arrays, memory is
-    bounded by the block.  NonConvergence reports the worst bound left at
-    the depth cap over all blocks.
+    Word w = k_1 ... k_m (0-based branches, index sum_i k_i r^(m-i)) maps
+    t = L_w + V_w t' and phi(t) = A_w + B_w t' + R_w phi(t'), the m steps
+    of evaluate composed.  The stored doubles x_{k-1}, a_k, e_k, c_k, d_k
+    are integers over a common 2^S, so words of length j are integers over
+    2^(jS): each entry is composed exactly and rounded once, and words of
+    one digit are the stored coefficients.  m is the longest length with
+    r^m <= _WORDS, or 1 when t = 1 is not a fixed point of the float step
+    of branch r: an orbit could then pass through 1 inside a word.
+    Returns (m, a tuple of (L_w, V_w, A_w, B_w, R_w) in word order).
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    pts = np.asarray(xs, dtype=float)
-    flat = pts.ravel()
-    if flat.size and not (np.isfinite(flat).all()
-                          and flat.min() >= 0.0 and flat.max() <= 1.0):
-        raise errors.OutOfDomain("points must lie in [0, 1]")
-    if max_depth is None:
-        max_depth = _DEFAULT_MAX_DEPTH
+    r, xs = system.r, system.xs
+    m = 1
+    if (1.0 - xs[-2]) / system.a[-1] == 1.0:
+        while r ** (m + 1) <= _WORDS:
+            m += 1
+    rows = [[v.as_integer_ratio() for v in row] for row in
+            zip(xs[:-1], system.a, system.e, system.c, system.d)]
+    S = max(q.bit_length() for row in rows for _, q in row) - 1
+    digits = [[p << (S + 1 - q.bit_length()) for p, q in row] for row in rows]
+    level = [(0, 1, 0, 0, 1)]        # the empty word, over 2^0
+    for j in range(m):
+        shift = j * S
+        level = [((x << shift) + a * L, a * V, (e << shift) + c * L + d * A,
+                  c * V + d * B, d * R)
+                 for x, a, e, c, d in digits for L, V, A, B, R in level]
+    den = 1 << (m * S)
+    return m, tuple(tuple(v / den for v in word) for word in level)
 
+
+def _compact(block, pos, keep, n_keep):
+    """Move the points of the block marked in keep to its front, in
+    place; returns the shortened block and positions."""
+    gone = np.flatnonzero(~keep)
+    holes = gone[:gone.searchsorted(n_keep)]
+    movers = n_keep + np.flatnonzero(keep[n_keep:])
+    # one row at a time: 2-d fancy indexing is several times slower
+    for row in (*block, pos):
+        row.put(holes, row.take(movers))
+    return block[:, :n_keep], pos[:n_keep]
+
+
+def _by_words(block, pos, m, cuts, steps, words, rmax, bound, tol, passes):
+    """At most `passes` word passes over one block of running points.
+
+    block holds the rows t, A, B, R.  Each pass steps t digit by digit, as
+    evaluate does, and builds the word index; A, B and R then take the
+    word's map once.  A point whose word would end with |R| bound <= tol,
+    or with t on 0 or 1, does not take it: it is set aside with its state
+    at the start of the word.  A point that every word would stop,
+    |R| rmax bound <= tol with rmax = max_w |R_w| (rounding is monotone),
+    is set aside at the end of its word instead, which skips a word it
+    would not take; so is every point after the last pass.  Returns the
+    rows t, A, B, R and depth of the set-aside points and their positions.
+    """
+    size = pos.size
+    r = len(cuts) + 1
+    aside = np.empty((5, size))
+    apos = np.empty(size, dtype=np.intp)
+    na = 0
+    wbuf = np.empty(size, dtype=np.uint8)
+    kbuf = np.empty(size, dtype=np.intp)
+    bbuf = np.empty((3, size), dtype=bool)
+    fbuf = np.empty((3, size))
+    gbuf = np.empty(7 * size)
+    n = 0
+    step = 0
+    while True:
+        if n != pos.size:            # first pass, or the block shrank
+            n = pos.size
+            t, A, B, R = block
+            w, k = wbuf[:n], kbuf[:n]
+            (still, nxt, mask), (u, f, g) = bbuf[:, :n], fbuf[:, :n]
+            bit = mask.view(np.uint8)
+            gathered = gbuf[:7 * n].reshape(7, n)
+            left, a = gathered[:2]
+            L, V, Aw, Bw, Rw = gathered[2:]
+        # the word index is below r^m <= 256: one byte
+        w.fill(0)
+        src = t
+        for _ in range(m):
+            # branch j + 1 holds u when exactly j cuts are <= u
+            np.multiply(w, r, w)
+            for cut in cuts:
+                np.greater_equal(src, cut, mask)
+                np.add(w, bit, w)
+            np.copyto(k, w)
+            steps.take(k, 1, gathered[:2], "wrap")
+            np.subtract(src, left, u)
+            # x_{j-1} <= u, so the rounded difference is never negative
+            np.divide(u, a, u)
+            src = u
+        words.take(k, 1, gathered[2:], "wrap")
+        np.multiply(R, Rw, Rw)
+        # the point takes the word: |R| bound > tol, u not on 0 or 1
+        np.abs(Rw, f)
+        np.multiply(f, bound, g)
+        np.greater(g, tol, still)
+        np.not_equal(u, 0.0, mask)
+        np.logical_and(still, mask, still)
+        np.not_equal(u, 1.0, mask)
+        np.logical_and(still, mask, still)
+        n_still = np.count_nonzero(still)
+        passes -= 1
+        if passes:
+            # and some word after it need not stop the point
+            np.multiply(f, rmax, f)
+            np.multiply(f, bound, f)
+            np.greater(f, tol, nxt)
+            np.logical_and(nxt, still, nxt)
+            n_next = np.count_nonzero(nxt)
+        else:
+            nxt.fill(False)
+            n_next = 0
+        if n_still < n:
+            na = _set_aside(aside, apos, na, block, pos, ~still, step)
+        np.multiply(B, L, L)
+        np.multiply(R, Aw, Aw)
+        np.add(L, Aw, L)
+        np.add(A, L, A)
+        np.multiply(B, V, B)
+        np.multiply(R, Bw, Bw)
+        np.add(B, Bw, B)
+        np.copyto(R, Rw)
+        np.copyto(t, u)
+        step += m
+        if n_next < n_still:
+            na = _set_aside(aside, apos, na, block, pos, still ^ nxt, step)
+        if n_next < n:
+            if not n_next:
+                return aside[:, :na], apos[:na]
+            block, pos = _compact(block, pos, nxt, n_next)
+
+
+def _set_aside(aside, apos, na, block, pos, out, step):
+    """Append the points marked in out, with depth step; returns the new
+    count."""
+    end = na + np.count_nonzero(out)
+    np.compress(out, block, 1, aside[:4, na:end])
+    np.compress(out, pos, 0, apos[na:end])
+    aside[4, na:end] = step
+    return end
+
+
+def _by_digits(state, depth, block, pos, cuts, digits, bound, tol, max_depth):
+    """Digit passes over one block of running points, each from its own
+    depth, until each stops or its depth reaches max_depth.
+
+    block holds the rows t, A, B, R and depth.  Writes each point's final
+    state to state and its depth to depth.  Returns the largest |R| bound
+    among the points stopped by the cap, or 0.
+    """
+    size = pos.size
+    kbuf = np.empty(size, dtype=np.intp)
+    fbuf = np.empty(size)
+    gbuf = np.empty(5 * size)
+    bbuf = np.empty((2, size), dtype=bool)
+    cap_at = max_depth - int(block[4].max())
+    worst = 0.0
+    n = 0
+    step = 0
+    while True:
+        if n != pos.size:            # first step, or the block shrank
+            n = pos.size
+            t, A, B, R, D = block
+            k, f, (still, mask) = kbuf[:n], fbuf[:n], bbuf[:, :n]
+            gathered = gbuf[:5 * n].reshape(5, n)
+            left, ak, ek, ck, dk = gathered
+        if step >= cap_at:
+            # points whose depth reached the cap leave with their bound
+            np.less(D, max_depth - step, still)
+            n_still = np.count_nonzero(still)
+            if n_still < n:
+                out = ~still
+                worst = max(worst, float((np.abs(R[out]) * bound).max()))
+                _finish(state, depth, block, pos, out, step)
+                if not n_still:
+                    return worst
+                block, pos = _compact(block, pos, still, n_still)
+                continue
+        # branch j + 1 holds t when exactly j cuts are <= t
+        np.greater_equal(t, cuts[0], k)
+        for cut in cuts[1:]:
+            np.greater_equal(t, cut, mask)
+            np.add(k, mask, k)
+        digits.take(k, 1, gathered, "wrap")
+        np.subtract(t, left, t)
+        # x_{j-1} <= t, so the rounded difference is never negative
+        np.divide(t, ak, t)
+        np.multiply(B, left, f)
+        np.multiply(R, ek, ek)
+        np.add(f, ek, f)
+        np.add(A, f, A)
+        np.multiply(B, ak, B)
+        np.multiply(R, ck, ck)
+        np.add(B, ck, B)
+        np.multiply(R, dk, R)
+        step += 1
+        # stop test: |R| bound <= tol, or the orbit sits on 0 or 1
+        np.abs(R, f)
+        np.multiply(f, bound, f)
+        np.greater(f, tol, still)
+        np.not_equal(t, 0.0, mask)
+        np.logical_and(still, mask, still)
+        np.not_equal(t, 1.0, mask)
+        np.logical_and(still, mask, still)
+        n_still = np.count_nonzero(still)
+        if n_still < n:
+            _finish(state, depth, block, pos, ~still, step)
+            if not n_still:
+                return worst
+            block, pos = _compact(block, pos, still, n_still)
+
+
+def _finish(state, depth, block, pos, out, step):
+    """Write the state and depth of the points marked in out."""
+    gone = np.flatnonzero(out)
+    done = pos.take(gone)
+    for out_row, row in zip(state, block):
+        out_row.put(done, row.take(gone))
+    depth.put(done, block[4].take(gone) + step)
+
+
+def _orbits(system: SelfAffineSystem, flat, tol: float, max_depth: int):
+    """The orbits of evaluate_many before the closing step: the final rows
+    t, A, B, R of every point, its depth, the vertex hits as (mask,
+    vertex index), and the largest bound left at the depth cap (0 when no
+    point reached it; such points keep their state at the cap)."""
     part = np.asarray(system.xs)
     cuts = system.xs[1:-1]
-    # rows x_{k-1}, a_k, e_k, c_k, d_k of branch k, gathered in one take
-    consts = np.array([system.xs[:-1], system.a, system.e, system.c,
+    m, table = _words(system)
+    # rows x_{k-1}, a_k, e_k, c_k, d_k of branch k: the words of one digit
+    digits = np.array([system.xs[:-1], system.a, system.e, system.c,
                        system.d])
-    y0, yr = system.ys[0], system.ys[-1]
+    words = np.array(table).T
+    # rows x_{k-1}, a_k of the last digit of each prefix of a word
+    steps = np.tile(digits[:2], system.r ** (m - 1))
+    rmax = max(abs(word[4]) for word in table)
     bound = sup_bound(system)
+    passes = max_depth // m if m > 1 and rmax * bound > tol else 0
 
     # rows t, A, B, R: each point's state, written back when it stops
     state = np.zeros((4, flat.size))
@@ -82,77 +296,68 @@ def evaluate_many(system: SelfAffineSystem, xs, tol: float,
     exact_vertex = part[vidx] == flat
     live = np.flatnonzero(~exact_vertex & (bound > tol))
 
-    size = min(live.size, _BLOCK)
-    kbuf = np.empty(size, dtype=np.intp)
-    fbuf = np.empty(size)
-    gbuf = np.empty(5 * size)
-    bbuf = np.empty((2, size), dtype=bool)
     worst = 0.0          # a point left at the cap has |R| bound > tol > 0
     for start in range(0, live.size, _BLOCK):
         pos = live[start:start + _BLOCK].copy()
-        block = state.take(pos, 1)
-        m = 0
-        step = 0
-        while True:
-            if m != pos.size:        # first step, or the block shrank
-                m = pos.size
-                t, A, B, R = block
-                k, f, (still, mask) = kbuf[:m], fbuf[:m], bbuf[:, :m]
-                gathered = gbuf[:5 * m].reshape(5, m)
-                left, ak, ek, ck, dk = gathered
-            if step >= max_depth:
-                worst = max(worst, float((np.abs(R) * bound).max()))
-                capped = step
-                break
-            # branch k + 1 holds t when exactly k cuts are <= t
-            np.greater_equal(t, cuts[0], k)
-            for cut in cuts[1:]:
-                np.greater_equal(t, cut, mask)
-                np.add(k, mask, k)
-            consts.take(k, 1, gathered, "wrap")
-            np.subtract(t, left, t)
-            # x_{k-1} <= t, so the rounded difference is never negative
-            np.divide(t, ak, t)
-            np.multiply(B, left, f)
-            np.multiply(R, ek, ek)
-            np.add(f, ek, f)
-            np.add(A, f, A)
-            np.multiply(B, ak, B)
-            np.multiply(R, ck, ck)
-            np.add(B, ck, B)
-            np.multiply(R, dk, R)
-            step += 1
-            # stop test: |R| bound <= tol, or the orbit sits on 0 or 1
-            np.abs(R, f)
-            np.multiply(f, bound, f)
-            np.greater(f, tol, still)
-            np.not_equal(t, 0.0, mask)
-            np.logical_and(still, mask, still)
-            np.not_equal(t, 1.0, mask)
-            np.logical_and(still, mask, still)
-            n_still = np.count_nonzero(still)
-            if n_still < m:
-                gone = np.flatnonzero(~still)
-                done = pos[gone]
-                state[:, done] = block[:, gone]
-                depth[done] = step
-                if not n_still:
-                    break
-                # points still running above n_still fill the holes below
-                holes = gone[:gone.searchsorted(n_still)]
-                movers = n_still + np.flatnonzero(still[n_still:])
-                block[:, holes] = block[:, movers]
-                pos[holes] = pos[movers]
-                block, pos = block[:, :n_still], pos[:n_still]
+        # rows t, A, B, R and depth
+        block = np.zeros((5, pos.size))
+        flat.take(pos, 0, block[0])
+        block[3] = 1.0
+        if passes:
+            block, pos = _by_words(block[:4], pos, m, cuts, steps, words,
+                                   rmax, bound, tol, passes)
+        worst = max(worst, _by_digits(state, depth, block, pos, cuts,
+                                      digits, bound, tol, max_depth))
+    return state, depth, (exact_vertex, vidx), worst
+
+
+def evaluate_many(system: SelfAffineSystem, xs, tol: float,
+                  max_depth: int | None = None):
+    """Vectorised evaluate.  Returns (values, error_bounds, depths) arrays.
+
+    Exact vertex hits return the stored ordinate with a zero bound.  Other
+    points run in blocks of _BLOCK through compact arrays, first in word
+    passes, while depth + m <= max_depth: t steps one digit at a time, as
+    in evaluate, and builds the index of a word of m digits, and A, B and
+    R then take that word's map (_words, composed exactly and rounded
+    once) and the stop test runs, once per word.  A point whose word would
+    end with |R| sup_bound <= tol, or with t on 0 or 1, does not take it:
+    it is set aside with its state at the start of that word.  (A point
+    that every word would stop is set aside after its word, which skips
+    computing a word that is then not taken.)  The set-aside points of a
+    block, and those still running at the depth cap, then finish together
+    in digit passes, each from its own depth, so every point stops at the
+    digit where the per-digit test stops it.  With m = 1, when r > 256 or
+    t = 1 is not a fixed point of the float step of branch r, every pass
+    is a digit pass: the per-digit recursion with the stored coefficients.
+    Every point sees the operations of evaluate in the same order, so
+    results are bitwise those of evaluate and do not depend on the batch
+    or its partition into blocks.  Cost is linear in the sum of the
+    depths; beyond the per-point arrays, memory is bounded by the block.
+    NonConvergence reports the worst bound left at the depth cap over all
+    blocks.
+    """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    pts = np.asarray(xs, dtype=float)
+    flat = pts.ravel()
+    if flat.size and not (np.isfinite(flat).all()
+                          and flat.min() >= 0.0 and flat.max() <= 1.0):
+        raise errors.OutOfDomain("points must lie in [0, 1]")
+    if max_depth is None:
+        max_depth = _DEFAULT_MAX_DEPTH
+    state, depth, (exact_vertex, vidx), worst = _orbits(system, flat, tol,
+                                                        max_depth)
     if worst:
         raise errors.NonConvergence(
             f"depth cap {max_depth} hit; achieved bound {worst:g} > tol {tol:g}",
-            achieved_bound=worst, depth=capped)
+            achieved_bound=worst, depth=max_depth)
 
     t, A, B, R = state
-    closing = np.where(t == 0.0, y0, np.where(t == 1.0, yr, 0.0))
+    closing = np.where(t == 0.0, system.ys[0],
+                       np.where(t == 1.0, system.ys[-1], 0.0))
     values = A + B * t + R * closing
-    errs = np.where((t == 0.0) | (t == 1.0), 0.0, np.abs(R) * bound)
+    errs = np.where((t == 0.0) | (t == 1.0), 0.0, np.abs(R) * sup_bound(system))
     if exact_vertex.any():
         yarr = np.asarray(system.ys)
         values[exact_vertex] = yarr[vidx[exact_vertex]]
@@ -164,11 +369,19 @@ def evaluate_many(system: SelfAffineSystem, xs, tol: float,
 @lru_cache(maxsize=128)
 def _table(system: SelfAffineSystem):
     """What scalar evaluate reads, built once per system: the abscissae,
-    the cuts, a tuple (x_{k-1}, a_k, c_k, d_k, e_k) per branch and
-    sup_bound."""
+    the cuts, a tuple (x_{k-1}, a_k, e_k, c_k, d_k) per branch, sup_bound,
+    the word length m, max_w |R_w| and the words of _words as a tree:
+    entry k of a node is (x_{k-1}, a_k, the node of the next digit), and
+    the m-th digit's node is the word (L_w, V_w, A_w, B_w, R_w)."""
     xs = system.xs
-    rows = tuple(zip(xs[:-1], system.a, system.c, system.d, system.e))
-    return xs, xs[1:-1], rows, sup_bound(system)
+    rows = tuple(zip(xs[:-1], system.a, system.e, system.c, system.d))
+    m, nodes = _words(system)
+    rmax = max(abs(word[4]) for word in nodes)
+    r = system.r
+    for _ in range(m):
+        nodes = [tuple((x, a, nodes[i + k]) for k, (x, a, *_) in enumerate(rows))
+                 for i in range(0, len(nodes), r)]
+    return xs, xs[1:-1], rows, sup_bound(system), m, rmax, nodes[0]
 
 
 def evaluate(system: SelfAffineSystem, x: float, tol: float,
@@ -177,10 +390,14 @@ def evaluate(system: SelfAffineSystem, x: float, tol: float,
 
     The one-point form of evaluate_many, in plain floats: numpy's per-call
     cost on a 1-element array is most of the time of a scalar query.  It
-    makes the same branch choice (x_k <= t selects branch k + 1), the same
-    operations in the same order and the same stop, vertex and endpoint
-    tests, so value, error_bound and depth_used are bitwise equal to
-    evaluate_many(system, [x], tol), and the same errors are raised.
+    makes the same branch choice (x_k <= t selects branch k + 1) and the
+    same passes: word passes while depth + m <= max_depth, with t stepped
+    digit by digit and A, B and R advanced once per word of m digits; the
+    word that would stop the point is not taken, and digit passes from its
+    start find where it stops.  With m = 1 every pass is a digit pass.
+    The operations come in the same order, with the same stop, vertex and
+    endpoint tests, so value, error_bound and depth_used are bitwise equal
+    to evaluate_many(system, [x], tol), and the same errors are raised.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -189,12 +406,29 @@ def evaluate(system: SelfAffineSystem, x: float, tol: float,
         raise errors.OutOfDomain("points must lie in [0, 1]")
     if max_depth is None:
         max_depth = _DEFAULT_MAX_DEPTH
-    part, cuts, rows, bound = _table(system)
+    part, cuts, rows, bound, m, rmax, tree = _table(system)
     if t in part:
         return EvalResult(system.ys[part.index(t)], 0.0, 0)
 
     A, B, R = 0.0, 0.0, 1.0
     depth = 0
+    passes = max_depth // m if m > 1 and rmax * bound > tol else 0
+    while passes:
+        u, node = t, tree
+        for _ in range(m):
+            left, a, node = node[bisect_right(cuts, u)]
+            u = (u - left) / a
+        L, V, Aw, Bw, Rw = node
+        Rw = R * Rw
+        if not (abs(Rw) * bound > tol and u != 0.0 and u != 1.0):
+            break            # the digit passes find where the point stops
+        A += B * L + R * Aw
+        B = B * V + R * Bw
+        R, t = Rw, u
+        depth += m
+        passes -= 1
+        if not abs(R) * rmax * bound > tol:
+            break            # every word would stop the point: skip one
     while abs(R) * bound > tol and t != 0.0 and t != 1.0:
         if depth >= max_depth:
             worst = abs(R) * bound
@@ -202,7 +436,7 @@ def evaluate(system: SelfAffineSystem, x: float, tol: float,
                 f"depth cap {max_depth} hit; achieved bound {worst:g} > tol {tol:g}",
                 achieved_bound=worst, depth=depth)
         # branch k + 1 holds t when exactly k cuts are <= t
-        left, a, c, d, e = rows[bisect_right(cuts, t)]
+        left, a, e, c, d = rows[bisect_right(cuts, t)]
         t = (t - left) / a    # left <= t: the difference is never negative
         A += B * left + R * e
         B = B * a + R * c

@@ -79,6 +79,8 @@ def estimate_exponent(system: SelfAffineSystem, xi: float,
     P is the constant phi(xi), or the tangent line when `derivative` is
     given; exponents above 1 are invisible without subtracting it.  The
     `drop_scales` largest scales are excluded from the fit (transients).
+    All windows are evaluated in one batch, so a NonConvergence names the
+    worst bound over all scales.
     """
     _check_osc_side(side)
     if not 0.0 <= xi <= 1.0:
@@ -89,7 +91,7 @@ def estimate_exponent(system: SelfAffineSystem, xi: float,
     if any(h <= 0.0 for h in scales):
         raise ValueError("scales must be positive")
 
-    usable: list[tuple[float, float]] = []
+    windows: list[tuple[float, np.ndarray]] = []
     for h in scales:
         if side == "right":
             lo, hi = xi, xi + h
@@ -102,11 +104,19 @@ def estimate_exponent(system: SelfAffineSystem, xi: float,
         pts = _window_points(system, lo, hi)
         if xi not in pts:
             pts = np.sort(np.append(pts, xi))
-        values, _, _ = evaluate_many(system, pts, _EVAL_TOL)
-        base = float(values[np.searchsorted(pts, xi)])
-        model = base if derivative is None else base + derivative * (pts - xi)
-        osc = float(np.max(np.abs(values - model)))
-        usable.append((h, osc))
+        windows.append((h, pts))
+    usable: list[tuple[float, float]] = []
+    if windows:
+        # one call for every window: evaluate_many's values do not depend
+        # on the batch, and numpy's per-call cost dominates small batches
+        flat, _, _ = evaluate_many(
+            system, np.concatenate([pts for _, pts in windows]), _EVAL_TOL)
+        ends = np.cumsum([pts.size for _, pts in windows])[:-1]
+        for (h, pts), values in zip(windows, np.split(flat, ends)):
+            base = float(values[np.searchsorted(pts, xi)])
+            model = (base if derivative is None
+                     else base + derivative * (pts - xi))
+            usable.append((h, float(np.max(np.abs(values - model)))))
 
     if len(usable) < drop_scales + 3:
         raise errors.DegenerateWindow(

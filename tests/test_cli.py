@@ -67,9 +67,11 @@ def test_eval(run):
 
 
 # sha256 of the stdout of `sample --preset okamoto:0.6 --points 1001
-# --tol 1e-12`, as the unblocked evaluation loop printed it
+# --tol 1e-12`, as evaluation by words of m digits prints it: the depth of
+# every grid point, and the set of points whose value leaves its bound of
+# the exact phi (ROADMAP item 1), are those of the per-digit recursion
 SAMPLE_OKAMOTO_SHA256 = \
-    "1771b5456942857ec1634e35fb279fb1e88a4dfa6deecfc6d8812f5f0680f10e"
+    "b37a17efe113a8cb68c4b34585b35f56728849fba8d3b32ec20555e593df1fa1"
 
 
 def test_sample_output_is_pinned(run):

@@ -1,4 +1,7 @@
+import bisect
+import functools
 import importlib
+import itertools
 import math
 import random
 import time
@@ -11,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_spectra import (
+    Branch,
     Coding,
+    SelfAffineSystem,
     build_from_polygon,
     derivative_series,
     divided_difference,
@@ -22,6 +27,7 @@ from affine_spectra import (
     sample,
     sup_bound,
 )
+from affine_spectra.ifs import validate
 import reference
 from conftest import random_polygon_system
 
@@ -151,10 +157,45 @@ def test_scalar_path_matches_batch(seed):
     _assert_paths_agree_on(random_polygon_system(rng, allow_zero=True), rng, 4)
 
 
+def _word_length(system):
+    """The longest m with r^m <= 256, or 1 when t = 1 is not a fixed
+    point of the float step of branch r."""
+    if (1.0 - system.xs[-2]) / system.a[-1] != 1.0:
+        return 1
+    m = 1
+    while system.r ** (m + 1) <= 256:
+        m += 1
+    return m
+
+
+@functools.lru_cache(maxsize=None)
+def _words_exact(system):
+    """(m, rows L_w, V_w, A_w, B_w, R_w over the words of m digits): the
+    m steps of the stored coefficients composed in Fraction arithmetic,
+    each entry rounded once."""
+    m = _word_length(system)
+    digits = [tuple(Fraction(v) for v in row) for row in
+              zip(system.xs[:-1], system.a, system.e, system.c, system.d)]
+    rows = []
+    for word in itertools.product(range(system.r), repeat=m):
+        L = A = B = Fraction(0)
+        V = R = Fraction(1)
+        for k in word:
+            x, a, e, c, d = digits[k]
+            A, B, R = A + B * x + R * e, B * a + R * c, R * d
+            L, V = L + V * x, V * a
+        rows.append(tuple(float(v) for v in (L, V, A, B, R)))
+    return m, np.array(rows).T
+
+
 def _evaluate_many_reference(system, xs, tol, max_depth=None):
-    """evaluate_many as it was before blocking: every step runs over the
+    """evaluate_many's algorithm without blocks: every pass runs over the
     whole batch, with flatnonzero on an active mask, a searchsorted branch
-    choice, and gathers from and scatters to full-length arrays."""
+    choice, gathers from and scatters to full-length arrays, and word maps
+    from _words_exact.  Word passes first, while depth + m <= max_depth:
+    a point leaves them before a word that would stop it, and after a word
+    when the largest |R_w| would; then digit passes, each point from its
+    own depth."""
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     pts = np.asarray(xs, dtype=float)
@@ -174,6 +215,8 @@ def _evaluate_many_reference(system, xs, tol, max_depth=None):
     e = np.asarray(system.e)
     y0, yr = system.ys[0], system.ys[-1]
     bound = sup_bound(system)
+    m, words = _words_exact(system)
+    rmax = float(np.abs(words[4]).max())
 
     t = flat.copy()
     A = np.zeros_like(t)
@@ -186,18 +229,40 @@ def _evaluate_many_reference(system, xs, tol, max_depth=None):
     exact_vertex = part[vidx] == t
 
     active = (~exact_vertex) & (np.abs(R) * bound > tol) & (t != 0.0) & (t != 1.0)
-    steps = 0
+    passes = max_depth // m if m > 1 and rmax * bound > tol else 0
+    wordy = active.copy()
+    while passes and wordy.any():
+        idx = np.flatnonzero(wordy)
+        u = t[idx]
+        w = np.zeros(idx.size, dtype=np.int64)
+        for _ in range(m):
+            k = np.searchsorted(cuts, u, side="right")
+            u = (u - lefts[k]) / a[k]
+            w = w * system.r + k
+        L, V, Aw, Bw, Rw = words[:, w]
+        Rn = R[idx] * Rw
+        took = (np.abs(Rn) * bound > tol) & (u != 0.0) & (u != 1.0)
+        i = idx[took]
+        Ri = R[i]
+        A[i] += B[i] * L[took] + Ri * Aw[took]
+        B[i] = B[i] * V[took] + Ri * Bw[took]
+        R[i] = Rn[took]
+        t[i] = u[took]
+        depth[i] += m
+        passes -= 1
+        wordy[idx] = took & (np.abs(Rn) * rmax * bound > tol) & (passes > 0)
+
+    worst = 0.0
     while active.any():
-        if steps >= max_depth:
-            worst = float((np.abs(R[active]) * bound).max())
-            raise errors.NonConvergence(
-                f"depth cap {max_depth} hit; achieved bound {worst:g} > tol {tol:g}",
-                achieved_bound=worst, depth=steps)
         idx = np.flatnonzero(active)
+        capped = depth[idx] >= max_depth
+        if capped.any():
+            worst = max(worst, float((np.abs(R[idx[capped]]) * bound).max()))
+            active[idx[capped]] = False
+            continue
         ti = t[idx]
         k = np.searchsorted(cuts, ti, side="right")
         ti = (ti - lefts[k]) / a[k]
-        np.maximum(ti, 0.0, out=ti)
         t[idx] = ti
         Ri = R[idx]
         A[idx] += B[idx] * lefts[k] + Ri * e[k]
@@ -205,7 +270,10 @@ def _evaluate_many_reference(system, xs, tol, max_depth=None):
         R[idx] = Ri * d[k]
         depth[idx] += 1
         active[idx] = (np.abs(R[idx]) * bound > tol) & (t[idx] != 0.0) & (t[idx] != 1.0)
-        steps += 1
+    if worst:
+        raise errors.NonConvergence(
+            f"depth cap {max_depth} hit; achieved bound {worst:g} > tol {tol:g}",
+            achieved_bound=worst, depth=max_depth)
 
     closing = np.where(t == 0.0, y0, np.where(t == 1.0, yr, 0.0))
     values = A + B * t + R * closing
@@ -259,9 +327,10 @@ def _assert_kernel_matches_reference(system, rng):
     # a tol above sup|phi| needs no step at all
     _assert_matches_reference(system, grid, 2.0 * sup_bound(system))
     _assert_matches_reference(system, list(system.xs), 1e-15)
-    # every block hits the cap
-    _assert_matches_reference(system, _batch(system, rng, 2 * block + 3),
-                              1e-15, max_depth=3)
+    # every block hits the cap, before any word pass and after two
+    for cap in (3, 19):
+        _assert_matches_reference(system, _batch(system, rng, 2 * block + 3),
+                                  1e-15, max_depth=cap)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -293,6 +362,100 @@ def test_cap_in_one_block_only(make_system):
     values, errs, depths = evaluate_many(system, xs[block:], 1e-15,
                                          max_depth=3)
     assert np.all(depths == 2) and np.all(errs == 0.0)
+
+
+def _digit_orbit(system, x, tol, max_depth):
+    """(final t, depth) of the plain per-digit float orbit of x: one
+    digit per step, stopped by |R| sup_bound <= tol, t on 0 or 1, or the
+    depth cap; a vertex stays where it is."""
+    if x in system.xs:
+        return x, 0
+    cuts, bound = system.xs[1:-1], sup_bound(system)
+    t, R, depth = x, 1.0, 0
+    while (abs(R) * bound > tol and t != 0.0 and t != 1.0
+           and depth < max_depth):
+        k = bisect.bisect_right(cuts, t)
+        t = (t - system.xs[k]) / system.a[k]
+        R *= system.d[k]
+        depth += 1
+    return t, depth
+
+
+@given(seed=st.integers(0, 10 ** 9),
+       preset=st.sampled_from((None,) + PRESET_NAMES),
+       tol=st.sampled_from((1e-4, 1e-10, 1e-15)),
+       cap=st.integers(1, 60))
+def test_word_passes_keep_the_digit_orbit(make_system, seed, preset, tol, cap):
+    """The word passes step t digit by digit and stop each point where
+    the per-digit orbit stops: final t and depth are those of a plain
+    per-digit orbit, also at a depth cap that is not a multiple of m."""
+    rng = np.random.default_rng(seed)
+    system = (random_polygon_system(rng, allow_zero=True) if preset is None
+              else make_system(preset)[0])
+    m, _ = evaluate_module._words(system)
+    max_depth = cap + 1 if cap % m == 0 else cap
+    xs = _batch(system, rng, 64)
+    state, depth, _, _ = evaluate_module._orbits(system, xs, tol, max_depth)
+    got = list(zip(state[0].tolist(), depth.tolist()))
+    want = [_digit_orbit(system, x, tol, max_depth) for x in xs.tolist()]
+    assert got == want
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 10 ** 9))
+def test_word_table_is_the_exact_composition_rounded_once(make_system, seed):
+    rng = np.random.default_rng(seed)
+    for system in (random_polygon_system(rng, allow_zero=True),
+                   make_system(PRESET_NAMES[seed % len(PRESET_NAMES)])[0]):
+        m, table = evaluate_module._words(system)
+        m_exact, words = _words_exact(system)
+        assert m == m_exact
+        assert np.array(table).T.tobytes() == words.tobytes()
+
+
+def test_word_length_one_when_one_is_not_fixed():
+    """When (1 - x_{r-1}) / a_r does not round to 1, an orbit may pass
+    through 1 inside a word: m = 1, and evaluation is the per-digit
+    recursion with the stored coefficients, bit for bit."""
+    base = build_from_polygon([(0.0, 0.0), (0.3, 0.7), (0.6, 0.2), (1.0, 1.0)],
+                              (0.4, -0.5, 0.3))
+    last = base.branches[-1]
+    nudged = Branch(math.nextafter(last.a, 0.0), last.b, last.c, last.d,
+                    last.e)
+    system = SelfAffineSystem(base.branches[:-1] + (nudged,), base.vertices)
+    validate(system)
+    assert (1.0 - system.xs[-2]) / system.a[-1] != 1.0
+    m, table = evaluate_module._words(system)
+    assert (m, table) == (1, tuple(zip(system.xs[:-1], system.a, system.e,
+                                       system.c, system.d)))
+    assert evaluate_module._words(base)[0] == 5
+    xs = _batch(system, np.random.default_rng(5), 256)
+    for tol in (1e-6, 1e-12):
+        values, errs, depths = evaluate_many(system, xs, tol)
+        for x, value, err, depth in zip(xs.tolist(), values.tolist(),
+                                        errs.tolist(), depths.tolist()):
+            assert (value, err, depth) == _per_digit_evaluate(system, x, tol)
+
+
+def _per_digit_evaluate(system, x, tol):
+    """(value, error_bound, depth) of the per-digit recursion, one digit
+    per step in plain floats."""
+    if x in system.xs:
+        return system.ys[system.xs.index(x)], 0.0, 0
+    cuts, bound = system.xs[1:-1], sup_bound(system)
+    t, A, B, R, depth = x, 0.0, 0.0, 1.0, 0
+    while abs(R) * bound > tol and t != 0.0 and t != 1.0:
+        k = bisect.bisect_right(cuts, t)
+        left, a = system.xs[k], system.a[k]
+        t = (t - left) / a
+        A += B * left + R * system.e[k]
+        B = B * a + R * system.c[k]
+        R = R * system.d[k]
+        depth += 1
+    if t == 0.0 or t == 1.0:
+        closing = system.ys[0] if t == 0.0 else system.ys[-1]
+        return A + B * t + R * closing, 0.0, depth
+    return A + B * t, abs(R) * bound, depth
 
 
 @given(seed=st.integers(0, 10 ** 9))
