@@ -273,6 +273,18 @@ def coding_of_point(system: SelfAffineSystem, x, depth: int) -> PointCoding:
     return PointCoding(coding=coding, interval=interval, cut_point=cut)
 
 
+def _compose(X: tuple[int, ...], W: tuple[int, ...], p: int,
+             digits) -> tuple[int, int]:
+    """The composition along digits of t -> (X[k-1] + W[k-1] t) / 2**p,
+    in integers: returns (left, width) with the map t -> (left + width t)
+    / 2**(p n) after n digits."""
+    left, width = 0, 1
+    for k in digits:
+        left = (left << p) + width * X[k - 1]
+        width *= W[k - 1]
+    return left, width
+
+
 def basic_interval(system: SelfAffineSystem, digits) -> BasicInterval:
     """Image of [0, 1] under the composition along `digits`, composed
     exactly over the stored abscissae (a_k = x_k - x_{k-1}) and rounded
@@ -280,10 +292,7 @@ def basic_interval(system: SelfAffineSystem, digits) -> BasicInterval:
     digits = tuple(digits)
     _check_digits(Coding(prefix=digits), system.r)
     X, W, p = _partition(system)
-    left, width = 0, 1          # over 2^(p n) after n digits
-    for k in digits:
-        left = (left << p) + width * X[k - 1]
-        width *= W[k - 1]
+    left, width = _compose(X, W, p, digits)
     return _exact_interval(digits, left, width, 1 << (p * len(digits)))
 
 
@@ -295,21 +304,24 @@ def project(system: SelfAffineSystem, coding: Coding, *, exact: bool = False):
     endpoint of its basic interval (an implicit all-1 tail).  With
     exact=True the result is a Fraction over the stored abscissae, with
     b_k = x_{k-1} and a_k = x_k - x_{k-1}, the partition that in_T and
-    coding_of_point resolve against.
+    coding_of_point resolve against: prefix and period are composed in
+    integers over powers of two, and one Fraction is formed at the end.
     """
     _check_digits(coding, system.r)
     if exact:
         X, W, p = _partition(system)
-        b = [Fraction(v, 1 << p) for v in X[:-1]]
-        a = [Fraction(w, 1 << p) for w in W]
-        t = Fraction(0)
-    else:
-        a = list(system.a)
-        b = list(system.b)
-        t = 0.0
+        left, width = _compose(X, W, p, coding.prefix)
+        den = 1 << (p * len(coding.prefix))
+        if coding.period is None:
+            return Fraction(left, den)
+        # the period's fixed point: t = (u + v t) / 2**(p q) = u / fix
+        u, v = _compose(X, W, p, coding.period)
+        fix = (1 << (p * len(coding.period))) - v
+        return Fraction(left * fix + width * u, den * fix)
+    a, b, t = system.a, system.b, 0.0
     if coding.period is not None:
         # fixed point of t -> A + Q t for the period composition
-        A, Q = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+        A, Q = 0.0, 1.0
         for k in coding.period:
             # prepend handled by composing left to right on (A, Q)
             A = A + Q * b[k - 1]
@@ -317,7 +329,7 @@ def project(system: SelfAffineSystem, coding: Coding, *, exact: bool = False):
         t = A / (1 - Q)
     for k in reversed(coding.prefix):
         t = a[k - 1] * t + b[k - 1]
-    return t if exact else float(t)
+    return float(t)
 
 
 @dataclass(frozen=True)

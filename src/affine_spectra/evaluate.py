@@ -85,23 +85,48 @@ def _compact(block, pos, keep, n_keep):
     return block[:, :n_keep], pos[:n_keep]
 
 
+def _move(dest, dpos, n, block, pos, out, step):
+    """Append the rows t, A, B, R, depth and the positions of the points
+    of the block marked in out to dest and dpos at n, their depth raised
+    by step; returns the new count."""
+    gone = np.flatnonzero(out)
+    end = n + gone.size
+    # one row at a time: 2-d fancy indexing is several times slower
+    for row, to in zip((*block, pos), (*dest, dpos)):
+        row.take(gone, 0, to[n:end])
+    dest[4, n:end] += step
+    return end
+
+
+def _running(R, t, bound, tol, f, g, still, mask):
+    """Marks in still, and counts, the points that go on: |R| bound > tol
+    and t not on 0 or 1.  Leaves |R| in f and |R| bound in g."""
+    np.abs(R, f)
+    np.multiply(f, bound, g)
+    np.greater(g, tol, still)
+    np.not_equal(t, 0.0, mask)
+    np.logical_and(still, mask, still)
+    np.not_equal(t, 1.0, mask)
+    np.logical_and(still, mask, still)
+    return np.count_nonzero(still)
+
+
 def _by_words(block, pos, m, cuts, steps, words, rmax, bound, tol, passes):
     """At most `passes` word passes over one block of running points.
 
-    block holds the rows t, A, B, R.  Each pass steps t digit by digit, as
-    evaluate does, and builds the word index; A, B and R then take the
-    word's map once.  A point whose word would end with |R| bound <= tol,
-    or with t on 0 or 1, does not take it: it is set aside with its state
-    at the start of the word.  A point that every word would stop,
-    |R| rmax bound <= tol with rmax = max_w |R_w| (rounding is monotone),
-    is set aside at the end of its word instead, which skips a word it
-    would not take; so is every point after the last pass.  Returns the
-    rows t, A, B, R and depth of the set-aside points and their positions.
+    block holds the rows t, A, B, R and depth, all at depth 0.  Each pass
+    steps t digit by digit, as evaluate does, and builds the word index;
+    A, B and R then take the word's map once.  A point whose word would
+    end with |R| bound <= tol, or with t on 0 or 1, does not take it: it
+    is set aside with its state at the start of the word.  A point that
+    every word would stop, |R| rmax bound <= tol with rmax = max_w |R_w|
+    (rounding is monotone), is set aside at the end of its word instead,
+    which skips a word it would not take; so is every point after the
+    last pass.  Returns the rows and positions of the set-aside points.
     """
     size = pos.size
     r = len(cuts) + 1
-    aside = np.empty((5, size))
-    apos = np.empty(size, dtype=np.intp)
+    aside, apos = np.empty((5, size)), np.empty(size, dtype=np.intp)
     na = 0
     wbuf = np.empty(size, dtype=np.uint8)
     kbuf = np.empty(size, dtype=np.intp)
@@ -113,7 +138,7 @@ def _by_words(block, pos, m, cuts, steps, words, rmax, bound, tol, passes):
     while True:
         if n != pos.size:            # first pass, or the block shrank
             n = pos.size
-            t, A, B, R = block
+            t, A, B, R, _ = block
             w, k = wbuf[:n], kbuf[:n]
             (still, nxt, mask), (u, f, g) = bbuf[:, :n], fbuf[:, :n]
             bit = mask.view(np.uint8)
@@ -137,28 +162,18 @@ def _by_words(block, pos, m, cuts, steps, words, rmax, bound, tol, passes):
             src = u
         words.take(k, 1, gathered[2:], "wrap")
         np.multiply(R, Rw, Rw)
-        # the point takes the word: |R| bound > tol, u not on 0 or 1
-        np.abs(Rw, f)
-        np.multiply(f, bound, g)
-        np.greater(g, tol, still)
-        np.not_equal(u, 0.0, mask)
-        np.logical_and(still, mask, still)
-        np.not_equal(u, 1.0, mask)
-        np.logical_and(still, mask, still)
-        n_still = np.count_nonzero(still)
+        # the point takes the word when the word does not stop it
+        n_still = _running(Rw, u, bound, tol, f, g, still, mask)
         passes -= 1
-        if passes:
-            # and some word after it need not stop the point
-            np.multiply(f, rmax, f)
-            np.multiply(f, bound, f)
-            np.greater(f, tol, nxt)
-            np.logical_and(nxt, still, nxt)
-            n_next = np.count_nonzero(nxt)
-        else:
-            nxt.fill(False)
-            n_next = 0
+        # and some word after it need not stop the point (none may follow
+        # the last pass)
+        np.multiply(f, rmax if passes else 0.0, f)
+        np.multiply(f, bound, f)
+        np.greater(f, tol, nxt)
+        np.logical_and(nxt, still, nxt)
+        n_next = np.count_nonzero(nxt)
         if n_still < n:
-            na = _set_aside(aside, apos, na, block, pos, ~still, step)
+            na = _move(aside, apos, na, block, pos, ~still, step)
         np.multiply(B, L, L)
         np.multiply(R, Aw, Aw)
         np.add(L, Aw, L)
@@ -170,32 +185,24 @@ def _by_words(block, pos, m, cuts, steps, words, rmax, bound, tol, passes):
         np.copyto(t, u)
         step += m
         if n_next < n_still:
-            na = _set_aside(aside, apos, na, block, pos, still ^ nxt, step)
+            na = _move(aside, apos, na, block, pos, still ^ nxt, step)
         if n_next < n:
             if not n_next:
-                return aside[:, :na], apos[:na]
+                return aside, apos
             block, pos = _compact(block, pos, nxt, n_next)
 
 
-def _set_aside(aside, apos, na, block, pos, out, step):
-    """Append the points marked in out, with depth step; returns the new
-    count."""
-    end = na + np.count_nonzero(out)
-    np.compress(out, block, 1, aside[:4, na:end])
-    np.compress(out, pos, 0, apos[na:end])
-    aside[4, na:end] = step
-    return end
-
-
-def _by_digits(state, depth, block, pos, cuts, digits, bound, tol, max_depth):
+def _by_digits(block, pos, cuts, digits, bound, tol, max_depth):
     """Digit passes over one block of running points, each from its own
     depth, until each stops or its depth reaches max_depth.
 
-    block holds the rows t, A, B, R and depth.  Writes each point's final
-    state to state and its depth to depth.  Returns the largest |R| bound
+    block holds the rows t, A, B, R and depth.  Returns the rows and
+    positions of the points where they stop, and the largest |R| bound
     among the points stopped by the cap, or 0.
     """
     size = pos.size
+    done, dpos = np.empty((5, size)), np.empty(size, dtype=np.intp)
+    nd = 0
     kbuf = np.empty(size, dtype=np.intp)
     fbuf = np.empty(size)
     gbuf = np.empty(5 * size)
@@ -218,9 +225,9 @@ def _by_digits(state, depth, block, pos, cuts, digits, bound, tol, max_depth):
             if n_still < n:
                 out = ~still
                 worst = max(worst, float((np.abs(R[out]) * bound).max()))
-                _finish(state, depth, block, pos, out, step)
+                nd = _move(done, dpos, nd, block, pos, out, step)
                 if not n_still:
-                    return worst
+                    return done, dpos, worst
                 block, pos = _compact(block, pos, still, n_still)
                 continue
         # branch j + 1 holds t when exactly j cuts are <= t
@@ -241,36 +248,22 @@ def _by_digits(state, depth, block, pos, cuts, digits, bound, tol, max_depth):
         np.add(B, ck, B)
         np.multiply(R, dk, R)
         step += 1
-        # stop test: |R| bound <= tol, or the orbit sits on 0 or 1
-        np.abs(R, f)
-        np.multiply(f, bound, f)
-        np.greater(f, tol, still)
-        np.not_equal(t, 0.0, mask)
-        np.logical_and(still, mask, still)
-        np.not_equal(t, 1.0, mask)
-        np.logical_and(still, mask, still)
-        n_still = np.count_nonzero(still)
+        n_still = _running(R, t, bound, tol, f, f, still, mask)
         if n_still < n:
-            _finish(state, depth, block, pos, ~still, step)
+            nd = _move(done, dpos, nd, block, pos, ~still, step)
             if not n_still:
-                return worst
+                return done, dpos, worst
             block, pos = _compact(block, pos, still, n_still)
 
 
-def _finish(state, depth, block, pos, out, step):
-    """Write the state and depth of the points marked in out."""
-    gone = np.flatnonzero(out)
-    done = pos.take(gone)
-    for out_row, row in zip(state, block):
-        out_row.put(done, row.take(gone))
-    depth.put(done, block[4].take(gone) + step)
-
-
 def _orbits(system: SelfAffineSystem, flat, tol: float, max_depth: int):
-    """The orbits of evaluate_many before the closing step: the final rows
-    t, A, B, R of every point, its depth, the vertex hits as (mask,
-    vertex index), and the largest bound left at the depth cap (0 when no
-    point reached it; such points keep their state at the cap)."""
+    """The orbits of evaluate_many before the closing step, one block of
+    _BLOCK points of flat at a time.  Yields, per block: its slice of
+    flat; its vertex hits, as positions in the block and vertex indices;
+    the rows t, A, B, R and depth of its other points where each stops,
+    with their positions in the block; and the largest |R| sup_bound left
+    at the depth cap, or 0 when no point reached it (such points stop at
+    the cap)."""
     part = np.asarray(system.xs)
     cuts = system.xs[1:-1]
     m, table = _words(system)
@@ -284,58 +277,47 @@ def _orbits(system: SelfAffineSystem, flat, tol: float, max_depth: int):
     bound = sup_bound(system)
     passes = max_depth // m if m > 1 and rmax * bound > tol else 0
 
-    # rows t, A, B, R: each point's state, written back when it stops
-    state = np.zeros((4, flat.size))
-    state[0] = flat
-    state[3] = 1.0
-    depth = np.zeros(flat.shape, dtype=np.int64)
-
-    # exact vertex hits bypass the recursion entirely; with bound <= tol
-    # every other point stops at depth 0 too
-    vidx = np.clip(np.searchsorted(part, flat), 0, len(part) - 1)
-    exact_vertex = part[vidx] == flat
-    live = np.flatnonzero(~exact_vertex & (bound > tol))
-
-    worst = 0.0          # a point left at the cap has |R| bound > tol > 0
-    for start in range(0, live.size, _BLOCK):
-        pos = live[start:start + _BLOCK].copy()
+    for start in range(0, flat.size, _BLOCK):
+        out = slice(start, start + _BLOCK)
+        seg = flat[out]
+        # exact vertex hits bypass the recursion entirely
+        vidx = part.searchsorted(seg)
+        hit = part.take(vidx, mode="clip") == seg
+        hits = np.flatnonzero(hit)
+        pos = np.flatnonzero(~hit)
         # rows t, A, B, R and depth
         block = np.zeros((5, pos.size))
-        flat.take(pos, 0, block[0])
+        seg.take(pos, 0, block[0])
         block[3] = 1.0
-        if passes:
-            block, pos = _by_words(block[:4], pos, m, cuts, steps, words,
-                                   rmax, bound, tol, passes)
-        worst = max(worst, _by_digits(state, depth, block, pos, cuts,
-                                      digits, bound, tol, max_depth))
-    return state, depth, (exact_vertex, vidx), worst
+        worst = 0.0      # a point left at the cap has |R| bound > tol > 0
+        # with bound <= tol every point stops at depth 0
+        if pos.size and bound > tol:
+            if passes:
+                block, pos = _by_words(block, pos, m, cuts, steps, words,
+                                       rmax, bound, tol, passes)
+            block, pos, worst = _by_digits(block, pos, cuts, digits, bound,
+                                           tol, max_depth)
+        yield out, hits, vidx.take(hits), block, pos, worst
 
 
 def evaluate_many(system: SelfAffineSystem, xs, tol: float,
                   max_depth: int | None = None):
     """Vectorised evaluate.  Returns (values, error_bounds, depths) arrays.
 
-    Exact vertex hits return the stored ordinate with a zero bound.  Other
-    points run in blocks of _BLOCK through compact arrays, first in word
-    passes, while depth + m <= max_depth: t steps one digit at a time, as
-    in evaluate, and builds the index of a word of m digits, and A, B and
-    R then take that word's map (_words, composed exactly and rounded
-    once) and the stop test runs, once per word.  A point whose word would
-    end with |R| sup_bound <= tol, or with t on 0 or 1, does not take it:
-    it is set aside with its state at the start of that word.  (A point
-    that every word would stop is set aside after its word, which skips
-    computing a word that is then not taken.)  The set-aside points of a
-    block, and those still running at the depth cap, then finish together
-    in digit passes, each from its own depth, so every point stops at the
-    digit where the per-digit test stops it.  With m = 1, when r > 256 or
-    t = 1 is not a fixed point of the float step of branch r, every pass
-    is a digit pass: the per-digit recursion with the stored coefficients.
-    Every point sees the operations of evaluate in the same order, so
-    results are bitwise those of evaluate and do not depend on the batch
-    or its partition into blocks.  Cost is linear in the sum of the
-    depths; beyond the per-point arrays, memory is bounded by the block.
-    NonConvergence reports the worst bound left at the depth cap over all
-    blocks.
+    Points run in blocks of _BLOCK, each finished before the next starts.
+    A block's exact vertex hits take the stored ordinate with a zero
+    bound.  Its other points run word passes while depth + m <= max_depth
+    (_by_words: t steps one digit at a time, and A, B and R take the map
+    of a word of m digits once), then digit passes from the start of the
+    word that would stop them (_by_digits), so each stops at the digit
+    where the per-digit test stops it.  They close with the endpoint
+    ordinate when t lands on 0 or 1, and with the bound |R| sup_bound
+    otherwise, written straight into the outputs.  Every point sees the
+    operations of evaluate in the same order, so results are bitwise
+    those of evaluate, whatever the batch and its blocks.  Cost is linear
+    in the sum of the depths; beside the input and the three outputs,
+    memory is one block's working set.  NonConvergence reports the worst
+    bound left at the depth cap over all blocks.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -346,24 +328,28 @@ def evaluate_many(system: SelfAffineSystem, xs, tol: float,
         raise errors.OutOfDomain("points must lie in [0, 1]")
     if max_depth is None:
         max_depth = _DEFAULT_MAX_DEPTH
-    state, depth, (exact_vertex, vidx), worst = _orbits(system, flat, tol,
-                                                        max_depth)
+    values = np.empty(flat.shape)
+    errs = np.zeros(flat.shape)
+    depths = np.zeros(flat.shape, dtype=np.int64)
+    ys = np.asarray(system.ys)
+    bound = sup_bound(system)
+    worst = 0.0
+    for out, hits, vidx, (t, A, B, R, D), pos, capped in _orbits(
+            system, flat, tol, max_depth):
+        worst = max(worst, capped)
+        values[out].put(hits, ys.take(vidx))
+        at0, at1 = t == 0.0, t == 1.0
+        closing = np.where(at0, ys[0], np.where(at1, ys[-1], 0.0))
+        values[out].put(pos, A + B * t + R * closing)
+        errs[out].put(pos, np.where(at0 | at1, 0.0, np.abs(R) * bound))
+        depths[out].put(pos, D)
+        del t, A, B, R, D      # one block at a time: free its rows
     if worst:
         raise errors.NonConvergence(
             f"depth cap {max_depth} hit; achieved bound {worst:g} > tol {tol:g}",
             achieved_bound=worst, depth=max_depth)
-
-    t, A, B, R = state
-    closing = np.where(t == 0.0, system.ys[0],
-                       np.where(t == 1.0, system.ys[-1], 0.0))
-    values = A + B * t + R * closing
-    errs = np.where((t == 0.0) | (t == 1.0), 0.0, np.abs(R) * sup_bound(system))
-    if exact_vertex.any():
-        yarr = np.asarray(system.ys)
-        values[exact_vertex] = yarr[vidx[exact_vertex]]
-        errs[exact_vertex] = 0.0
     return (values.reshape(pts.shape), errs.reshape(pts.shape),
-            depth.reshape(pts.shape))
+            depths.reshape(pts.shape))
 
 
 @lru_cache(maxsize=128)

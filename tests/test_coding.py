@@ -285,6 +285,39 @@ def test_project_exact(make_system):
                    exact=True) == Fraction(1, 2)
 
 
+def _project_reference(system, coding):
+    """project(..., exact=True) in Fraction arithmetic: the period's
+    composition t -> A + Q t and its fixed point, then the prefix maps
+    b_k + a_k t applied from the last digit back, with b_k = x_{k-1} and
+    a_k = x_k - x_{k-1} from the stored abscissae."""
+    xs = [Fraction(v) for v in system.xs]
+    b = xs[:-1]
+    a = [hi - lo for lo, hi in zip(xs, xs[1:])]
+    t = Fraction(0)
+    if coding.period is not None:
+        A, Q = Fraction(0), Fraction(1)
+        for k in coding.period:
+            A, Q = A + Q * b[k - 1], Q * a[k - 1]
+        t = A / (1 - Q)
+    for k in reversed(coding.prefix):
+        t = a[k - 1] * t + b[k - 1]
+    return t
+
+
+@given(seed=st.integers(0, 10 ** 9))
+def test_project_exact_is_the_fraction_composition(seed):
+    rng = np.random.default_rng(seed)
+    system = random_polygon_system(rng, allow_zero=True)
+    r = system.r
+    prefix = tuple(int(v) for v in rng.integers(1, r + 1, rng.integers(0, 40)))
+    period = tuple(int(v) for v in rng.integers(1, r + 1, rng.integers(1, 12)))
+    for coding in (Coding(prefix=prefix, period=period),
+                   Coding(prefix=prefix + (1,))):
+        got = project(system, coding, exact=True)
+        assert type(got) is Fraction
+        assert got == _project_reference(system, coding)
+
+
 def test_basic_interval(make_system):
     rn, _ = make_system("riesz-nagy:0.3")
     bi = basic_interval(rn, (1, 2))

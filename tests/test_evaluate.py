@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -364,6 +365,48 @@ def test_cap_in_one_block_only(make_system):
     assert np.all(depths == 2) and np.all(errs == 0.0)
 
 
+@pytest.mark.parametrize("name", ("takagi:0.5", "okamoto:0.6",
+                                  "skew-takagi:0.3,0.5,0.25"))
+def test_blocks_without_running_points(make_system, name):
+    # each block finds its own vertex hits, so a block may hold no point
+    # that runs: all vertices, only 0s and 1s, or nothing left to step
+    system, _ = make_system(name)
+    block = evaluate_module._BLOCK
+    rng = np.random.default_rng(17)
+    part = np.asarray(system.xs)
+    xs = np.concatenate([rng.choice(part, block),
+                         rng.choice((0.0, 1.0), block),
+                         rng.uniform(0.0, 1.0, block + 5)])
+    # hits in the last, partial block
+    xs[-3:] = part[[0, 1, -1]]
+    for tol, cap in ((1e-12, None), (1e-15, 3)):
+        _assert_matches_reference(system, xs, tol, cap)
+    # a batch of block + 1: the last block is one point, hit or not
+    for last in (part[1], 0.3):
+        tail = np.append(rng.uniform(0.0, 1.0, block), last)
+        _assert_matches_reference(system, tail, 1e-12)
+    # with sup_bound <= tol every point stops at depth 0
+    bound = sup_bound(system)
+    for tol in (bound, 2.0 * bound):
+        assert not evaluate_many(system, xs, tol)[2].any()
+        _assert_matches_reference(system, xs, tol)
+
+
+def test_block_working_memory(make_system):
+    # beside the input and its three outputs, evaluate_many keeps one
+    # block's working set, under 2 MiB (README, eval / sample)
+    system, _ = make_system("okamoto:0.6")
+    xs = np.random.default_rng(0).uniform(0.0, 1.0, 100_000)
+    evaluate_many(system, xs[:10], 1e-12)     # builds the cached tables
+    tracemalloc.start()
+    try:
+        evaluate_many(system, xs, 1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 3 * xs.nbytes < 2 * 2 ** 20
+
+
 def _digit_orbit(system, x, tol, max_depth):
     """(final t, depth) of the plain per-digit float orbit of x: one
     digit per step, stopped by |R| sup_bound <= tol, t on 0 or 1, or the
@@ -395,8 +438,13 @@ def test_word_passes_keep_the_digit_orbit(make_system, seed, preset, tol, cap):
     m, _ = evaluate_module._words(system)
     max_depth = cap + 1 if cap % m == 0 else cap
     xs = _batch(system, rng, 64)
-    state, depth, _, _ = evaluate_module._orbits(system, xs, tol, max_depth)
-    got = list(zip(state[0].tolist(), depth.tolist()))
+    # vertex hits keep t = x and depth 0
+    t, depth = xs.copy(), np.zeros(xs.size, dtype=np.int64)
+    for out, _, _, rows, pos, _ in evaluate_module._orbits(system, xs, tol,
+                                                           max_depth):
+        t[out][pos] = rows[0]
+        depth[out][pos] = rows[4]
+    got = list(zip(t.tolist(), depth.tolist()))
     want = [_digit_orbit(system, x, tol, max_depth) for x in xs.tolist()]
     assert got == want
 
