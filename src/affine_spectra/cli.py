@@ -125,6 +125,21 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+def _fraction_str(x) -> str:
+    """str(x) for an exact Fraction, with the interpreter's limit on the
+    digits of an int-to-str conversion (Python 3.11, and 3.10 from 3.10.7)
+    lifted for this one conversion and restored after it: a long coding's
+    numerator and denominator run to thousands of digits."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return str(x)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _cmd_coding(args) -> int:
     system = _load_system(args)
     if args.x is not None:
@@ -144,7 +159,7 @@ def _cmd_coding(args) -> int:
         coding = parse_coding(args.coding)
         x = project(system, coding, exact=args.exact)
         out = {"coding": format_coding(coding),
-               "x": str(x) if args.exact else x}
+               "x": _fraction_str(x) if args.exact else x}
         if args.in_t:
             q = in_T(system, coding)
             out["in_t"] = {

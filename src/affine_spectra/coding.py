@@ -32,6 +32,8 @@ _DRAW_BLOCK = 8192
 # Largest shift of gamma2 at the last block end that the earlier runs of the
 # default schedule may cause
 _EARLIER_RUNS_BIAS = 0.002
+# Digits _compose composes one by one before it splits a string in halves
+_COMPOSE_RUN = 64
 
 
 def _check_positive(digits) -> None:
@@ -277,7 +279,20 @@ def _compose(X: tuple[int, ...], W: tuple[int, ...], p: int,
              digits) -> tuple[int, int]:
     """The composition along digits of t -> (X[k-1] + W[k-1] t) / 2**p,
     in integers: returns (left, width) with the map t -> (left + width t)
-    / 2**(p n) after n digits."""
+    / 2**(p n) after n digits.
+
+    Up to _COMPOSE_RUN digits are composed one by one.  Longer strings are
+    split in halves, each composed alone: the maps (l1 + w1 t) / 2**(p h)
+    and (l2 + w2 t) / 2**(p (n - h)) compose to ((l1 << p (n - h)) + w1 l2
+    + w1 w2 t) / 2**(p n), so the integers meet at balanced sizes and the
+    multiplications stay subquadratic, where one by one each digit
+    multiplies an integer of the full width so far."""
+    n = len(digits)
+    if n > _COMPOSE_RUN:
+        h = n // 2
+        l1, w1 = _compose(X, W, p, digits[:h])
+        l2, w2 = _compose(X, W, p, digits[h:])
+        return (l1 << (p * (n - h))) + w1 * l2, w1 * w2
     left, width = 0, 1
     for k in digits:
         left = (left << p) + width * X[k - 1]

@@ -10,18 +10,11 @@ the level set at alpha on the concave part of the spectrum; regimes with a
 nonempty overlap set and all |d_k| < a_k additionally carry a linear part
 sigma (alpha - 1) between 1 and the tangency point alpha0.
 
-Every public function rests on _classify, which sorts the alphas of a call
-into the branches degenerate, linear, endpoint, empty and legendre, and on
-_legendre, which solves all legendre alphas of a call at once.  When only
-two branches have d_k != 0 the weights below are fixed by the constraint
-alone, so (q, beta(q)) comes in closed form from a 2 x 2 linear system;
-with three or more it comes from a bracketed Newton iteration on q around
-an inner Newton iteration for beta(q).  That inner iteration steps on
-log sum |d_k|^q a_k^beta, which is convex and decreasing in beta and nearly
-linear far from the root, so from a start at or below the root its iterates
-rise monotonically and reach it in a few steps.  A table's rows are then
-assembled in bulk: one array expression for the dimensions alpha q + beta
-and one dictionary update per SpectrumPoint.
+Every public function rests on _solve, which takes increasing alphas and
+builds the rows of each range _ranges finds (degenerate, linear, endpoint,
+empty, legendre) at once.  _legendre gives (q, beta(q)) in closed form
+with two d_k != 0 branches, else by a Newton iteration that evaluates the
+weights once per step and moves q and beta together.
 
 The same numbers arise variationally: beta*(alpha) is the maximum of
 H(p) = sum p log p / sum p log a over weight vectors with zeros on the
@@ -44,8 +37,10 @@ from .ifs import Regime, SpectrumConstants, _end_ties
 _END_TOL = 1e-12    # slack when classifying alpha against the support ends
 _DEG_TOL = 1e-12    # all-rho-equal degeneracy
 _Q_TOL = 1e-12      # relative step in q, bracket half-width included
-_B_TOL = 1e-14      # relative Newton step in beta
-_NEWTON_CAP = 100   # iterations on q per row
+_B_TOL = 1e-14      # relative Newton step in beta (_pressure)
+_B_ERR = 1e-16      # relative error the last step in beta leaves (Legendre)
+_SURE = 1e-6        # relative step in beta below which alpha(q) is trusted
+_NEWTON_CAP = 100   # steps on (q, beta) per row
 _PRESSURE_CAP = 100  # iterations on beta per row and call
 
 
@@ -59,132 +54,136 @@ def _pressure(logd, loga, q, start=-np.inf):
     """beta at each q by Newton's method on F(b) = log sum_k w_k,
     w_k = |d_k|^q a_k^b, from at least max_k (-q rho_k).
 
-    F is convex (a log-sum-exp of lines in b) and decreasing, and F >= 0 at
-    every start: at max_k (-q rho_k) one w_k is 1 and none exceeds 1, and a
-    tangent restart lies below the convex beta.  Each tangent root then
-    stays left of the root, so the iterates rise monotonically to it; a sum
-    that rounds below 1 there counts as 1, so no step is negative.  Far
-    left of the root the sum grows like an exponential, so a Newton step on
-    the sum minus 1 gains little there, while its log grows nearly like a
-    line, on which a Newton step lands close to the root.  Near the root
-    both converge quadratically.
-
-    np.add.reduce(..., axis=0) adds the rows one by one in branch order, as
-    the builtin sum did, so a row's result does not depend on the rows
-    solved with it.  The one exception is a lone row of eight or more
-    branches, whose column numpy sums pairwise."""
+    F is convex, decreasing and nearly linear far left of the root, and
+    F >= 0 at max_k (-q rho_k) and at a tangent restart, so the iterates rise
+    monotonically to the root (a sum rounding below 1 counts as 1).  Rows
+    are added in branch order: a row's bits do not depend on the rows solved
+    with it, bar a lone row of eight or more branches (summed pairwise)."""
     b = np.maximum(start, (-q * logd / loga).max(axis=0))
-    todo = None                 # every row active: no gathers
+    todo = np.arange(q.size)
     for _ in range(_PRESSURE_CAP):
-        qi, bi = (q, b) if todo is None else (q[todo], b[todo])
+        qi, bi = q[todo], b[todo]
         w = np.exp(qi * logd + bi * loga)
         s = np.add.reduce(w, axis=0)
         step = (np.maximum(np.log(s), 0.0) * s
                 / -np.add.reduce(w * loga, axis=0))
-        more = step > _B_TOL * np.maximum(1.0, np.abs(bi))
-        if todo is None:
-            b += step
-            todo = np.flatnonzero(more)
-        else:
-            b[todo] = bi + step
-            todo = todo[more]
+        b[todo] = bi + step
+        todo = todo[step > _B_TOL * np.maximum(1.0, np.abs(bi))]
         if not todo.size:
             return b
     raise errors.NonConvergence(f"beta unsolved at q = {q[todo].tolist()}")
 
 
-def _gibbs(logd, loga, q, b):
-    """alpha(q) and alpha'(q) = Var_w(log|d| - alpha(q) log a) / sum w log a
-    for the Gibbs weights w = |d|^q a^b, b = beta(q); rows are added as in
-    _pressure."""
-    w = np.exp(q * logd + b * loga)
-    mass = np.add.reduce(w * loga, axis=0)
-    mean = np.add.reduce(w * logd, axis=0) / mass
-    dev = logd - mean * loga
-    return mean, np.add.reduce(w * dev * dev, axis=0) / mass
-
-
-def _legendre(constants: SpectrumConstants, alphas):
-    """(q, beta(q)) arrays with alpha(q) = alpha, for alphas strictly inside
-    the support.
-
-    With two d_k != 0 branches the Gibbs weights w_k = |d_k|^q a_k^beta are
-    the one weight vector with sum w_k g_k = 0, g_k = log|d_k| - alpha
-    log a_k: w_1 = g_2 / (g_2 - g_1), w_2 = -g_1 / (g_2 - g_1).  Inside the
-    support g_1 and g_2 have opposite signs, and (q, beta) solves
-    log w_k = q log|d_k| + beta log a_k, k = 1, 2.  No iteration runs.
-
-    Systems with more branches take _legendre_newton, and so does a row
-    whose rounded weights are not both positive: that takes an alpha a few
-    ulps inside an end above about 4e3, where one ulp exceeds the 1e-12 end
-    tolerance of _classify.
-    """
-    alphas = np.asarray(alphas, dtype=float)
-    if len(constants.index_plus) != 2:
-        return _legendre_newton(constants, alphas)
-    _, logd, loga = constants._plus_columns
-    (ld1, ld2), (la1, la2) = logd[:, 0].tolist(), loga[:, 0].tolist()
+def _two_branch(ld, la, alphas):
+    """(q, beta) for two branches with log|d| = ld, log a = la, and whether
+    both rounded weights are positive: w_k = |d_k|^q a_k^beta is the one
+    pair with sum w_k (log|d_k| - alpha log a_k) = 0 and sum w_k = 1."""
+    (ld1, ld2), (la1, la2) = ld, la
     g1, g2 = ld1 - alphas * la1, ld2 - alphas * la2
     w1, w2 = g2 / (g2 - g1), -g1 / (g2 - g1)
     with np.errstate(divide="ignore", invalid="ignore"):
         lw1, lw2 = np.log(w1), np.log(w2)
     det = ld1 * la2 - ld2 * la1
     q, b = (lw1 * la2 - lw2 * la1) / det, (ld1 * lw2 - ld2 * lw1) / det
-    off = ~((w1 > 0.0) & (w2 > 0.0))
-    if off.any():
-        q[off], b[off] = _legendre_newton(constants, alphas[off])
+    return q, b, (w1 > 0.0) & (w2 > 0.0)
+
+
+def _legendre(constants: SpectrumConstants, alphas):
+    """(q, beta(q)) arrays with alpha(q) = alpha inside the support: by
+    _two_branch when two branches have d_k != 0 and its rounded weights are
+    positive (not so a few ulps inside an end above about 4e3), else by
+    _legendre_newton."""
+    alphas = np.asarray(alphas, dtype=float)
+    if len(constants.index_plus) != 2:
+        return _legendre_newton(constants, alphas)
+    _, logd, loga = constants._plus_columns
+    q, b, ok = _two_branch(logd[:, 0].tolist(), loga[:, 0].tolist(), alphas)
+    if not ok.all():
+        q[~ok], b[~ok] = _legendre_newton(constants, alphas[~ok])
     return q, b
 
 
 def _legendre_newton(constants: SpectrumConstants, alphas):
     """_legendre by iteration, for any number of d_k != 0 branches.
 
-    Newton steps go on log((alpha(q) - alpha_min) / (alpha_max - alpha(q))),
-    nearly linear in q at both ends.  Each evaluation moves an end of the
-    row's bracket on q; a step that leaves the bracket or fails to halve the
-    last one bisects instead.  beta restarts from its tangent
-    b - alpha(q) dq, which lies below the convex beta, so _pressure's
-    log-space Newton iterates rise from there to the root in a few
-    steps.
-
-    Every row starts at q = 0, where beta and the Gibbs moments are one
-    and the same for all rows: they are solved once and repeated.  The
-    solve runs on two columns when there are two rows or more, because
-    np.add.reduce sums a lone column of eight or more branches pairwise,
-    not one row after another as in a table, so each row keeps the bits
-    it would get solved with its companions."""
+    Rows start at _two_branch of the extreme-ratio branches (b below beta)
+    or at q = 0, b = s_hat, with b >= max_k (-q rho_k).  Each step evaluates
+    the weights once: _pressure's step db on b, a Newton step on q for
+    log((alpha(q) - alpha_min) / (alpha_max - alpha(q))) with alpha(q)
+    corrected for db, and b along its Taylor polynomial of degree two.  Once
+    db <= _SURE relative, alpha(q) - alpha sets the bracket on q and the
+    step the size the next must halve; a step that leaves the bracket, fails
+    to halve or, while db is larger, exceeds 4 max(1, |q|), bisects (or
+    holds q).  A row stops on a q step <= _Q_TOL relative once b + db is
+    within _B_ERR, as db leaves at most (l_max - l_min)^2 / (2 |l_max|) db^2
+    for log a_k in [l_min, l_max].  A lone row runs on two equal columns,
+    so a row's bits do not depend on the rows solved with it."""
     _, logd, loga = constants._plus_columns
     amin, amax = constants.alpha_min, constants.alpha_max
-    target = np.log((alphas - amin) / (amax - alphas))
-    q = np.zeros(alphas.size)
-    start = np.zeros(min(q.size, 2))
-    b0 = _pressure(logd, loga, start)
-    b = np.repeat(b0[:1], q.size)
-    mean, slope = (np.repeat(v[:1], q.size)
-                   for v in _gibbs(logd, loga, start, b0))
-    lo, hi, last = (np.full(q.size, x) for x in (-np.inf, np.inf, np.inf))
-    todo = np.arange(q.size)
+    ld, la = logd[:, 0].tolist(), loga[:, 0].tolist()
+    rho = [d / a for d, a in zip(ld, la)]
+    i, j = rho.index(min(rho)), rho.index(max(rho))
+    sums = np.array([[1.0] * len(la), la, ld])[:, :, None]
+    curve = (max(la) - min(la)) ** 2 / (-2.0 * max(la))
+    q, b = np.empty(alphas.size), np.empty(alphas.size)
+    if not q.size:
+        return q, b
+    rows = np.arange(q.size) if q.size > 1 else np.zeros(2, int)
+    alpha = alphas if q.size > 1 else alphas.repeat(2)
+    target = np.log((alpha - amin) / (amax - alpha))
+    qi, bi, ok = _two_branch((ld[i], ld[j]), (la[i], la[j]), alpha)
+    qi = np.where(ok, qi, 0.0)
+    bi = np.maximum(np.where(ok, bi, constants.s_hat),
+                    (qi * -(logd / loga)).max(axis=0))
+    lo, (hi, last) = np.full(rows.size, -np.inf), np.full((2, rows.size), np.inf)
+    add = np.add.reduce
     for _ in range(_NEWTON_CAP):
-        qi, bi = q[todo], b[todo]
-        g = mean - alphas[todo]
-        lo[todo] = li = np.where(g > 0.0, qi, lo[todo])
-        hi[todo] = hj = np.where(g < 0.0, qi, hi[todo])
+        w = np.exp(qi * logd + bi * loga)
+        s, mass, first = add(w * sums, axis=1)
+        mean = first / mass
+        db = np.log(s) * s / -mass
+        dev = logd - mean * loga
+        wdev = w * dev
+        slope = add(wdev * dev, axis=0) / mass
+        shift = add(wdev * loga, axis=0) / mass * db
+        rel = np.abs(db) / np.maximum(1.0, np.abs(bi))
+        sure = rel <= _SURE
+        g = mean + shift - alpha
+        np.copyto(lo, qi, where=sure & (g > 0.0))
+        np.copyto(hi, qi, where=sure & (g < 0.0))
         u, v = mean - amin, amax - mean
+        scale = np.maximum(1.0, np.abs(qi))
+        tol = _Q_TOL * scale
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = (target[todo] - np.log(u / v)) * u * v / (slope * (amax - amin))
-            wild = (~((li < qi + step) & (qi + step < hj))
-                    | (np.abs(step) > 0.5 * last[todo]))
-            step = np.where(np.isfinite(li + hj) & wild, 0.5 * (li + hj) - qi, step)
-        done = (g == 0.0) | (np.abs(step) <= _Q_TOL * np.maximum(1.0, np.abs(qi)))
-        todo, qi, bi, mean, step = (x[~done] for x in (todo, qi, bi, mean, step))
-        if not todo.size:
-            return q, b
-        q[todo] = qi + step
-        b[todo] = _pressure(logd, loga, q[todo], bi - mean * step)
-        last[todo] = np.abs(step)
-        mean, slope = _gibbs(logd, loga, q[todo], b[todo])
-    raise errors.NonConvergence(
-        f"Legendre solve unconverged at alpha = {alphas[todo].tolist()}")
+            step = ((target - np.log(u / v)) * u * v / (amax - amin)
+                    - shift) / slope
+            new, size = qi + step, np.abs(step)
+            near = size <= tol
+            wild = ~((lo < new) & (new < hi) & (size <= 0.5 * last)
+                     & (sure | (size <= 4.0 * scale)) | near)
+            if np.count_nonzero(wild):
+                mid = 0.5 * (lo + hi)
+                step = np.where(wild, np.where(np.isfinite(mid), mid - qi,
+                                               np.where(sure, step, 0.0)), step)
+                near = np.abs(step) <= tol
+        near |= g == 0.0
+        step[near] = 0.0
+        bi = bi + db
+        done = near & (curve * np.abs(db) * rel <= _B_ERR)
+        if np.count_nonzero(done):
+            q[rows[done]], b[rows[done]] = qi[done], bi[done]
+            keep = np.flatnonzero(~done)
+            if not keep.size:
+                return q, b
+            keep = keep.repeat(2) if keep.size == 1 else keep
+            rows, alpha, target, qi, bi, lo, hi, last, step, mean, slope, sure = (
+                x[keep] for x in (rows, alpha, target, qi, bi, lo, hi, last,
+                                  step, mean, slope, sure))
+        np.copyto(last, np.abs(step), where=sure & (step != 0.0))
+        bi -= step * (mean + 0.5 * slope * step)
+        qi = qi + step
+    raise errors.NonConvergence("Legendre solve unconverged at alpha = "
+                                f"{alphas[np.unique(rows)].tolist()}")
 
 
 def beta(constants: SpectrumConstants, q: float) -> float:
@@ -198,7 +197,8 @@ def alpha_of_q(constants: SpectrumConstants, q: float) -> float:
     there.  Strictly decreasing from alpha_max (q -> -inf) to alpha_min."""
     _, logd, loga = constants._plus_columns
     qs = np.array([float(q)])
-    return float(_gibbs(logd, loga, qs, _pressure(logd, loga, qs))[0][0])
+    w = np.exp(qs * logd + _pressure(logd, loga, qs) * loga)
+    return float(np.add.reduce(w * logd)[0] / np.add.reduce(w * loga)[0])
 
 
 def q_star(constants: SpectrumConstants, alpha: float) -> float:
@@ -211,23 +211,24 @@ def q_star(constants: SpectrumConstants, alpha: float) -> float:
     return float(_legendre(constants, [alpha])[0][0])
 
 
-def _classify(constants: SpectrumConstants, alphas,
-              overlap: bool = True) -> list[str]:
-    """Branch of each finite alpha, by one array comparison per test.
-    overlap=False ignores the Case B linear part, which leaves the plain
-    concave conjugate beta*."""
-    alphas = np.asarray(alphas, dtype=float)
-    amin, amax = constants.alpha_min, constants.alpha_max
+def _ranges(constants: SpectrumConstants, alphas, overlap: bool = True):
+    """Branches of increasing alphas as (branch, stop) pairs, each range
+    from the previous stop, by binary search for the thresholds a lone alpha
+    meets (NaN last, empty).  overlap=False drops the Case B linear part."""
     if _degenerate(constants):
-        near = np.abs(alphas - constants.alpha_hat) <= 1e-9
-        return np.where(near, "degenerate", "empty").tolist()
-    out = np.full(alphas.shape, "legendre", dtype=object)
-    out[(alphas <= amin + _END_TOL) | (alphas >= amax - _END_TOL)] = "endpoint"
-    out[(alphas < amin - _END_TOL) | (alphas > amax + _END_TOL)] = "empty"
+        off = alphas - constants.alpha_hat
+        lo, hi = np.searchsorted(off, -1e-9), np.searchsorted(off, 1e-9, "right")
+        return [("empty", int(lo)), ("degenerate", int(hi)), ("empty", alphas.size)]
+    amin, amax, tol = constants.alpha_min, constants.alpha_max, _END_TOL
+    below, inner = np.searchsorted(alphas, (amin - tol, amax - tol)).tolist()
+    low, above = np.searchsorted(alphas, (amin + tol, amax + tol), "right").tolist()
+    head, start = [], 0
     if overlap and constants.regime is Regime.CASE_B:
-        low = alphas < constants.alpha0
-        out[low] = np.where(alphas[low] >= 1.0 - _END_TOL, "linear", "empty")
-    return out.tolist()
+        one, start = np.searchsorted(alphas, (1.0 - tol, constants.alpha0)).tolist()
+        head = [("empty", min(one, start)), ("linear", start)]
+    cuts = (below, low, max(low, inner), above)
+    return head + [(branch, max(start, cut)) for branch, cut in zip(
+        ("empty", "endpoint", "legendre", "endpoint"), cuts)] + [("empty", alphas.size)]
 
 
 def beta_star(constants: SpectrumConstants, alpha: float) -> float:
@@ -286,7 +287,7 @@ def duality_maximizer(constants: SpectrumConstants, alpha: float) -> DualityResu
     regime every alpha below the tangency point returns p_star (the
     contraction_ratio maximiser).  OutOfRange outside the spectrum support.
     """
-    pt, q = _solve(constants, [alpha])[0]
+    (pt,), (q,) = _solve(constants, [alpha])
     if pt.dim is None:
         raise errors.OutOfRange(f"alpha = {alpha} outside the support")
     try:
@@ -309,57 +310,56 @@ class SpectrumPoint:
     note: str | None = None
 
 
-def _point(alpha, dim, branch, p_opt, note) -> SpectrumPoint:
-    """SpectrumPoint(alpha, dim, branch, p_opt, note) by one __dict__ update
-    instead of the frozen dataclass's five object.__setattr__ calls; the
-    fields are the same, so the point compares, hashes and reprs the same."""
-    pt = object.__new__(SpectrumPoint)
-    pt.__dict__.update(alpha=alpha, dim=dim, branch=branch, p_opt=p_opt,
-                       note=note)
-    return pt
+def _points(alphas, dims, branch, ps, note=None) -> list[SpectrumPoint]:
+    """SpectrumPoint(alpha, dim, branch, p, note) for each alpha, dim, p, by
+    one __dict__ update instead of five frozen object.__setattr__ calls."""
+    new, out = object.__new__, []
+    for alpha, dim, p in zip(alphas, dims, ps):
+        pt = new(SpectrumPoint)
+        pt.__dict__.update(alpha=alpha, dim=dim, branch=branch, p_opt=p,
+                           note=note)
+        out.append(pt)
+    return out
 
 
 def _solve(constants: SpectrumConstants, alphas, overlap: bool = True):
-    """(SpectrumPoint, q) for each finite alpha, q None off the legendre
-    branch; the legendre rows share one _legendre call, and their
-    dimensions alpha q + beta are one array expression."""
-    branches = _classify(constants, alphas, overlap)
-    inner = [al for al, br in zip(alphas, branches) if br == "legendre"]
-    x = np.array(inner, dtype=float)
-    qs, bs = _legendre(constants, x)
-    cols, logd, loga = constants._plus_columns
-    gibbs = np.zeros((x.size, len(constants.a)))
-    gibbs[:, cols] = np.exp(qs * logd + bs * loga).T
-    solved = iter([(_point(alpha, dim, "legendre", p, None), q)
-                   for alpha, q, dim, p in zip(inner, qs.tolist(),
-                                               (x * qs + bs).tolist(),
-                                               map(tuple, gibbs.tolist()))])
-    out = []
-    for alpha, branch in zip(alphas, branches):
-        if branch == "legendre":
-            out.append(next(solved))
+    """SpectrumPoints for increasing finite alphas and the q of each (None
+    off the legendre branch), built a range of _ranges at a time."""
+    x = np.asarray(alphas, dtype=float)
+    pts, qs, lo = [], [], 0
+    for branch, hi in _ranges(constants, x, overlap):
+        n, part, q = hi - lo, alphas[lo:hi], [None] * (hi - lo)
+        if not n:
             continue
-        note = p = dim = None
-        if branch == "linear":
-            p, dim = constants.p_star, constants.sigma * (alpha - 1.0)
-            if alpha <= 1.0 + _END_TOL:
-                dim, note = 0.0, ("left edge of the linear part; the level "
-                                  "set is nonempty with dimension 0")
-        elif branch != "empty":
-            # all mass on the branches whose ratio is the extremal one,
-            # tied by the rule that fixed s_min and s_max
-            if branch == "degenerate":
-                ties, dim = constants.index_plus, constants.s_hat
-            elif alpha <= constants.alpha_min + _END_TOL:
-                ties = _end_ties(constants.rho, constants.alpha_min)
-                dim = constants.s_min
-            else:
-                ties = _end_ties(constants.rho, constants.alpha_max)
-                dim = constants.s_max
+        if branch == "legendre":
+            q, b = _legendre(constants, x[lo:hi])
+            cols, logd, loga = constants._plus_columns
+            gibbs = [[0.0] * n] * len(constants.a)
+            for k, col in zip(cols, np.exp(q * logd + b * loga).tolist()):
+                gibbs[k] = col
+            pts += _points(part, (x[lo:hi] * q + b).tolist(), branch, zip(*gibbs))
+            q = q.tolist()
+        elif branch == "linear":    # dimension 0 up to alpha = 1 + tol
+            edge = int(np.searchsorted(x[lo:hi], 1.0 + _END_TOL, "right"))
+            p, sigma = [constants.p_star] * n, constants.sigma
+            pts += _points(part[:edge], [0.0] * edge, branch, p, "left edge of the "
+                           "linear part; the level set is nonempty with dimension 0")
+            pts += _points(part[edge:], [sigma * (al - 1.0) for al in part[edge:]],
+                           branch, p)
+        elif branch != "empty":     # on the extreme-ratio branches, s_min's ties
+            end, dim = ((None, constants.s_hat) if branch == "degenerate" else
+                        (constants.alpha_min, constants.s_min)
+                        if x[lo] <= constants.alpha_min + _END_TOL else
+                        (constants.alpha_max, constants.s_max))
+            ties = constants.index_plus if end is None else _end_ties(constants.rho, end)
             p = tuple(ak ** dim if k in ties else 0.0
                       for k, ak in enumerate(constants.a, start=1))
-        out.append((_point(alpha, dim, branch, p, note), None))
-    return out
+            pts += _points(part, [dim] * n, branch, [p] * n)
+        else:
+            pts += _points(part, q, branch, q)
+        qs += q
+        lo = hi
+    return pts, qs
 
 
 def spectrum_D(constants: SpectrumConstants, alpha: float) -> SpectrumPoint:
@@ -388,7 +388,7 @@ def spectrum_table(constants: SpectrumConstants, *,
             special = [1.0, constants.alpha0] + special[1:]
         grid = np.linspace(special[0], constants.alpha_max, points)
         alphas = np.unique(np.concatenate([grid, special])).tolist()
-    rows = [pt for pt, _ in _solve(constants, alphas)]
+    rows = _solve(constants, alphas)[0]
     if constants.index_zero:
         rows.append(spectrum_D(constants, math.inf))
     return tuple(rows)

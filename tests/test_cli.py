@@ -18,6 +18,7 @@ from affine_spectra import (
     compute_constants,
     exponent_trace,
     parse_preset,
+    project,
     system_to_dict,
 )
 from affine_spectra.cli import main
@@ -105,6 +106,27 @@ def test_coding_exact_projection(run):
     out, _ = run("coding", "--preset", "riesz-nagy:0.3", "--coding", "(1,2)",
                  "--exact")
     assert json.loads(out)["x"] == "1/3"
+
+
+def test_coding_exact_long_coding(run):
+    """300 digits of okamoto:0.6 (54 bits each) make a numerator beyond
+    the interpreter's 4,300-digit limit on int-to-str conversion: the CLI
+    lifts the limit for that one conversion and restores it."""
+    digits = [1 + k % 3 for k in range(300)]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    out, _ = run("coding", "--preset", "okamoto:0.6", "--coding",
+                 ",".join(map(str, digits)), "--exact")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    want = project(parse_preset("okamoto:0.6"), Coding(prefix=tuple(digits)),
+                   exact=True)
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert len(str(want.denominator)) > 4300
+        assert json.loads(out)["x"] == str(want)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_coding_exact_needs_coding(capsys):

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affine_spectra import (
@@ -316,6 +316,26 @@ def test_project_exact_is_the_fraction_composition(seed):
         got = project(system, coding, exact=True)
         assert type(got) is Fraction
         assert got == _project_reference(system, coding)
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 10 ** 9))
+def test_long_codings_compose_by_halves(seed):
+    """Prefixes and periods longer than coding._COMPOSE_RUN are composed
+    by halves; the result is still the Fraction composition, and _compose
+    gives the one-by-one integers at every length."""
+    rng = np.random.default_rng(seed)
+    system = random_polygon_system(rng, allow_zero=True)
+    r, run = system.r, coding_module._COMPOSE_RUN
+    prefix = tuple(int(v) for v in rng.integers(1, r + 1, rng.integers(0, 5 * run)))
+    period = tuple(int(v) for v in rng.integers(1, r + 1, rng.integers(run, 3 * run)))
+    coding = Coding(prefix=prefix, period=period)
+    assert project(system, coding, exact=True) == _project_reference(system, coding)
+    X, W, p = coding_module._partition(system)
+    left, width = 0, 1
+    for k in prefix:
+        left, width = (left << p) + width * X[k - 1], width * W[k - 1]
+    assert coding_module._compose(X, W, p, prefix) == (left, width)
 
 
 def test_basic_interval(make_system):

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from unittest import mock
 
 import mpmath
 import numpy as np
@@ -272,7 +271,7 @@ def test_spectrum_table_matches_pointwise(make_system):
 
 def _classify_one(c, alpha, overlap):
     """One alpha at a time, by the same comparisons (the oracle for the
-    array classifier)."""
+    range classifier)."""
     amin, amax, tol = c.alpha_min, c.alpha_max, spectrum._END_TOL
     if amax - amin <= spectrum._DEG_TOL * max(1.0, abs(amax)):
         return "degenerate" if abs(alpha - c.alpha_hat) <= 1e-9 else "empty"
@@ -306,16 +305,25 @@ def _edges(c):
 
 @given(seed=st.integers(0, 10 ** 9))
 def test_classify_matches_one_alpha_at_a_time(seed):
+    """The ranges of increasing alphas give every alpha the branch the
+    comparisons of one alpha at a time give it."""
     rng = np.random.default_rng(seed)
     systems = [random_polygon_system(rng, allow_zero=True),
                random_two_branch_contractive(rng)]
     systems += [parse_preset(name) for name in
                 ("okamoto:0.5", "okamoto:0.6", "takagi:1.5", SKEW)]
     for c in map(compute_constants, systems):
-        alphas = _edges(c)
+        alphas = np.sort(_edges(c))
         for overlap in (True, False):
-            assert spectrum._classify(c, alphas, overlap) == [
-                _classify_one(c, alpha, overlap) for alpha in alphas]
+            ranges = spectrum._ranges(c, alphas, overlap)
+            stops = [stop for _, stop in ranges]
+            assert stops == sorted(stops) and stops[-1] == alphas.size
+            labels, lo = [], 0
+            for branch, stop in ranges:
+                labels += [branch] * (stop - lo)
+                lo = stop
+            assert labels == [_classify_one(c, alpha, overlap)
+                              for alpha in alphas.tolist()]
 
 
 def test_legendre_cap_raises(make_system, monkeypatch):
@@ -371,9 +379,9 @@ def test_solve_rows_are_ordinary_points(make_system):
     seen = set()
     for name in ("riesz-nagy:0.3", "okamoto:0.6", "okamoto:0.5", SKEW):
         _, c = make_system(name)
-        alphas = [c.alpha_min - 1.0, c.alpha_min, 1.0, 1.2, c.alpha_hat,
-                  0.5 * (c.alpha_hat + c.alpha_max), c.alpha_max]
-        for pt, _ in spectrum._solve(c, alphas):
+        alphas = sorted([c.alpha_min - 1.0, c.alpha_min, 1.0, 1.2, c.alpha_hat,
+                         0.5 * (c.alpha_hat + c.alpha_max), c.alpha_max])
+        for pt in spectrum._solve(c, alphas)[0]:
             seen.add(pt.branch)
             fields = {f.name: getattr(pt, f.name)
                       for f in dataclasses.fields(pt)}
@@ -401,8 +409,8 @@ def test_empty_calls_return_at_once(make_system):
         assert spectrum._legendre(c, [])[0].shape == (0,)
         assert spectrum._pressure(logd, loga, np.zeros(0)).shape == (0,)
         rows = spectrum._solve(c, [c.alpha_min - 1.0, c.alpha_max])
-        assert [(pt.branch, q) for pt, q in rows] == [("empty", None),
-                                                     ("endpoint", None)]
+        assert [(pt.branch, q) for pt, q in zip(*rows)] == [
+            ("empty", None), ("endpoint", None)]
 
 
 # ---------------------------------------------------- mpmath references
@@ -474,7 +482,11 @@ def test_beta_and_beta_star_match_mpmath(seed):
             assert abs(beta(c, q) - float(_beta_mp(terms, q))) <= 1e-10
     if c.alpha_max - c.alpha_min < 1e-6:
         return
-    for alpha in _interior(c):
+    # 1e-6 and 1e-3 of the support inside each end, where q is largest
+    width = c.alpha_max - c.alpha_min
+    ends = [end + sign * f * width for f in (1e-6, 1e-3)
+            for end, sign in ((c.alpha_min, 1.0), (c.alpha_max, -1.0))]
+    for alpha in _interior(c) + ends:
         want = _beta_star_mp(system.a, system.d, alpha)
         assert abs(beta_star(c, alpha) - want) <= 1e-10
 
@@ -539,43 +551,29 @@ def test_two_branch_closed_form_matches_mpmath_and_newton(seed, kind):
 @settings(max_examples=15)
 @given(seed=st.integers(0, 10 ** 9), r=st.integers(3, 9))
 def test_rows_do_not_depend_on_their_companions(seed, r):
-    """A row solved alone gives the bits it gets among others: the pressure
-    sums add the branches in one order whatever the number of rows.  From
-    eight branches on numpy sums a lone row's column pairwise, so there
-    only tables are compared.  Every row of a table starts at q = 0, whose
-    pressure and Gibbs moments _legendre_newton solves once: they must be
-    the bits that solving them on all the rows would give."""
+    """A row solved alone gives the bits it gets among others: the sums
+    add the branches in one order whatever the number of rows.  _pressure
+    sums a lone row's column pairwise from eight branches on, so there it
+    is compared on tables only; _legendre_newton solves a lone row on two
+    equal columns, so its rows are compared alone at every size, and a
+    table's rows also match each other's solve in reverse order."""
     rng = np.random.default_rng(seed)
     c = compute_constants(random_polygon_system(rng, r=r, allow_zero=True))
     _, logd, loga = c._plus_columns
-    alone = len(c.index_plus) < 8
     qs = np.linspace(-20.0, 20.0, 9)
     together = spectrum._pressure(logd, loga, qs)
-    if alone:
+    if len(c.index_plus) < 8:
         assert [spectrum._pressure(logd, loga, qs[i:i + 1])[0]
                 for i in range(qs.size)] == together.tolist()
     if c.alpha_max - c.alpha_min < 1e-6:
         return
     alphas = np.array(_interior(c))
-    pressure, gibbs = spectrum._pressure, spectrum._gibbs
-    with mock.patch.object(spectrum, "_pressure", wraps=pressure) as p_spy, \
-            mock.patch.object(spectrum, "_gibbs", wraps=gibbs) as g_spy:
-        spectrum._legendre_newton(c, alphas)
-    # the one solve at q = 0, on two columns
-    q0, b0 = g_spy.call_args_list[0].args[2:]
-    assert p_spy.call_args_list[0].args[2].tolist() == q0.tolist() == [0, 0]
-    # the bits of each row's own solve at q = 0, in a table of all the rows
-    zeros = np.zeros(alphas.size)
-    each = pressure(logd, loga, zeros)
-    assert np.repeat(b0[:1], alphas.size).tobytes() == each.tobytes()
-    for one, every in zip(gibbs(logd, loga, q0, b0),
-                          gibbs(logd, loga, zeros, each)):
-        assert np.repeat(one[:1], alphas.size).tobytes() == every.tobytes()
-    if alone:
-        q, b = spectrum._legendre(c, alphas)
-        for i in range(alphas.size):
-            qi, bi = spectrum._legendre(c, alphas[i:i + 1])
-            assert (qi[0], bi[0]) == (q[i], b[i])
+    q, b = spectrum._legendre(c, alphas)
+    for i in range(alphas.size):
+        qi, bi = spectrum._legendre(c, alphas[i:i + 1])
+        assert (qi[0], bi[0]) == (q[i], b[i])
+    qr, br = spectrum._legendre(c, alphas[::-1])
+    assert qr[::-1].tobytes() == q.tobytes() and br[::-1].tobytes() == b.tobytes()
 
 
 class _AbsSpy:
@@ -609,7 +607,7 @@ def test_log_pressure_matches_mpmath_and_rises(seed, r, q, dq):
         want = float(_beta_mp(_mp_terms(system.a, system.d), q))
     q0 = np.array([q - dq])
     b0 = spectrum._pressure(logd, loga, q0)
-    tangent = b0 - spectrum._gibbs(logd, loga, q0, b0)[0] * dq
+    tangent = b0 - alpha_of_q(c, q0[0]) * dq
     for start in (-np.inf, tangent):
         spy = _AbsSpy()
         spectrum.np = spy
