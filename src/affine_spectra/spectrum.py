@@ -108,16 +108,17 @@ def _legendre_newton(constants: SpectrumConstants, alphas):
 
     Rows start at _two_branch of the extreme-ratio branches (b below beta)
     or at q = 0, b = s_hat, with b >= max_k (-q rho_k).  Each step evaluates
-    the weights once: _pressure's step db on b, a Newton step on q for
-    log((alpha(q) - alpha_min) / (alpha_max - alpha(q))) with alpha(q)
-    corrected for db, and b along its Taylor polynomial of degree two.  Once
-    db <= _SURE relative, alpha(q) - alpha sets the bracket on q and the
-    step the size the next must halve; a step that leaves the bracket, fails
-    to halve or, while db is larger, exceeds 4 max(1, |q|), bisects (or
-    holds q).  A row stops on a q step <= _Q_TOL relative once b + db is
-    within _B_ERR, as db leaves at most (l_max - l_min)^2 / (2 |l_max|) db^2
-    for log a_k in [l_min, l_max].  A lone row runs on two equal columns,
-    so a row's bits do not depend on the rows solved with it."""
+    the weights once: _pressure's step db on b, which leaves b within
+    err = (l_max - l_min)^2 / (2 |l_max|) db^2 of beta for log a_k in
+    [l_min, l_max]; a Newton step on q for log((alpha(q) - alpha_min) /
+    (alpha_max - alpha(q))), alpha(q) corrected to first order for db; and b
+    along its Taylor polynomial of degree two.  Only a sure evaluation (db <=
+    _SURE or err <= _B_ERR, relative) moves the bracket on q and sets the
+    size the next step must halve; a step that leaves the bracket, fails to
+    halve or, unsure, exceeds 4 max(1, |q|) bisects (or holds q).  A row
+    stops on a step (a bisection's included) <= _Q_TOL relative once
+    err <= _B_ERR, which makes its evaluation sure.  A lone row runs on two
+    equal columns, so a row's bits do not depend on the rows solved with it."""
     _, logd, loga = constants._plus_columns
     amin, amax = constants.alpha_min, constants.alpha_max
     ld, la = logd[:, 0].tolist(), loga[:, 0].tolist()
@@ -147,7 +148,8 @@ def _legendre_newton(constants: SpectrumConstants, alphas):
         slope = add(wdev * dev, axis=0) / mass
         shift = add(wdev * loga, axis=0) / mass * db
         rel = np.abs(db) / np.maximum(1.0, np.abs(bi))
-        sure = rel <= _SURE
+        err = curve * np.abs(db) * rel
+        sure = (rel <= _SURE) | (err <= _B_ERR)
         g = mean + shift - alpha
         np.copyto(lo, qi, where=sure & (g > 0.0))
         np.copyto(hi, qi, where=sure & (g < 0.0))
@@ -158,18 +160,16 @@ def _legendre_newton(constants: SpectrumConstants, alphas):
             step = ((target - np.log(u / v)) * u * v / (amax - amin)
                     - shift) / slope
             new, size = qi + step, np.abs(step)
-            near = size <= tol
             wild = ~((lo < new) & (new < hi) & (size <= 0.5 * last)
-                     & (sure | (size <= 4.0 * scale)) | near)
+                     & (sure | (size <= 4.0 * scale)) | (size <= tol))
             if np.count_nonzero(wild):
                 mid = 0.5 * (lo + hi)
                 step = np.where(wild, np.where(np.isfinite(mid), mid - qi,
                                                np.where(sure, step, 0.0)), step)
-                near = np.abs(step) <= tol
-        near |= g == 0.0
+        near = (np.abs(step) <= tol) | (g == 0.0)
         step[near] = 0.0
         bi = bi + db
-        done = near & (curve * np.abs(db) * rel <= _B_ERR)
+        done = near & (err <= _B_ERR)
         if np.count_nonzero(done):
             q[rows[done]], b[rows[done]] = qi[done], bi[done]
             keep = np.flatnonzero(~done)
@@ -214,7 +214,7 @@ def q_star(constants: SpectrumConstants, alpha: float) -> float:
 def _ranges(constants: SpectrumConstants, alphas, overlap: bool = True):
     """Branches of increasing alphas as (branch, stop) pairs, each range
     from the previous stop, by binary search for the thresholds a lone alpha
-    meets (NaN last, empty).  overlap=False drops the Case B linear part."""
+    meets.  overlap=False drops the Case B linear part."""
     if _degenerate(constants):
         off = alphas - constants.alpha_hat
         lo, hi = np.searchsorted(off, -1e-9), np.searchsorted(off, 1e-9, "right")
@@ -326,6 +326,8 @@ def _solve(constants: SpectrumConstants, alphas, overlap: bool = True):
     """SpectrumPoints for increasing finite alphas and the q of each (None
     off the legendre branch), built a range of _ranges at a time."""
     x = np.asarray(alphas, dtype=float)
+    if x.size and np.isnan(x[-1]):      # NaN sorts last
+        raise errors.OutOfRange("alpha = nan is not a number")
     pts, qs, lo = [], [], 0
     for branch, hi in _ranges(constants, x, overlap):
         n, part, q = hi - lo, alphas[lo:hi], [None] * (hi - lo)
@@ -346,12 +348,13 @@ def _solve(constants: SpectrumConstants, alphas, overlap: bool = True):
                            "linear part; the level set is nonempty with dimension 0")
             pts += _points(part[edge:], [sigma * (al - 1.0) for al in part[edge:]],
                            branch, p)
-        elif branch != "empty":     # on the extreme-ratio branches, s_min's ties
-            end, dim = ((None, constants.s_hat) if branch == "degenerate" else
-                        (constants.alpha_min, constants.s_min)
-                        if x[lo] <= constants.alpha_min + _END_TOL else
-                        (constants.alpha_max, constants.s_max))
-            ties = constants.index_plus if end is None else _end_ties(constants.rho, end)
+        elif branch != "empty":     # weights on the tied extreme-ratio branches
+            if branch == "degenerate":
+                ties, dim = constants.index_plus, constants.s_hat
+            elif x[lo] <= constants.alpha_min + _END_TOL:
+                ties, dim = _end_ties(constants.rho, constants.alpha_min), constants.s_min
+            else:
+                ties, dim = _end_ties(constants.rho, constants.alpha_max), constants.s_max
             p = tuple(ak ** dim if k in ties else 0.0
                       for k, ak in enumerate(constants.a, start=1))
             pts += _points(part, [dim] * n, branch, [p] * n)

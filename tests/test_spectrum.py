@@ -18,6 +18,7 @@ from affine_spectra import (
     duality_maximizer,
     entropy_ratio,
     errors,
+    from_branches,
     parse_preset,
     q_star,
     spectrum,
@@ -80,6 +81,16 @@ def test_q_star_out_of_range(make_system):
     for alpha in (c.alpha_min, c.alpha_max, 0.1, 5.0):
         with pytest.raises(errors.OutOfRange):
             q_star(c, alpha)
+
+
+def test_nan_alpha_raises(make_system):
+    """A NaN alpha is rejected, on the closed form, the Newton path and a
+    degenerate system, never read as an empty row."""
+    for name in ("riesz-nagy:0.3", "okamoto:0.6", "okamoto:0.5"):
+        _, c = make_system(name)
+        for f in (beta_star, spectrum_D, duality_maximizer, q_star):
+            with pytest.raises(errors.OutOfRange):
+                f(c, math.nan)
 
 
 # -------------------------------------------------------------------- beta*
@@ -470,11 +481,7 @@ def _interior(c, fractions=(0.003, 0.2, 0.5, 0.8, 0.997)):
     return [c.alpha_min + f * (c.alpha_max - c.alpha_min) for f in fractions]
 
 
-@settings(max_examples=15)
-@given(seed=st.integers(0, 10 ** 9))
-def test_beta_and_beta_star_match_mpmath(seed):
-    rng = np.random.default_rng(seed)
-    system = random_polygon_system(rng, allow_zero=True)
+def _check_beta_and_beta_star(system):
     c = compute_constants(system)
     with mpmath.workdps(_DPS):
         terms = _mp_terms(system.a, system.d)
@@ -489,6 +496,31 @@ def test_beta_and_beta_star_match_mpmath(seed):
     for alpha in _interior(c) + ends:
         want = _beta_star_mp(system.a, system.d, alpha)
         assert abs(beta_star(c, alpha) - want) <= 1e-10
+
+
+@settings(max_examples=15)
+@given(seed=st.integers(0, 10 ** 9))
+def test_beta_and_beta_star_match_mpmath(seed):
+    rng = np.random.default_rng(seed)
+    _check_beta_and_beta_star(random_polygon_system(rng, allow_zero=True))
+
+
+@pytest.mark.parametrize("form", ["vertex", "branch"])
+@pytest.mark.parametrize("d", [(0.9, 0.8, 0.1), (0.9, -0.6, 0.3, 0.05),
+                               (0.9, 0.0, 0.5, -0.3, 0.1),
+                               (0.9, 0.75, -0.6, 0.45, 0.3, -0.2, 0.1, 0.05)])
+def test_equal_widths_match_mpmath(d, form):
+    """Widths 1/r: log a_k are equal, or in vertex form at r = 3, 5 a few
+    ulps apart, so beta's Newton step lands on the root at once while q near
+    an end still needs steps well beyond the start's scale."""
+    r = len(d)
+    ys = [0.0] + [0.5 - 0.3 * (-1) ** k for k in range(1, r)] + [1.0]
+    system = build_from_polygon([(k / r, y) for k, y in enumerate(ys)], d)
+    if form == "branch":
+        system = from_branches([dataclasses.replace(br, a=1.0 / r)
+                                for br in system.branches])
+        assert len(set(system.a)) == 1
+    _check_beta_and_beta_star(system)
 
 
 @settings(max_examples=15)
