@@ -67,20 +67,6 @@ def test_eval(run):
     assert doc["depth"] == 0  # vertex is exact
 
 
-# sha256 of the stdout of `sample --preset okamoto:0.6 --points 1001
-# --tol 1e-12`, as evaluation by words of m digits prints it: the depth of
-# every grid point, and the set of points whose value leaves its bound of
-# the exact phi (ROADMAP item 1), are those of the per-digit recursion
-SAMPLE_OKAMOTO_SHA256 = \
-    "b37a17efe113a8cb68c4b34585b35f56728849fba8d3b32ec20555e593df1fa1"
-
-
-def test_sample_output_is_pinned(run):
-    out, _ = run("sample", "--preset", "okamoto:0.6", "--points", "1001",
-                 "--tol", "1e-12")
-    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_OKAMOTO_SHA256
-
-
 def test_sample_csv(run):
     out, _ = run("sample", "--preset", "takagi:1", "--points", "5")
     lines = out.splitlines()
@@ -192,29 +178,6 @@ def test_spectrum_round_trip(run, tmp_path):
     assert lines[1].startswith("1,0,linear")
 
 
-# sha256 of the stdout of `spectrum --preset P --points 201`, as the
-# closed-form two-branch Legendre rows printed it before rows were assembled
-# in bulk: two-branch tables must stay byte for byte the same.  The two Case B
-# tables were refreshed when s_hat and sigma moved from bisection to the
-# Newton solver of roots.py, which moved their rows by at most 1.9e-13
-SPECTRUM_TWO_BRANCH_SHA256 = {
-    "riesz-nagy:0.3":
-        "40dc16e8e225f25d43412a7605cc906193dacb814e0f4fc15434790ab08ec671",
-    "skew-takagi:0.3,0.5,0.25":
-        "336a5fbfdc64df0b66b85d34bba97d29548306bb4df85a226bf475498fd191e8",
-    "skew-takagi:0.4,1,0.3":
-        "a6fd0d782eaafb3c12695c19d7fadd71517fbc7f262c5d297a63936057dda582",
-}
-
-
-@pytest.mark.parametrize("preset", sorted(SPECTRUM_TWO_BRANCH_SHA256))
-def test_spectrum_two_branch_output_is_pinned(run, preset):
-    out, _ = run("spectrum", "--preset", preset, "--points", "201")
-    assert len(out.splitlines()) >= 202
-    assert (hashlib.sha256(out.encode()).hexdigest()
-            == SPECTRUM_TWO_BRANCH_SHA256[preset])
-
-
 def test_spectrum_json_and_inf(run):
     out, _ = run("spectrum", "--preset", "okamoto:0.5", "--points", "11",
                  "--json")
@@ -240,213 +203,6 @@ def test_verify_ae(run):
     assert doc["pass"] is True
     assert doc["expected"] == pytest.approx(0.5, abs=1e-12)
     assert abs(doc["median"] - 0.5) < 0.05
-
-
-# stdout of the README's `verify --mode ae` example, byte for byte
-VERIFY_AE_README = """\
-{
-  "deciles": [
-    1.112242618206385,
-    1.1148983046519305,
-    1.1170444009883786,
-    1.1191594749469664,
-    1.1211814496112409,
-    1.1227867261052527,
-    1.1250388700987386,
-    1.12696333809164,
-    1.1300382911338356
-  ],
-  "error": 0.0045863347947388,
-  "expected": 1.1257693834979823,
-  "fraction_finite": 1.0,
-  "median": 1.1211830487032435,
-  "mode": "ae",
-  "pass": true
-}
-"""
-
-
-def test_verify_ae_readme_output_is_pinned(run):
-    out, _ = run("verify", "--preset", "riesz-nagy:0.3", "--mode", "ae",
-                 "--points", "1000", "--horizon", "10000", "--seed", "1")
-    assert out == VERIFY_AE_README
-
-
-# stdout of the README's `coding` and `exponent` examples, and of the
-# report at x = 0 (the all-1 coding), byte for byte
-PINNED_OUTPUTS = [
-    (('coding', '--preset', 'okamoto:0.6', '--x', '0.4', '--depth', '64'), """\
-{
-  "ambiguous": false,
-  "coding": "2,1,2,3,2,1,2,3,2,1,2,3,2,1,2,3,2,1,2,3,2,1,2,3,2,1,2,3,2,1,2,3,2,2,2,2,2,1,1,2,3,3,1,3,1,2,3,2,3,1,3,3,1,1,2,1,3,1,3,1,2,1,1,2",
-  "cut_point": false,
-  "interval": {
-    "left": 0.39999999999999997,
-    "length": 2.9123240587562607e-31,
-    "right": 0.4000000000000001
-  },
-  "period": null,
-  "prefix": [
-    2,
-    1,
-    2,
-    3,
-    2,
-    1,
-    2,
-    3,
-    2,
-    1,
-    2,
-    3,
-    2,
-    1,
-    2,
-    3,
-    2,
-    1,
-    2,
-    3,
-    2,
-    1,
-    2,
-    3,
-    2,
-    1,
-    2,
-    3,
-    2,
-    1,
-    2,
-    3,
-    2,
-    2,
-    2,
-    2,
-    2,
-    1,
-    1,
-    2,
-    3,
-    3,
-    1,
-    3,
-    1,
-    2,
-    3,
-    2,
-    3,
-    1,
-    3,
-    3,
-    1,
-    1,
-    2,
-    1,
-    3,
-    1,
-    3,
-    1,
-    2,
-    1,
-    1,
-    2
-  ],
-  "x": 0.4
-}
-"""),
-    (('coding', '--preset', 'okamoto:0.6', '--coding', '1,2,(1,3)', '--in-t'), """\
-{
-  "coding": "1,2,(1,3)",
-  "in_t": {
-    "boundary_digit": null,
-    "decided": true,
-    "left": null,
-    "member": false,
-    "n0": null,
-    "right": null
-  },
-  "x": 0.13888888888888887
-}
-"""),
-    (('exponent', '--preset', 'riesz-nagy:0.3', '--coding', '1,(1,2)'), """\
-{
-  "alpha": 1.1257693834979823,
-  "coding": "1,(1,2)",
-  "cut_point": false,
-  "left": {
-    "alpha": 1.1257693834979823,
-    "derivative": 0.0,
-    "gamma": 1.1257693834979823,
-    "gamma0": 1.1257693834979823,
-    "gamma1": 1.1257693834979823,
-    "gamma2": 1.1257693834979823,
-    "horizon_used": null,
-    "infinite": false,
-    "method": "exact-periodic",
-    "side": "left"
-  },
-  "right": {
-    "alpha": 1.1257693834979823,
-    "derivative": 0.0,
-    "gamma": 1.1257693834979823,
-    "gamma0": 1.1257693834979823,
-    "gamma1": 1.1257693834979823,
-    "gamma2": 1.1257693834979823,
-    "horizon_used": null,
-    "infinite": false,
-    "method": "exact-periodic",
-    "side": "right"
-  }
-}
-"""),
-    (('exponent', '--preset', 'okamoto:0.5', '--x', '0.4444444444444444'), """\
-{
-  "alpha": "inf",
-  "coding": "2,2,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,3,3,1,3,3,3,3,2,3,3,3,1,3,3,1,1,3,1,3,2,3,2,2,2,2,2,3,1",
-  "cut_point": false,
-  "left": {
-    "alpha": "inf",
-    "derivative": 0.0,
-    "infinite": true,
-    "side": "left"
-  },
-  "right": {
-    "alpha": "inf",
-    "derivative": 0.0,
-    "infinite": true,
-    "side": "right"
-  }
-}
-"""),
-    (('exponent', '--preset', 'riesz-nagy:0.3', '--coding', '1,1,(1)'), """\
-{
-  "alpha": 1.7369655941662063,
-  "coding": "1,1,(1)",
-  "cut_point": false,
-  "left": null,
-  "right": {
-    "alpha": 1.7369655941662063,
-    "derivative": 0.0,
-    "gamma": 1.7369655941662063,
-    "gamma0": 1.7369655941662063,
-    "gamma1": 1.7369655941662063,
-    "gamma2": 1.7369655941662063,
-    "horizon_used": null,
-    "infinite": false,
-    "method": "exact-periodic",
-    "side": "right"
-  }
-}
-"""),
-]
-
-
-@pytest.mark.parametrize("argv, want", PINNED_OUTPUTS,
-                         ids=[" ".join(argv) for argv, _ in PINNED_OUTPUTS])
-def test_coding_and_exponent_output_is_pinned(run, argv, want):
-    out, _ = run(*argv)
-    assert out == want
 
 
 def test_verify_exponent(run):
@@ -579,6 +335,33 @@ def test_readme_examples_run(run):
             head, tail = shown[:cut], shown[cut + 1:]
             assert lines[:len(head)] == head
             assert lines[len(lines) - len(tail):] == tail
+
+
+GOLDEN = README.with_name("tests") / "cli_golden.json"
+
+
+def test_cli_output_matches_golden(run, monkeypatch):
+    """Every command of tests/cli_golden.json (one argv per key, written
+    with shlex.join) exits and prints to stdout as pinned there.  One
+    failure lists each moved command with its old and new sha256 prefix and
+    byte length; tests/regen_cli_golden.py rewrites the manifest."""
+    golden = json.loads(GOLDEN.read_text())
+    assert {shlex.join(argv) for argv, _ in _readme_examples()} <= golden.keys()
+    monkeypatch.chdir(README.parent)     # --system paths are from the root
+    moved = []
+    for key, want in golden.items():
+        assert shlex.join(shlex.split(key)) == key
+        try:
+            out, _ = run(*shlex.split(key), expect=want["exit"])
+        except AssertionError as exc:
+            moved.append(f"{key}: exit code is not {want['exit']}: {exc}")
+            continue
+        data = out.encode()
+        got = hashlib.sha256(data).hexdigest()
+        if (got, len(data)) != (want["sha256"], want["bytes"]):
+            moved.append(f"{key}: sha256 {want['sha256'][:12]} -> {got[:12]}, "
+                         f"{want['bytes']} -> {len(data)} bytes")
+    assert not moved, f"{len(moved)} commands moved:\n" + "\n".join(moved)
 
 
 def test_readme_python_quick_start():
