@@ -298,8 +298,11 @@ def _cmd_gen_coding(args) -> int:
                                   length=args.length, p=p,
                                   block_ends=block_ends,
                                   run_lengths=run_lengths)
+    n_last = max((n for n in rs.block_ends if n <= args.length), default=0)
+    if not n_last:
+        raise errors.InvalidSchedule(
+            f"no block end lies at or below --length {args.length}")
     coding = generate_run_structured(rs, args.length, args.seed)
-    n_last = max(n for n in rs.block_ends if n <= args.length)
     # the traces at position n_last, from the chunk that holds it; the
     # chunks run on to --length, so that a zero-contraction digit anywhere
     # in the coding raises InfiniteExponent

@@ -547,6 +547,9 @@ def run_structure_for_target(system: SelfAffineSystem, constants, alpha: float,
     if p is None:
         p = constants.p_star
     p = tuple(float(v) for v in p)
+    if len(p) != r:
+        raise errors.InvalidSchedule(
+            f"p needs {r} entries, one per branch, not {len(p)}")
     if any(p[k - 1] > 0.0 for k in constants.index_zero):
         raise errors.InvalidSchedule("p puts mass on a branch with d = 0")
     loga, logd = constants._logs

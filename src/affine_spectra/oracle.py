@@ -20,6 +20,7 @@ _EVAL_TOL = 1e-18          # keep value noise far below the oscillations read
 _UNIFORM_PER_WINDOW = 64
 _STRATIFY_FACTOR = 64      # keep basic intervals down to h / 64
 _AE_BLOCK = 40_000         # digits per Monte Carlo block: buffers stay in cache
+_DROP_SCALES = 2           # largest scales left out of a fit (transients)
 
 
 def default_scales() -> tuple[float, ...]:
@@ -72,13 +73,12 @@ def _check_osc_side(side: str) -> None:
 
 def estimate_exponent(system: SelfAffineSystem, xi: float,
                       side: str = "right", scales=None, *,
-                      derivative: float | None = None,
-                      drop_scales: int = 2) -> RegressionEstimate:
+                      derivative: float | None = None) -> RegressionEstimate:
     """Regress log max|phi - P| over windows of shrinking scale h at xi.
 
     P is the constant phi(xi), or the tangent line when `derivative` is
     given; exponents above 1 are invisible without subtracting it.  The
-    `drop_scales` largest scales are excluded from the fit (transients).
+    _DROP_SCALES largest scales are excluded from the fit (transients).
     All windows are evaluated in one batch, so a NonConvergence names the
     worst bound over all scales.
     """
@@ -118,11 +118,11 @@ def estimate_exponent(system: SelfAffineSystem, xi: float,
                      else base + derivative * (pts - xi))
             usable.append((h, float(np.max(np.abs(values - model)))))
 
-    if len(usable) < drop_scales + 3:
+    if len(usable) < _DROP_SCALES + 3:
         raise errors.DegenerateWindow(
             f"only {len(usable)} scales fit inside [0, 1]; "
-            f"need {drop_scales + 3}")
-    kept = usable[drop_scales:]
+            f"need {_DROP_SCALES + 3}")
+    kept = usable[_DROP_SCALES:]
     positive = [(h, m) for h, m in kept if m > 0.0]
     if not positive:
         # the model matches exactly at every scale: affine piece

@@ -33,45 +33,20 @@ import numpy as np
 
 from . import errors
 from .ifs import Regime, SpectrumConstants, _end_ties
+from .roots import unit_sum_root
 
 _END_TOL = 1e-12    # slack when classifying alpha against the support ends
 _DEG_TOL = 1e-12    # all-rho-equal degeneracy
 _Q_TOL = 1e-12      # relative step in q, bracket half-width included
-_B_TOL = 1e-14      # relative Newton step in beta (_pressure)
 _B_ERR = 1e-16      # relative error the last step in beta leaves (Legendre)
 _SURE = 1e-6        # relative step in beta below which alpha(q) is trusted
 _NEWTON_CAP = 100   # steps on (q, beta) per row
-_PRESSURE_CAP = 100  # iterations on beta per row and call
 
 
 def _degenerate(constants: SpectrumConstants) -> bool:
     """All ratios rho_k coincide: the support is the one point alpha_hat."""
     amin, amax = constants.alpha_min, constants.alpha_max
     return amax - amin <= _DEG_TOL * max(1.0, abs(amax))
-
-
-def _pressure(logd, loga, q, start=-np.inf):
-    """beta at each q by Newton's method on F(b) = log sum_k w_k,
-    w_k = |d_k|^q a_k^b, from at least max_k (-q rho_k).
-
-    F is convex, decreasing and nearly linear far left of the root, and
-    F >= 0 at max_k (-q rho_k) and at a tangent restart, so the iterates rise
-    monotonically to the root (a sum rounding below 1 counts as 1).  Rows
-    are added in branch order: a row's bits do not depend on the rows solved
-    with it, bar a lone row of eight or more branches (summed pairwise)."""
-    b = np.maximum(start, (-q * logd / loga).max(axis=0))
-    todo = np.arange(q.size)
-    for _ in range(_PRESSURE_CAP):
-        qi, bi = q[todo], b[todo]
-        w = np.exp(qi * logd + bi * loga)
-        s = np.add.reduce(w, axis=0)
-        step = (np.maximum(np.log(s), 0.0) * s
-                / -np.add.reduce(w * loga, axis=0))
-        b[todo] = bi + step
-        todo = todo[step > _B_TOL * np.maximum(1.0, np.abs(bi))]
-        if not todo.size:
-            return b
-    raise errors.NonConvergence(f"beta unsolved at q = {q[todo].tolist()}")
 
 
 def _two_branch(ld, la, alphas):
@@ -108,7 +83,7 @@ def _legendre_newton(constants: SpectrumConstants, alphas):
 
     Rows start at _two_branch of the extreme-ratio branches (b below beta)
     or at q = 0, b = s_hat, with b >= max_k (-q rho_k).  Each step evaluates
-    the weights once: _pressure's step db on b, which leaves b within
+    the weights once: unit_sum_root's step db on b, which leaves b within
     err = (l_max - l_min)^2 / (2 |l_max|) db^2 of beta for log a_k in
     [l_min, l_max]; a Newton step on q for log((alpha(q) - alpha_min) /
     (alpha_max - alpha(q))), alpha(q) corrected to first order for db; and b
@@ -189,16 +164,19 @@ def _legendre_newton(constants: SpectrumConstants, alphas):
 def beta(constants: SpectrumConstants, q: float) -> float:
     """Root of sum |d_k|^q a_k^beta = 1 over the d_k != 0 branches."""
     _, logd, loga = constants._plus_columns
-    return float(_pressure(logd, loga, np.array([float(q)]))[0])
+    q = float(q)
+    return unit_sum_root(loga[:, 0].tolist(),
+                         [q * ld for ld in logd[:, 0].tolist()])
 
 
 def alpha_of_q(constants: SpectrumConstants, q: float) -> float:
     """Negated slope of beta at q: the alpha whose conjugate is attained
     there.  Strictly decreasing from alpha_max (q -> -inf) to alpha_min."""
     _, logd, loga = constants._plus_columns
-    qs = np.array([float(q)])
-    w = np.exp(qs * logd + _pressure(logd, loga, qs) * loga)
-    return float(np.add.reduce(w * logd)[0] / np.add.reduce(w * loga)[0])
+    ld, la, b = logd[:, 0].tolist(), loga[:, 0].tolist(), beta(constants, q)
+    w = [math.exp(float(q) * ldk + b * lak) for ldk, lak in zip(ld, la)]
+    return (math.fsum(wk * ldk for wk, ldk in zip(w, ld))
+            / math.fsum(wk * lak for wk, lak in zip(w, la)))
 
 
 def q_star(constants: SpectrumConstants, alpha: float) -> float:

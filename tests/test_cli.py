@@ -259,6 +259,21 @@ def test_gen_coding_diagnostics_are_the_trace(run, length, ends):
         "gamma0_at_last_block": float(trace.g0[n_last - 1])}
 
 
+@pytest.mark.parametrize("extra, message", [
+    (("--p", "0.5,0.3,0.2"), "one per branch"),
+    (("--p", "1.0"), "one per branch"),
+    (("--block-ends", "5000"), "no block end lies at or below --length 2000")],
+    ids=["p-too-long", "p-too-short", "no-block-end"])
+def test_gen_coding_schedule_errors(run, extra, message):
+    """A frequency vector of the wrong length, or a schedule with no block
+    end inside the coding, is one named JSON error on stderr."""
+    out, err = run("gen-coding", "--preset", SKEW, "--alpha", "1.2",
+                   "--length", "2000", *extra, expect=1)
+    doc = json.loads(err)
+    assert out == "" and doc["error"] == "InvalidSchedule"
+    assert message in doc["message"]
+
+
 def test_error_exit_code(run, capsys):
     _, err = run("eval", "--preset", "riesz-nagy:0.3", "--x", "1.5",
                  expect=1)

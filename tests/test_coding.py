@@ -623,6 +623,10 @@ def test_run_structure_rejections(make_system):
     with pytest.raises(errors.InvalidSchedule):
         run_structure_for_target(skew, c, 1.2, block_ends=(100,),
                                  run_lengths=(200,))
+    # one frequency per branch: a third would become a digit 3
+    for p in ((0.5, 0.3, 0.2), (1.0,)):
+        with pytest.raises(errors.InvalidSchedule, match="one per branch"):
+            run_structure_for_target(skew, c, 1.2, p=p)
 
 
 def test_generate_run_structured(make_system):

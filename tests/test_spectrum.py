@@ -21,6 +21,7 @@ from affine_spectra import (
     from_branches,
     parse_preset,
     q_star,
+    roots,
     spectrum,
     spectrum_D,
     spectrum_table,
@@ -353,7 +354,7 @@ def test_two_branch_needs_no_iteration(make_system, monkeypatch):
     table = spectrum_table(c, points=31)
     q = q_star(c, 1.0)
     monkeypatch.setattr(spectrum, "_NEWTON_CAP", 1)
-    monkeypatch.setattr(spectrum, "_PRESSURE_CAP", 1)
+    monkeypatch.setattr(roots, "_CAP", 1)
     assert [spectrum_D(c, pt.alpha) for pt in want] == want
     assert spectrum_table(c, points=31) == table
     assert q_star(c, 1.0) == q == duality_maximizer(c, 1.0).q
@@ -409,16 +410,14 @@ def test_solve_rows_are_ordinary_points(make_system):
 
 
 def test_empty_calls_return_at_once(make_system):
-    """No legendre rows: _legendre and _pressure return empty arrays after
-    one pass, on the closed form and on the Newton path."""
+    """No legendre rows: _legendre returns empty arrays after one pass, on
+    the closed form and on the Newton path."""
     for name in ("riesz-nagy:0.3", "okamoto:0.6"):
         _, c = make_system(name)
-        _, logd, loga = c._plus_columns
         for f in (spectrum._legendre, spectrum._legendre_newton):
             q, b = f(c, np.zeros(0))
             assert q.shape == b.shape == (0,)
         assert spectrum._legendre(c, [])[0].shape == (0,)
-        assert spectrum._pressure(logd, loga, np.zeros(0)).shape == (0,)
         rows = spectrum._solve(c, [c.alpha_min - 1.0, c.alpha_max])
         assert [(pt.branch, q) for pt, q in zip(*rows)] == [
             ("empty", None), ("endpoint", None)]
@@ -584,19 +583,12 @@ def test_two_branch_closed_form_matches_mpmath_and_newton(seed, kind):
 @given(seed=st.integers(0, 10 ** 9), r=st.integers(3, 9))
 def test_rows_do_not_depend_on_their_companions(seed, r):
     """A row solved alone gives the bits it gets among others: the sums
-    add the branches in one order whatever the number of rows.  _pressure
-    sums a lone row's column pairwise from eight branches on, so there it
-    is compared on tables only; _legendre_newton solves a lone row on two
-    equal columns, so its rows are compared alone at every size, and a
-    table's rows also match each other's solve in reverse order."""
+    add the branches in one order whatever the number of rows.
+    _legendre_newton solves a lone row on two equal columns, so its rows are
+    compared alone at every size, and a table's rows also match each other's
+    solve in reverse order."""
     rng = np.random.default_rng(seed)
     c = compute_constants(random_polygon_system(rng, r=r, allow_zero=True))
-    _, logd, loga = c._plus_columns
-    qs = np.linspace(-20.0, 20.0, 9)
-    together = spectrum._pressure(logd, loga, qs)
-    if len(c.index_plus) < 8:
-        assert [spectrum._pressure(logd, loga, qs[i:i + 1])[0]
-                for i in range(qs.size)] == together.tolist()
     if c.alpha_max - c.alpha_min < 1e-6:
         return
     alphas = np.array(_interior(c))
@@ -609,45 +601,37 @@ def test_rows_do_not_depend_on_their_companions(seed, r):
 
 
 class _AbsSpy:
-    """numpy for the spectrum module, except that np.abs records what it
-    is given: _pressure's stop test takes np.abs of the active iterates
-    once per step."""
+    """abs for the roots module that records what it is given:
+    unit_sum_root's stop test takes abs of the iterate after each step."""
 
     def __init__(self):
         self.seen = []
 
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def abs(self, x):
-        self.seen.append(float(x[0]))
-        return np.abs(x)
+    def __call__(self, x):
+        self.seen.append(x)
+        return abs(x)
 
 
 @settings(max_examples=40)
 @given(seed=st.integers(0, 10 ** 9), r=st.integers(3, 5),
-       q=st.floats(-50.0, 50.0), dq=st.floats(0.01, 2.0))
-def test_log_pressure_matches_mpmath_and_rises(seed, r, q, dq):
-    """The log-space Newton solve for beta(q), from max_k (-q rho_k) and
-    from a tangent restart at q - dq: within 1e-13 relative of an mpmath
-    root, and its iterates never decrease."""
+       q=st.floats(-50.0, 50.0))
+def test_log_pressure_matches_mpmath_and_rises(seed, r, q):
+    """The log-space Newton solve for beta(q), from max_k (-q rho_k): within
+    1e-13 relative of an mpmath root, and its iterates never decrease."""
     rng = np.random.default_rng(seed)
     system = random_polygon_system(rng, r=r, allow_zero=True)
     c = compute_constants(system)
     _, logd, loga = c._plus_columns
     with mpmath.workdps(_DPS):
         want = float(_beta_mp(_mp_terms(system.a, system.d), q))
-    q0 = np.array([q - dq])
-    b0 = spectrum._pressure(logd, loga, q0)
-    tangent = b0 - alpha_of_q(c, q0[0]) * dq
-    for start in (-np.inf, tangent):
-        spy = _AbsSpy()
-        spectrum.np = spy
-        try:
-            got = spectrum._pressure(logd, loga, np.array([q]), start)
-        finally:
-            spectrum.np = np
-        steps = spy.seen + [float(got[0])]
-        assert len(steps) >= 2
-        assert all(x <= y for x, y in zip(steps, steps[1:]))
-        assert abs(got[0] - want) <= 1e-13 * max(1.0, abs(want))
+    spy = _AbsSpy()
+    roots.abs = spy
+    try:
+        got = beta(c, q)
+    finally:
+        del roots.abs
+    steps = [max(-q * ld / la for ld, la in zip(logd[:, 0], loga[:, 0]))]
+    steps += spy.seen
+    assert len(steps) >= 2 and steps[-1] == got
+    assert all(x <= y for x, y in zip(steps, steps[1:]))
+    assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
