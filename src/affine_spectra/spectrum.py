@@ -165,6 +165,8 @@ def beta(constants: SpectrumConstants, q: float) -> float:
     """Root of sum |d_k|^q a_k^beta = 1 over the d_k != 0 branches."""
     _, logd, loga = constants._plus_columns
     q = float(q)
+    if not math.isfinite(q):
+        raise errors.OutOfRange(f"q = {q} is not finite")
     return unit_sum_root(loga[:, 0].tolist(),
                          [q * ld for ld in logd[:, 0].tolist()])
 

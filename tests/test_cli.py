@@ -352,7 +352,7 @@ def test_readme_examples_run(run):
             assert lines[len(lines) - len(tail):] == tail
 
 
-GOLDEN = README.with_name("tests") / "cli_golden.json"
+GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
 
 
 def test_cli_output_matches_golden(run, monkeypatch):
@@ -376,7 +376,9 @@ def test_cli_output_matches_golden(run, monkeypatch):
         if (got, len(data)) != (want["sha256"], want["bytes"]):
             moved.append(f"{key}: sha256 {want['sha256'][:12]} -> {got[:12]}, "
                          f"{want['bytes']} -> {len(data)} bytes")
-    assert not moved, f"{len(moved)} commands moved:\n" + "\n".join(moved)
+    if moved:
+        pytest.fail(f"{len(moved)} commands moved:\n" + "\n".join(moved),
+                    pytrace=False)
 
 
 def test_readme_python_quick_start():

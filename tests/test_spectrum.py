@@ -94,6 +94,16 @@ def test_nan_alpha_raises(make_system):
                 f(c, math.nan)
 
 
+def test_non_finite_q_raises(make_system):
+    """beta and alpha_of_q reject a q that is NaN or infinite by name, not
+    by a Newton solve that cannot start."""
+    _, c = make_system("okamoto:0.6")
+    for f in (beta, alpha_of_q):
+        for q in (math.nan, math.inf, -math.inf):
+            with pytest.raises(errors.OutOfRange, match="not finite"):
+                f(c, q)
+
+
 # -------------------------------------------------------------------- beta*
 
 def test_beta_star_frozen(make_system):
@@ -600,18 +610,6 @@ def test_rows_do_not_depend_on_their_companions(seed, r):
     assert qr[::-1].tobytes() == q.tobytes() and br[::-1].tobytes() == b.tobytes()
 
 
-class _AbsSpy:
-    """abs for the roots module that records what it is given:
-    unit_sum_root's stop test takes abs of the iterate after each step."""
-
-    def __init__(self):
-        self.seen = []
-
-    def __call__(self, x):
-        self.seen.append(x)
-        return abs(x)
-
-
 @settings(max_examples=40)
 @given(seed=st.integers(0, 10 ** 9), r=st.integers(3, 5),
        q=st.floats(-50.0, 50.0))
@@ -624,14 +622,17 @@ def test_log_pressure_matches_mpmath_and_rises(seed, r, q):
     _, logd, loga = c._plus_columns
     with mpmath.workdps(_DPS):
         want = float(_beta_mp(_mp_terms(system.a, system.d), q))
-    spy = _AbsSpy()
+    steps = [max(-q * ld / la for ld, la in zip(logd[:, 0], loga[:, 0]))]
+
+    def spy(x):     # unit_sum_root's stop test takes abs of each iterate
+        steps.append(x)
+        return abs(x)
+
     roots.abs = spy
     try:
         got = beta(c, q)
     finally:
         del roots.abs
-    steps = [max(-q * ld / la for ld, la in zip(logd[:, 0], loga[:, 0]))]
-    steps += spy.seen
     assert len(steps) >= 2 and steps[-1] == got
     assert all(x <= y for x, y in zip(steps, steps[1:]))
     assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
