@@ -355,6 +355,23 @@ def test_readme_examples_run(run):
 GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
 
 
+def _moved(run, key, want):
+    """(stdout, None) if the command `key` of tests/cli_golden.json exits
+    and prints to stdout as `want` pins it, else (stdout or None, a line
+    that says what moved)."""
+    assert shlex.join(shlex.split(key)) == key
+    try:
+        out, _ = run(*shlex.split(key), expect=want["exit"])
+    except AssertionError as exc:
+        return None, f"{key}: exit code is not {want['exit']}: {exc}"
+    data = out.encode()
+    got = hashlib.sha256(data).hexdigest()
+    if (got, len(data)) != (want["sha256"], want["bytes"]):
+        return out, (f"{key}: sha256 {want['sha256'][:12]} -> {got[:12]}, "
+                     f"{want['bytes']} -> {len(data)} bytes")
+    return out, None
+
+
 def test_cli_output_matches_golden(run, monkeypatch):
     """Every command of tests/cli_golden.json (one argv per key, written
     with shlex.join) exits and prints to stdout as pinned there.  One
@@ -363,22 +380,58 @@ def test_cli_output_matches_golden(run, monkeypatch):
     golden = json.loads(GOLDEN.read_text())
     assert {shlex.join(argv) for argv, _ in _readme_examples()} <= golden.keys()
     monkeypatch.chdir(README.parent)     # --system paths are from the root
-    moved = []
-    for key, want in golden.items():
-        assert shlex.join(shlex.split(key)) == key
-        try:
-            out, _ = run(*shlex.split(key), expect=want["exit"])
-        except AssertionError as exc:
-            moved.append(f"{key}: exit code is not {want['exit']}: {exc}")
-            continue
-        data = out.encode()
-        got = hashlib.sha256(data).hexdigest()
-        if (got, len(data)) != (want["sha256"], want["bytes"]):
-            moved.append(f"{key}: sha256 {want['sha256'][:12]} -> {got[:12]}, "
-                         f"{want['bytes']} -> {len(data)} bytes")
+    moved = [line for key, want in golden.items()
+             if (line := _moved(run, key, want)[1]) is not None]
     if moved:
         pytest.fail(f"{len(moved)} commands moved:\n" + "\n".join(moved),
                     pytrace=False)
+
+
+def _assert_pinned(run, argv):
+    """The command argv is a key of tests/cli_golden.json, and its output
+    has not moved; returns its stdout."""
+    key = shlex.join(argv)
+    out, moved = _moved(run, key, json.loads(GOLDEN.read_text())[key])
+    assert moved is None, moved
+    return out
+
+
+# The commands of the pins that came before the manifest, each a test of its
+# own: the depth of every `sample` grid point (ROADMAP item 1), the
+# two-branch Legendre rows, and the README's `verify`, `coding` and
+# `exponent` examples with the report at x = 0 (the all-1 coding)
+
+def test_sample_output_is_pinned(run):
+    _assert_pinned(run, ["sample", "--preset", "okamoto:0.6", "--points",
+                         "1001", "--tol", "1e-12"])
+
+
+@pytest.mark.parametrize("preset", ["riesz-nagy:0.3", "skew-takagi:0.3,0.5,0.25",
+                                    "skew-takagi:0.4,1,0.3"])
+def test_spectrum_two_branch_output_is_pinned(run, preset):
+    out = _assert_pinned(run, ["spectrum", "--preset", preset, "--points",
+                               "201"])
+    assert len(out.splitlines()) >= 202
+
+
+def test_verify_ae_readme_output_is_pinned(run):
+    _assert_pinned(run, ["verify", "--preset", "riesz-nagy:0.3", "--mode",
+                         "ae", "--points", "1000", "--horizon", "10000",
+                         "--seed", "1"])
+
+
+PINNED_ARGV = [
+    ("coding", "--preset", "okamoto:0.6", "--x", "0.4", "--depth", "64"),
+    ("coding", "--preset", "okamoto:0.6", "--coding", "1,2,(1,3)", "--in-t"),
+    ("exponent", "--preset", "riesz-nagy:0.3", "--coding", "1,(1,2)"),
+    ("exponent", "--preset", "okamoto:0.5", "--x", "0.4444444444444444"),
+    ("exponent", "--preset", "riesz-nagy:0.3", "--coding", "1,1,(1)"),
+]
+
+
+@pytest.mark.parametrize("argv", PINNED_ARGV, ids=" ".join)
+def test_coding_and_exponent_output_is_pinned(run, argv):
+    _assert_pinned(run, list(argv))
 
 
 def test_readme_python_quick_start():
