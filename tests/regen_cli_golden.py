@@ -1,8 +1,8 @@
 """Rewrite tests/cli_golden.json from the CLI as it now prints.
 
-Each key of the manifest is one argv, written with shlex.join; its value is
-the exit code and the sha256 and byte length of stdout.  This re-runs every
-key in process from the repository root, rewrites the values and prints the
+Each key of the manifest is one argv, written with shlex.join; its value,
+built by `pin`, is the exit code and the sha256 and byte length of stdout.
+This re-runs every key in process, rewrites the values and prints the
 commands whose value moved.  To pin a new command, add its key with the
 value null first.  Run from the repository root:
 
@@ -22,16 +22,26 @@ from affine_spectra.cli import main
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MANIFEST = ROOT / "tests" / "cli_golden.json"
 
-if __name__ == "__main__":
+
+def pin(argv):
+    """Run the CLI on argv from the repository root (the manifest's --system
+    paths start there); returns (its manifest value, stdout, stderr)."""
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
     os.chdir(ROOT)
-    old, new = json.loads(MANIFEST.read_text()), {}
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        os.chdir(cwd)
+    data = out.getvalue().encode()
+    return ({"exit": code, "sha256": hashlib.sha256(data).hexdigest(),
+             "bytes": len(data)}, out.getvalue(), err.getvalue())
+
+
+if __name__ == "__main__":
+    old = json.loads(MANIFEST.read_text())
+    new = {key: pin(shlex.split(key))[0] for key in old}
     for key in old:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(shlex.split(key))
-        data = out.getvalue().encode()
-        new[key] = {"exit": code, "sha256": hashlib.sha256(data).hexdigest(),
-                    "bytes": len(data)}
         if new[key] != old[key]:
             print(key)
     MANIFEST.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")

@@ -1,6 +1,6 @@
 import ast
 import csv
-import hashlib
+import functools
 import io
 import json
 import math
@@ -22,6 +22,7 @@ from affine_spectra import (
     system_to_dict,
 )
 from affine_spectra.cli import main
+from regen_cli_golden import pin
 
 SKEW = "skew-takagi:0.3,0.5,0.25"
 
@@ -326,13 +327,44 @@ def _readme_examples():
     return examples
 
 
-def test_readme_examples_run(run):
+GOLDEN = json.loads(pathlib.Path(__file__).with_name("cli_golden.json")
+                    .read_text())
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    """pinned(key) is regen_cli_golden.pin of the argv `key` (written with
+    shlex.join), run once per module: the manifest test, the README test
+    and the named pins below share each command's one run."""
+    return functools.cache(lambda key: pin(shlex.split(key)))
+
+
+def _moved(pinned, key):
+    """None if the command `key` of tests/cli_golden.json exits and prints
+    to stdout as pinned there, else a line that says what moved."""
+    assert shlex.join(shlex.split(key)) == key
+    want = GOLDEN[key]
+    try:
+        got, _, err = pinned(key)
+    except Exception as exc:
+        return f"{key}: raised {type(exc).__name__}: {exc}"
+    if got == want:
+        return None
+    line = (f"{key}: sha256 {want['sha256'][:12]} -> {got['sha256'][:12]}, "
+            f"{want['bytes']} -> {got['bytes']} bytes")
+    if got["exit"] != want["exit"]:
+        line += f", exit {want['exit']} -> {got['exit']}: {err.strip()}"
+    return line
+
+
+def test_readme_examples_run(pinned):
     examples = _readme_examples()
     assert {argv[0] for argv, _ in examples} == {
         "validate", "constants", "eval", "sample", "coding", "exponent",
         "spectrum", "verify", "gen-coding"}
     for argv, shown in examples:
-        out, _ = run(*argv)
+        got, out, err = pinned(shlex.join(argv))
+        assert got["exit"] == 0, err
         if out.startswith("{"):
             json.loads(out)
         else:
@@ -352,48 +384,25 @@ def test_readme_examples_run(run):
             assert lines[len(lines) - len(tail):] == tail
 
 
-GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
-
-
-def _moved(run, key, want):
-    """(stdout, None) if the command `key` of tests/cli_golden.json exits
-    and prints to stdout as `want` pins it, else (stdout or None, a line
-    that says what moved)."""
-    assert shlex.join(shlex.split(key)) == key
-    try:
-        out, _ = run(*shlex.split(key), expect=want["exit"])
-    except AssertionError as exc:
-        return None, f"{key}: exit code is not {want['exit']}: {exc}"
-    data = out.encode()
-    got = hashlib.sha256(data).hexdigest()
-    if (got, len(data)) != (want["sha256"], want["bytes"]):
-        return out, (f"{key}: sha256 {want['sha256'][:12]} -> {got[:12]}, "
-                     f"{want['bytes']} -> {len(data)} bytes")
-    return out, None
-
-
-def test_cli_output_matches_golden(run, monkeypatch):
+def test_cli_output_matches_golden(pinned):
     """Every command of tests/cli_golden.json (one argv per key, written
     with shlex.join) exits and prints to stdout as pinned there.  One
     failure lists each moved command with its old and new sha256 prefix and
     byte length; tests/regen_cli_golden.py rewrites the manifest."""
-    golden = json.loads(GOLDEN.read_text())
-    assert {shlex.join(argv) for argv, _ in _readme_examples()} <= golden.keys()
-    monkeypatch.chdir(README.parent)     # --system paths are from the root
-    moved = [line for key, want in golden.items()
-             if (line := _moved(run, key, want)[1]) is not None]
+    assert {shlex.join(argv) for argv, _ in _readme_examples()} <= GOLDEN.keys()
+    moved = [line for key in GOLDEN if (line := _moved(pinned, key))]
     if moved:
         pytest.fail(f"{len(moved)} commands moved:\n" + "\n".join(moved),
                     pytrace=False)
 
 
-def _assert_pinned(run, argv):
+def _assert_pinned(pinned, argv):
     """The command argv is a key of tests/cli_golden.json, and its output
     has not moved; returns its stdout."""
     key = shlex.join(argv)
-    out, moved = _moved(run, key, json.loads(GOLDEN.read_text())[key])
+    moved = _moved(pinned, key)
     assert moved is None, moved
-    return out
+    return pinned(key)[1]
 
 
 # The commands of the pins that came before the manifest, each a test of its
@@ -401,23 +410,23 @@ def _assert_pinned(run, argv):
 # two-branch Legendre rows, and the README's `verify`, `coding` and
 # `exponent` examples with the report at x = 0 (the all-1 coding)
 
-def test_sample_output_is_pinned(run):
-    _assert_pinned(run, ["sample", "--preset", "okamoto:0.6", "--points",
-                         "1001", "--tol", "1e-12"])
+def test_sample_output_is_pinned(pinned):
+    _assert_pinned(pinned, ["sample", "--preset", "okamoto:0.6", "--points",
+                            "1001", "--tol", "1e-12"])
 
 
 @pytest.mark.parametrize("preset", ["riesz-nagy:0.3", "skew-takagi:0.3,0.5,0.25",
                                     "skew-takagi:0.4,1,0.3"])
-def test_spectrum_two_branch_output_is_pinned(run, preset):
-    out = _assert_pinned(run, ["spectrum", "--preset", preset, "--points",
-                               "201"])
+def test_spectrum_two_branch_output_is_pinned(pinned, preset):
+    out = _assert_pinned(pinned, ["spectrum", "--preset", preset, "--points",
+                                  "201"])
     assert len(out.splitlines()) >= 202
 
 
-def test_verify_ae_readme_output_is_pinned(run):
-    _assert_pinned(run, ["verify", "--preset", "riesz-nagy:0.3", "--mode",
-                         "ae", "--points", "1000", "--horizon", "10000",
-                         "--seed", "1"])
+def test_verify_ae_readme_output_is_pinned(pinned):
+    _assert_pinned(pinned, ["verify", "--preset", "riesz-nagy:0.3", "--mode",
+                            "ae", "--points", "1000", "--horizon", "10000",
+                            "--seed", "1"])
 
 
 PINNED_ARGV = [
@@ -430,8 +439,8 @@ PINNED_ARGV = [
 
 
 @pytest.mark.parametrize("argv", PINNED_ARGV, ids=" ".join)
-def test_coding_and_exponent_output_is_pinned(run, argv):
-    _assert_pinned(run, list(argv))
+def test_coding_and_exponent_output_is_pinned(pinned, argv):
+    _assert_pinned(pinned, list(argv))
 
 
 def test_readme_python_quick_start():

@@ -364,7 +364,6 @@ def test_two_branch_needs_no_iteration(make_system, monkeypatch):
     table = spectrum_table(c, points=31)
     q = q_star(c, 1.0)
     monkeypatch.setattr(spectrum, "_NEWTON_CAP", 1)
-    monkeypatch.setattr(roots, "_CAP", 1)
     assert [spectrum_D(c, pt.alpha) for pt in want] == want
     assert spectrum_table(c, points=31) == table
     assert q_star(c, 1.0) == q == duality_maximizer(c, 1.0).q
