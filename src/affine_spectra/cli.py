@@ -234,6 +234,13 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # a negative or nan threshold would print a result that cannot pass
+    if not args.tol >= 0.0:
+        raise ValueError(f"--tol must be >= 0, got {args.tol}")
+    if not args.slope_tol >= 0.0:
+        raise ValueError(f"--slope-tol must be >= 0, got {args.slope_tol}")
+    if math.isnan(args.r2_min):
+        raise ValueError("--r2-min must not be nan")
     system = _load_system(args)
     if args.mode == "ae":
         smp = oracle.ae_exponent_sample(system, args.points, args.horizon,
@@ -449,6 +456,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
+        return 1
+    except MemoryError as exc:
+        # numpy raises a private subclass; the name reported is the public one
+        sys.stderr.write(json.dumps(
+            {"error": "MemoryError", "message": str(exc)}) + "\n")
         return 1
 
 

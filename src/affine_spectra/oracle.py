@@ -19,7 +19,7 @@ from .ifs import SelfAffineSystem, _branch_logs
 _EVAL_TOL = 1e-18          # keep value noise far below the oscillations read
 _UNIFORM_PER_WINDOW = 64
 _STRATIFY_FACTOR = 64      # keep basic intervals down to h / 64
-_AE_BLOCK = 40_000         # digits per Monte Carlo block: buffers stay in cache
+_AE_BLOCK = 40_000         # tail digits per a.e. block: buffers stay in cache
 _DROP_SCALES = 2           # largest scales left out of a fit (transients)
 
 
@@ -219,7 +219,9 @@ class AeSample:
 
     values holds one estimate per sampled point: the minimum digit-ratio
     over the second half of the horizon (the early-digit transient would
-    bias a full running minimum low).  deciles are the 10%..90% quantiles.
+    bias a full running minimum low).  The first half enters only through
+    its digit counts, which are drawn as such.  deciles are the 10%..90%
+    quantiles.
     """
     values: np.ndarray
     median: float
@@ -234,32 +236,55 @@ def ae_exponent_sample(system: SelfAffineSystem, n_points: int, horizon: int,
     """Sample n_points uniform points via iid digits and estimate each
     exponent from the first `horizon` digits.
 
-    Points are drawn in row blocks of about 40k digits that reuse three
-    buffers, so memory stays at a few MB whatever n_points is and
-    time is linear in n_points * horizon.  The digit stream, and hence
-    every value, is the same for any block size.
+    A point's estimate is the minimum over n in [h0, horizon], h0 =
+    horizon // 2, of sum log|d| / sum log a over its first n digits.  The
+    first h0 - 1 digits enter only through those sums, which depend only
+    on how often each branch occurs: the head is drawn as counts N ~
+    Multinomial(h0 - 1, a), and uniforms are drawn only for the tail,
+    digits h0..horizon.  Counts and tail uniforms come from the two
+    streams of SeedSequence(seed).spawn(2), each consumed in point order.
+
+    Points are drawn in row blocks of about 40k tail digits that reuse
+    three buffers, so memory stays at a few MB whatever n_points is and
+    time is linear in n_points * horizon.  The two streams, and hence
+    every value, are the same for any block size.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     if horizon < 4:
         raise errors.HorizonTooSmall("horizon must be >= 4")
-    rng = np.random.default_rng(seed)
-    cum = np.cumsum(system.a)
+    count_seq, tail_seq = np.random.SeedSequence(seed).spawn(2)
+    count_rng = np.random.default_rng(count_seq)
+    tail_rng = np.random.default_rng(tail_seq)
+    a = np.asarray(system.a)
+    cum = np.cumsum(a)
     loga, logd = _branch_logs(system.a, system.d)
     # one complex gather and one cumsum carry both sums: real and imaginary
     # parts are added, and rounded, exactly as two float64 cumsums
     table = np.array(logd) + 1j * np.array(loga)
-    h0 = max(1, horizon // 2)
+    h0 = horizon // 2
+    tail = horizon - h0 + 1
 
     values = np.empty(n_points)
-    rows = min(n_points, max(1, _AE_BLOCK // horizon))
-    u = np.empty((rows, horizon))
-    digits = np.empty((rows, horizon), dtype=np.intp)
-    z = np.empty((rows, horizon), dtype=complex)
+    rows = min(n_points, max(1, _AE_BLOCK // tail))
+    u = np.empty((rows, tail))
+    digits = np.empty((rows, tail), dtype=np.intp)
+    z = np.empty((rows, tail), dtype=complex)
     for start in range(0, n_points, rows):
         m = min(rows, n_points - start)
         um, dm, zm = u[:m], digits[:m], z[:m]
-        rng.random(out=um)
+        counts = count_rng.multinomial(h0 - 1, a, size=m)
+        # the head sums, added branch by branch; a d = 0 branch that occurs
+        # makes the log|d| sum -inf (0 * -inf would be nan)
+        head = np.zeros(m, dtype=complex)
+        for k in range(system.r):
+            nk = counts[:, k]
+            if logd[k] == -math.inf:
+                head.real[nk > 0] = -math.inf
+            else:
+                head.real += nk * logd[k]
+            head.imag += nk * loga[k]
+        tail_rng.random(out=um)
         # u < 1 = the last cumulative width, so counting the inner cuts at
         # or below u is searchsorted(cum, u, side="right")
         np.greater_equal(um, cum[0], out=dm)
@@ -267,11 +292,12 @@ def ae_exponent_sample(system: SelfAffineSystem, n_points: int, horizon: int,
             dm += um >= c
         # the digits are in range; mode="raise" would buffer the output
         np.take(table, dm, out=zm, mode="clip")
+        zm[:, 0] += head
         np.cumsum(zm, axis=1, out=zm)
-        ratio = np.divide(zm.real[:, h0 - 1:], zm.imag[:, h0 - 1:],
-                          out=um[:, h0 - 1:])
+        ratio = np.divide(zm.real, zm.imag, out=um)
         vals = ratio.min(axis=1, out=values[start:start + m])
-        # a d = 0 digit turns log|d| sums into -inf for the rest of the row
+        # a d = 0 digit, in the head or the tail, turns the log|d| sums
+        # into -inf from there to the end of the row
         vals[zm.real[:, -1] == -np.inf] = np.inf
 
     finite = np.isfinite(values)

@@ -17,6 +17,7 @@ from affine_spectra import (
     antiderivative_system,
     compute_constants,
     exponent_trace,
+    oracle,
     parse_preset,
     project,
     system_to_dict,
@@ -229,6 +230,38 @@ def test_verify_failure_is_exit_zero(run):
     out, _ = run("verify", "--preset", "riesz-nagy:0.3", "--mode", "ae",
                  "--points", "50", "--horizon", "200", "--tol", "1e-9")
     assert json.loads(out)["pass"] is False
+
+
+@pytest.mark.parametrize("extra", [
+    ("--mode", "ae", "--tol", "-1"), ("--mode", "ae", "--tol", "nan"),
+    ("--mode", "derivative", "--coding", "2,(1)", "--tol", "-0.5"),
+    ("--mode", "exponent", "--coding", "(1,2)", "--slope-tol", "-1"),
+    ("--mode", "exponent", "--coding", "(1,2)", "--slope-tol", "nan"),
+    ("--mode", "exponent", "--coding", "(1,2)", "--r2-min", "nan")],
+    ids=["tol-negative", "tol-nan", "derivative-tol-negative",
+         "slope-tol-negative", "slope-tol-nan", "r2-min-nan"])
+def test_verify_rejects_bad_thresholds(run, extra):
+    """A threshold no result can meet is a usage error, not a failed check."""
+    out, err = run("verify", "--preset", "riesz-nagy:0.3", "--points", "2",
+                   "--horizon", "4", *extra, expect=1)
+    assert out == "" and json.loads(err)["error"] == "ValueError"
+
+
+def test_memory_error_is_json(run, monkeypatch):
+    """An allocation numpy cannot make is one JSON object on stderr, named
+    by the public exception whatever subclass numpy raised."""
+    class ArrayMemoryError(MemoryError):
+        pass
+
+    def too_big(*args):
+        raise ArrayMemoryError("Unable to allocate 373. GiB")
+
+    monkeypatch.setattr(oracle, "ae_exponent_sample", too_big)
+    out, err = run("verify", "--preset", "riesz-nagy:0.3", "--mode", "ae",
+                   "--points", "3", "--horizon", "100000000000", expect=1)
+    assert out == ""
+    assert json.loads(err) == {"error": "MemoryError",
+                               "message": "Unable to allocate 373. GiB"}
 
 
 def test_gen_coding_deterministic(run):

@@ -154,22 +154,72 @@ def test_ae_sample_guard(make_system):
         ae_exponent_sample(tak, 16, 3, seed=0)
 
 
-def _ae_values_reference(system, n_points, horizon, seed):
-    """The sampler as it was before streaming: 4e6-digit chunks, searchsorted
-    digits and two float64 cumsums.  Returns (values, median, deciles,
-    fraction_finite)."""
-    rng = np.random.default_rng(seed)
-    a = np.asarray(system.a)
-    cum = np.cumsum(a)
+def _summary(values):
+    """(values, median, deciles, fraction_finite) as AeSample reports them."""
+    finite = np.isfinite(values)
+    deciles = tuple(float(v) for v in
+                    np.percentile(values, range(10, 100, 10), method="lower"))
+    median = float(np.percentile(values, 50, method="lower")) \
+        if not finite.all() else float(np.median(values))
+    return values, median, deciles, float(finite.mean())
+
+
+def _branch_tables(system):
+    """cum with an exact 1 at the end, and the branch logs every layer
+    reads: math.log, -inf where d = 0."""
+    cum = np.cumsum(system.a)
     cum[-1] = 1.0
-    # the branch logs every layer reads: math.log, -inf where d = 0
     logd = np.array([math.log(abs(dk)) if dk else -math.inf for dk in system.d])
     loga = np.array([math.log(ak) for ak in system.a])
+    return cum, logd, loga
+
+
+def _ae_values_reference(system, n_points, horizon, seed):
+    """The sampler's scheme in plain chunks of about 4e6 tail digits: head
+    counts from one multinomial per chunk, searchsorted tail digits, and two
+    float64 cumsums seeded with the head sums.  Returns (values, median,
+    deciles, fraction_finite)."""
+    count_seq, tail_seq = np.random.SeedSequence(seed).spawn(2)
+    count_rng = np.random.default_rng(count_seq)
+    tail_rng = np.random.default_rng(tail_seq)
+    cum, logd, loga = _branch_tables(system)
     zero_ids = np.array([k - 1 for k in sorted(system.index_zero)], dtype=np.int64)
-    h0 = max(1, horizon // 2)
+    h0 = horizon // 2
+    tail = horizon - h0 + 1
 
     values = np.empty(n_points)
-    chunk = max(1, int(4_000_000 // horizon))
+    chunk = max(1, int(4_000_000 // tail))
+    for start in range(0, n_points, chunk):
+        m = min(chunk, n_points - start)
+        counts = count_rng.multinomial(h0 - 1, system.a, size=m)
+        head_d = np.zeros(m)
+        head_a = np.zeros(m)
+        for k in range(system.r):
+            if k not in zero_ids:
+                head_d = head_d + counts[:, k] * logd[k]
+            head_a = head_a + counts[:, k] * loga[k]
+        digits = np.searchsorted(cum, tail_rng.random((m, tail)), side="right")
+        num = np.cumsum(np.column_stack([head_d, logd[digits]]), axis=1)
+        den = np.cumsum(np.column_stack([head_a, loga[digits]]), axis=1)
+        vals = (num[:, 1:] / den[:, 1:]).min(axis=1)
+        if zero_ids.size:
+            hit = (counts[:, zero_ids] > 0).any(axis=1)
+            vals[hit | np.isin(digits, zero_ids).any(axis=1)] = np.inf
+        values[start:start + m] = vals
+    return _summary(values)
+
+
+def _ae_values_digitwise(system, n_points, horizon, seed):
+    """The sampler's law drawn the long way: every one of the horizon
+    digits from one stream, in chunks of about 5e5 digits.  Its values
+    differ from the sampler's bit for bit, but not in distribution."""
+    rng = np.random.default_rng(seed)
+    cum, logd, loga = _branch_tables(system)
+    zero_ids = np.array([k - 1 for k in sorted(system.index_zero)], dtype=np.int64)
+    h0 = horizon // 2
+
+    values = np.empty(n_points)
+    chunk = max(1, int(500_000 // horizon))
     for start in range(0, n_points, chunk):
         m = min(chunk, n_points - start)
         digits = np.searchsorted(cum, rng.random((m, horizon)), side="right")
@@ -179,13 +229,7 @@ def _ae_values_reference(system, n_points, horizon, seed):
         if zero_ids.size:
             vals[np.isin(digits, zero_ids).any(axis=1)] = np.inf
         values[start:start + m] = vals
-
-    finite = np.isfinite(values)
-    deciles = tuple(float(v) for v in
-                    np.percentile(values, range(10, 100, 10), method="lower"))
-    median = float(np.percentile(values, 50, method="lower")) \
-        if not finite.all() else float(np.median(values))
-    return values, median, deciles, float(finite.mean())
+    return _summary(values)
 
 
 def _assert_matches_reference(system, n_points, horizon, seed):
@@ -208,10 +252,57 @@ def test_ae_sample_matches_chunked_reference(sys_seed, n_points, horizon,
 
 
 def test_ae_sample_horizon_beyond_block(make_system):
-    # one row per block, and that row longer than the block budget
+    # one row per block, and that row's tail longer than the block budget
     for name in ("riesz-nagy:0.3", "okamoto:0.5"):
         system, _ = make_system(name)
-        _assert_matches_reference(system, 3, oracle._AE_BLOCK + 7, seed=2)
+        _assert_matches_reference(system, 3, 2 * oracle._AE_BLOCK + 7,
+                                  seed=2)
+
+
+@given(sys_seed=st.integers(0, 10 ** 9), n_points=st.integers(1, 50),
+       horizon=st.integers(4, 3000), seed=st.integers(0, 2 ** 32 - 1))
+def test_ae_sample_values_do_not_depend_on_block(sys_seed, n_points, horizon,
+                                                 seed):
+    """Blocks of one row shorter than a tail, one row between one and two
+    tails, several rows, and every point in one block give the same bits."""
+    system = random_polygon_system(np.random.default_rng(sys_seed),
+                                   allow_zero=True)
+    tail = horizon - horizon // 2 + 1
+    seen = set()
+    for block in (max(1, tail // 2), tail + tail // 2, 3 * tail + 1, 10 ** 9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_AE_BLOCK", block)
+            seen.add(ae_exponent_sample(system, n_points, horizon,
+                                        seed).values.tobytes())
+    assert len(seen) == 1
+
+
+def _ks_statistic(x, y):
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
+    two empirical distribution functions, ties and infinities included."""
+    x, y = np.sort(x), np.sort(y)
+    at = np.concatenate([x, y])
+    return float(np.max(np.abs(np.searchsorted(x, at, side="right") / x.size
+                               - np.searchsorted(y, at, side="right") / y.size)))
+
+
+def test_ae_sample_keeps_the_digitwise_law(make_system):
+    """Drawing the head as counts changes the bits, not the law: against the
+    digit-by-digit sampler, 4000 points at horizon 2000 stay below the
+    two-sample KS critical value at level 0.001, 1.949 * sqrt(2 / 4000)."""
+    n, horizon = 4000, 2000
+    critical = 1.949 * math.sqrt(2.0 / n)
+    systems = [make_system(name)[0] for name in ("riesz-nagy:0.3",
+                                                 "okamoto:0.6")]
+    systems.append(random_polygon_system(np.random.default_rng(4), r=4))
+    for system in systems:
+        new = ae_exponent_sample(system, n, horizon, seed=0).values
+        old = _ae_values_digitwise(system, n, horizon, seed=0)[0]
+        assert np.isfinite(new).all() and np.isfinite(old).all()
+        assert _ks_statistic(new, old) < critical
+    flat, _ = make_system("okamoto:0.5")
+    assert np.isinf(ae_exponent_sample(flat, 200, horizon, seed=0).values).all()
+    assert np.isinf(_ae_values_digitwise(flat, 200, horizon, seed=0)[0]).all()
 
 
 def test_ae_sample_memory_does_not_grow_with_points():
