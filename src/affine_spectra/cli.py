@@ -241,6 +241,8 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--slope-tol must be >= 0, got {args.slope_tol}")
     if math.isnan(args.r2_min):
         raise ValueError("--r2-min must not be nan")
+    if not args.series_tol >= 0.0:
+        raise ValueError(f"--series-tol must be >= 0, got {args.series_tol}")
     system = _load_system(args)
     if args.mode == "ae":
         smp = oracle.ae_exponent_sample(system, args.points, args.horizon,

@@ -495,6 +495,12 @@ def _derivative(system: SelfAffineSystem, coding: Coding):
     return value, eps * (err + abs(tail) + abs(value)) + tail_err
 
 
+def _check_series_tol(tol: float) -> None:
+    """A negative or nan series tol no bound can meet is a usage error."""
+    if not tol >= 0.0:
+        raise ValueError(f"series tol must be >= 0, got {tol}")
+
+
 def _series(system: SelfAffineSystem, coding: Coding, tol: float) -> float:
     """derivative_series of a checked coding, without the gamma test."""
     value, bound = _derivative(system, coding)
@@ -525,8 +531,10 @@ def derivative_series(system: SelfAffineSystem, coding: Coding,
     period is not contracting relative to the widths (|Q| >= 1);
     TailBoundUnavailable, before any summing, for a coding that is neither
     periodic nor ended by a d = 0 digit, and with the bound named when the
-    bound exceeds tol * max(1, |value|).
+    bound exceeds tol * max(1, |value|); ValueError for a negative or nan
+    tol.
     """
+    _check_series_tol(tol)
     _check_digits(coding, system.r)
     if gamma is not None and not gamma > 1.0:
         raise errors.NotDifferentiable(f"exponent {gamma} <= 1")

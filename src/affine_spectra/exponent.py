@@ -26,7 +26,7 @@ import numpy as np
 
 from . import errors
 from .coding import Coding, CutPointQuery, _check_digits, _cut_query, in_T
-from .evaluate import _derivative, _series
+from .evaluate import _check_series_tol, _derivative, _series
 from .ifs import _REL_TOL, SelfAffineSystem, SpectrumConstants
 
 _MIN_HORIZON = 16
@@ -376,6 +376,7 @@ def _route(coding: Coding, r: int) -> str:
 def _holder_side(system: SelfAffineSystem, constants: SpectrumConstants,
                  coding: Coding, side: str, horizon: int | None,
                  series_tol: float) -> SideExponent:
+    _check_series_tol(series_tol)
     _check_digits(coding, system.r)
     route = _route(coding, system.r)
     if route == ("one" if side == "right" else "zero"):
@@ -526,6 +527,7 @@ def _cut_result(system: SelfAffineSystem, constants: SpectrumConstants,
 def cut_point_exponents(system: SelfAffineSystem, constants: SpectrumConstants,
                         x, *, series_tol: float = 1e-12) -> CutPointResult:
     """Exponent data at a two-coding point given as a number in (0, 1)."""
+    _check_series_tol(series_tol)
     query = in_T(system, x)
     if query.member and query.n0 == 0:
         raise errors.Endpoint("0 and 1 are not two-coding points")
@@ -575,8 +577,10 @@ def exponent_report(system: SelfAffineSystem, constants: SpectrumConstants,
     horizon, are scanned once for both (see gammas for the path by
     length), other periodic codings get the exact one-period ratio once,
     and the derivative series is summed once.  Each side equals its own
-    holder_right / holder_left result.
+    holder_right / holder_left result.  A negative or nan series_tol
+    raises ValueError, as in derivative_series.
     """
+    _check_series_tol(series_tol)
     _check_digits(coding, system.r)
     route = _route(coding, system.r)
     if route == "cut":

@@ -313,8 +313,11 @@ def lambda_set(system: SelfAffineSystem, tol: float = LAMBDA_TOL):
     of the two degenerate rules).  Expressions with 0 < |value| <= tol are
     classified out and reported in the borderline set.
 
-    Returns (members, borderline) as frozensets.
+    Returns (members, borderline) as frozensets.  A negative or nan tol
+    raises ValueError: it would classify some index arbitrarily.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"lambda tol must be >= 0, got {tol}")
     a, c, d = system.a, system.c, system.d
     r = system.r
     members, borderline = set(), set()

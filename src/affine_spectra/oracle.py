@@ -19,7 +19,11 @@ from .ifs import SelfAffineSystem, _branch_logs
 _EVAL_TOL = 1e-18          # keep value noise far below the oscillations read
 _UNIFORM_PER_WINDOW = 64
 _STRATIFY_FACTOR = 64      # keep basic intervals down to h / 64
-_AE_BLOCK = 40_000         # tail digits per a.e. block: buffers stay in cache
+_AE_BLOCK = 40_000         # tail digits per a.e. chunk: buffers stay in cache
+_AE_GROUP = 1024           # points whose tails are drawn step by step together
+_AE_NARROW = 192           # narrower groups: one cumsum, a folded minimum
+_LO_BITS = 37              # bits of a 53-bit draw below its 16-bit lane
+_LO_MASK = (1 << _LO_BITS) - 1
 _DROP_SCALES = 2           # largest scales left out of a fit (transients)
 
 
@@ -220,7 +224,9 @@ class AeSample:
     values holds one estimate per sampled point: the minimum digit-ratio
     over the second half of the horizon (the early-digit transient would
     bias a full running minimum low).  The first half enters only through
-    its digit counts, which are drawn as such.  deciles are the 10%..90%
+    its digit counts, which are drawn as such; the second half's digits
+    are drawn with the law of a uniform 53-bit double, from 16-bit lanes
+    and tie bits (see ae_exponent_sample).  deciles are the 10%..90%
     quantiles.
     """
     values: np.ndarray
@@ -229,6 +235,56 @@ class AeSample:
     fraction_finite: float
     horizon: int
     expected: float
+
+
+def _cut_keys(cum) -> list[tuple[int, int]]:
+    """The inner cuts as 53-bit integers K = ceil(c 2^53), each split into
+    its top 16 bits and its low 37: a draw k 2^-53 (k a 53-bit integer, as
+    numpy's doubles are made) is >= c exactly when k >= K.  A cut at or
+    above 1 is never reached and is left out."""
+    keys = (math.ceil(c * 2.0 ** 53) for c in cum[:-1])
+    return [(k >> _LO_BITS, k & _LO_MASK) for k in keys if k < 2 ** 53]
+
+
+def _lanes(bitgen, steps: int, width: int) -> np.ndarray:
+    """The next steps x width 16-bit lanes, four per PCG64 raw output, each
+    output's lanes taken low bits first on any host; the last output's
+    lanes past steps x width are discarded."""
+    n = steps * width
+    raw = bitgen.random_raw(-(-n // 4)).astype("<u8", copy=False)
+    return raw.view("<u2")[:n].reshape(steps, width)
+
+
+def _digits(hi: np.ndarray, keys, tie_bits, out: np.ndarray) -> None:
+    """Digits of k = hi 2^37 + lo into out (C-contiguous, shaped as hi):
+    the number of cuts K <= k.  The top bits hi decide every cut they do
+    not equal; lo is drawn only at a position whose hi equals some cut's
+    top bits, one 37-bit draw from tie_bits per such position in C order,
+    so the digit has exactly the law of searchsorted(cum, k 2^-53)."""
+    tied = hi == keys[0][0]
+    np.greater(hi, keys[0][0], out=out)
+    for top, _ in keys[1:]:
+        out += hi > top
+        tied |= hi == top
+    at = np.flatnonzero(tied)
+    if at.size:
+        lo = tie_bits.random_raw(at.size) >> np.uint64(64 - _LO_BITS)
+        top_at = hi.reshape(-1)[at]
+        flat = out.reshape(-1)
+        for top, low in keys:
+            flat[at] += (top_at == top) & (lo >= low)
+
+
+def _min_rows(u: np.ndarray) -> np.ndarray:
+    """u.min(axis=0), found by folding the rows' halves together in place:
+    exact as any minimum, and fast on the tall narrow arrays where numpy
+    reduces along the first axis a few elements at a time."""
+    m = u.shape[0]
+    while m > 1:
+        half = m // 2
+        np.minimum(u[:half], u[m - half:m], out=u[:half])
+        m -= half
+    return u[0]
 
 
 def ae_exponent_sample(system: SelfAffineSystem, n_points: int, horizon: int,
@@ -240,65 +296,88 @@ def ae_exponent_sample(system: SelfAffineSystem, n_points: int, horizon: int,
     horizon // 2, of sum log|d| / sum log a over its first n digits.  The
     first h0 - 1 digits enter only through those sums, which depend only
     on how often each branch occurs: the head is drawn as counts N ~
-    Multinomial(h0 - 1, a), and uniforms are drawn only for the tail,
-    digits h0..horizon.  Counts and tail uniforms come from the two
-    streams of SeedSequence(seed).spawn(2), each consumed in point order.
+    Multinomial(h0 - 1, a), and digits are drawn only for the tail,
+    digits h0..horizon.
 
-    Points are drawn in row blocks of about 40k tail digits that reuse
-    three buffers, so memory stays at a few MB whatever n_points is and
-    time is linear in n_points * horizon.  The two streams, and hence
-    every value, are the same for any block size.
+    A tail digit is where a 53-bit uniform k falls among the cuts
+    cumsum(a), as for a double k 2^-53.  Its top 16 bits, one lane of a
+    PCG64 raw output, decide every cut whose own top 16 bits differ; only
+    on a tie (probability 2^-16 a cut) are its 37 low bits drawn.
+
+    Points go in groups of _AE_GROUP, and a group's tails are drawn one
+    step at a time across its points, so the running sums advance by one
+    vector add a step.  The three streams of SeedSequence(seed).spawn(3)
+    give the head counts (one multinomial per group, in point order), the
+    lanes (step by step, in point order within a step, the lanes left in
+    a group's last raw output discarded) and the tie bits (in the same
+    order), so the values depend on _AE_GROUP.
+
+    A group's steps are drawn in chunks of about _AE_BLOCK digits, a
+    multiple of four steps, that reuse three buffers, so memory stays at a
+    few MB whatever n_points is and time is linear in n_points * horizon.
+    Every value is the same for any chunk size and either way of adding
+    the steps.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     if horizon < 4:
         raise errors.HorizonTooSmall("horizon must be >= 4")
-    count_seq, tail_seq = np.random.SeedSequence(seed).spawn(2)
+    count_seq, lane_seq, tie_seq = np.random.SeedSequence(seed).spawn(3)
     count_rng = np.random.default_rng(count_seq)
-    tail_rng = np.random.default_rng(tail_seq)
+    lane_bits = np.random.PCG64(lane_seq)
+    tie_bits = np.random.PCG64(tie_seq)
     a = np.asarray(system.a)
-    cum = np.cumsum(a)
+    keys = _cut_keys(np.cumsum(a))
     loga, logd = _branch_logs(system.a, system.d)
-    # one complex gather and one cumsum carry both sums: real and imaginary
-    # parts are added, and rounded, exactly as two float64 cumsums
+    # one complex gather and one running sum carry both sums: real and
+    # imaginary parts are added, and rounded, exactly as two float64 sums
     table = np.array(logd) + 1j * np.array(loga)
     h0 = horizon // 2
     tail = horizon - h0 + 1
 
     values = np.empty(n_points)
-    rows = min(n_points, max(1, _AE_BLOCK // tail))
-    u = np.empty((rows, tail))
-    digits = np.empty((rows, tail), dtype=np.intp)
-    z = np.empty((rows, tail), dtype=complex)
-    for start in range(0, n_points, rows):
-        m = min(rows, n_points - start)
-        um, dm, zm = u[:m], digits[:m], z[:m]
-        counts = count_rng.multinomial(h0 - 1, a, size=m)
+    for start in range(0, n_points, _AE_GROUP):
+        g = min(_AE_GROUP, n_points - start)
+        # a chunk of a multiple of four steps takes whole raw outputs, so
+        # the lanes do not depend on where the chunks end
+        steps = min(tail, 4 * -(-_AE_BLOCK // (4 * g)))
+        digits = np.empty((steps, g), dtype=np.intp)
+        z = np.empty((steps, g), dtype=complex)
+        ratio = np.empty((steps, g))
+        counts = count_rng.multinomial(h0 - 1, a, size=g)
         # the head sums, added branch by branch; a d = 0 branch that occurs
         # makes the log|d| sum -inf (0 * -inf would be nan)
-        head = np.zeros(m, dtype=complex)
+        run = np.zeros(g, dtype=complex)
         for k in range(system.r):
             nk = counts[:, k]
             if logd[k] == -math.inf:
-                head.real[nk > 0] = -math.inf
+                run.real[nk > 0] = -math.inf
             else:
-                head.real += nk * logd[k]
-            head.imag += nk * loga[k]
-        tail_rng.random(out=um)
-        # u < 1 = the last cumulative width, so counting the inner cuts at
-        # or below u is searchsorted(cum, u, side="right")
-        np.greater_equal(um, cum[0], out=dm)
-        for c in cum[1:-1]:
-            dm += um >= c
-        # the digits are in range; mode="raise" would buffer the output
-        np.take(table, dm, out=zm, mode="clip")
-        zm[:, 0] += head
-        np.cumsum(zm, axis=1, out=zm)
-        ratio = np.divide(zm.real, zm.imag, out=um)
-        vals = ratio.min(axis=1, out=values[start:start + m])
-        # a d = 0 digit, in the head or the tail, turns the log|d| sums
-        # into -inf from there to the end of the row
-        vals[zm.real[:, -1] == -np.inf] = np.inf
+                run.real += nk * logd[k]
+            run.imag += nk * loga[k]
+        low = values[start:start + g]
+        low[:] = np.inf
+        for first in range(0, tail, steps):
+            m = min(steps, tail - first)
+            dm, zm, um = digits[:m], z[:m], ratio[:m]
+            _digits(_lanes(lane_bits, m, g), keys, tie_bits, dm)
+            # the digits are in range; mode="raise" would buffer the output
+            np.take(table, dm, out=zm, mode="clip")
+            zm[0] += run
+            if g < _AE_NARROW:
+                np.cumsum(zm, axis=0, out=zm)
+            else:
+                # the same adds in the same order as the cumsum, one step
+                # across the group at a time
+                for prev, row in zip(zm, zm[1:]):
+                    np.add(prev, row, out=row)
+            run[:] = zm[-1]
+            np.divide(zm.real, zm.imag, out=um)
+            np.minimum(low, _min_rows(um) if g < _AE_NARROW
+                       else um.min(axis=0), out=low)
+        # a d = 0 digit, in the head or the tail, turns the log|d| sum
+        # into -inf from there to the end
+        low[run.real == -np.inf] = np.inf
 
     finite = np.isfinite(values)
     # order statistics: interpolating between two infinities would give nan

@@ -247,6 +247,25 @@ def test_verify_rejects_bad_thresholds(run, extra):
     assert out == "" and json.loads(err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate", "--preset", "okamoto:0.6", "--lambda-tol", "-1"),
+    ("validate", "--preset", "takagi:0.5", "--lambda-tol", "nan"),
+    ("constants", "--preset", "okamoto:0.6", "--lambda-tol", "-1"),
+    ("exponent", "--preset", SKEW, "--coding", "1,(1,2)", "--series-tol", "-1"),
+    ("verify", "--preset", SKEW, "--mode", "derivative", "--coding", "1,(2)",
+     "--series-tol", "nan"),
+    ("verify", "--preset", SKEW, "--mode", "exponent", "--coding", "1,(2)",
+     "--series-tol", "-1")],
+    ids=["validate-lambda-negative", "validate-lambda-nan",
+         "constants-lambda-negative", "exponent-series-negative",
+         "verify-derivative-series-nan", "verify-exponent-series-negative"])
+def test_negative_or_nan_tolerances_are_rejected(run, argv):
+    """A tolerance that would misclassify or cannot be met is a usage error
+    with a JSON message, not a printed result."""
+    out, err = run(*argv, expect=1)
+    assert out == "" and json.loads(err)["error"] == "ValueError"
+
+
 def test_memory_error_is_json(run, monkeypatch):
     """An allocation numpy cannot make is one JSON object on stderr, named
     by the public exception whatever subclass numpy raised."""

@@ -733,3 +733,12 @@ def test_evaluate_many_within_bound_of_exact_phi(make_system, name):
         if abs(Fraction(value) - want) > Fraction(bound) + rem:
             off.append(x)
     assert not off, f"{len(off)} of {len(xs)} points off, first x = {off[0]!r}"
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_derivative_series_rejects_bad_tol(make_system, tol):
+    """nan used to surface as a misleading TailBoundUnavailable "above tol
+    nan"; -1 likewise, though no bound can be negative."""
+    skew, _ = make_system("skew-takagi:0.3,0.5,0.25")
+    with pytest.raises(ValueError, match="series tol"):
+        derivative_series(skew, Coding(prefix=(1,), period=(2,)), tol)

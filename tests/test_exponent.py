@@ -722,3 +722,21 @@ def test_long_trace_memory_is_bounded(make_system):
     assert _peak_bytes(lambda: gammas(skew, c, coding)) < 1.5e6
     assert _peak_bytes(
         lambda: exponent_trace(skew, c, coding, 100_000)) < 3.5e6
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_series_tol_must_be_non_negative(make_system, tol):
+    """Every entry point that takes series_tol rejects a value no rounding
+    bound can meet, whether or not the series would be summed."""
+    skew, c = make_system("skew-takagi:0.3,0.5,0.25")
+    rn, rc = make_system("riesz-nagy:0.3")
+    coding = parse_coding("1,(1,2)")
+    calls = [
+        lambda: exponent_report(skew, c, coding, series_tol=tol),
+        lambda: holder_right(skew, c, coding, series_tol=tol),
+        lambda: holder_left(skew, c, coding, series_tol=tol),
+        lambda: cut_point_exponents(rn, rc, 0.5, series_tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="series tol"):
+            call()

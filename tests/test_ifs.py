@@ -337,11 +337,13 @@ def test_unit_sums_match_mpmath_on_presets(name):
     _check_unit_sums(parse_preset(name))
 
 
-# the two examples have ratios |d_2| / a_2 of 0.992 and 0.9944, where the
-# log of the rounded quotient put sigma 1.1e-15 and 2.4e-15 off
+# the first two examples have ratios |d_2| / a_2 of 0.992 and 0.9944, where
+# the log of the rounded quotient put sigma 1.1e-15 and 2.4e-15 off; the
+# third has 0.99937, where the log of the rounded unit sum put it 1.09e-15 off
 @given(st.integers(0, 10 ** 9))
 @example(525020128)
 @example(146228303)
+@example(17627)
 def test_unit_sums_match_mpmath_on_random_systems(seed):
     rng = np.random.default_rng(seed)
     _check_unit_sums(random_polygon_system(rng, allow_zero=True))
@@ -353,3 +355,18 @@ def test_unit_sum_root_cap_raises(monkeypatch):
     with pytest.raises(errors.NonConvergence):
         roots.unit_sum_root([math.log(0.5), math.log(0.25)])
     assert roots.unit_sum_root([math.log(0.5)]) == 0.0
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
+def test_lambda_tol_must_be_non_negative(make_system, tol):
+    """A negative or nan tolerance would classify an index arbitrarily:
+    okamoto:0.6 read lambda_set [1, 2] at -1 and takagi:0.5 lost index 1
+    to the borderline set at nan."""
+    for name in ("okamoto:0.6", "takagi:0.5"):
+        system, _ = make_system(name)
+        with pytest.raises(ValueError, match="lambda tol"):
+            lambda_set(system, tol)
+        with pytest.raises(ValueError, match="lambda tol"):
+            compute_constants(system, lambda_tol=tol)
+    system, _ = make_system("okamoto:0.6")
+    assert lambda_set(system, 0.0) == lambda_set(system)

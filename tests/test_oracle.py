@@ -175,37 +175,49 @@ def _branch_tables(system):
 
 
 def _ae_values_reference(system, n_points, horizon, seed):
-    """The sampler's scheme in plain chunks of about 4e6 tail digits: head
-    counts from one multinomial per chunk, searchsorted tail digits, and two
-    float64 cumsums seeded with the head sums.  Returns (values, median,
-    deciles, fraction_finite)."""
-    count_seq, tail_seq = np.random.SeedSequence(seed).spawn(2)
+    """The sampler's scheme one group of oracle._AE_GROUP points at a time:
+    head counts from one multinomial per group; the group's tail lanes from
+    one random_raw call, step by step and point by point, split off each
+    raw output by explicit shifts, low bits first, the last output's spare
+    lanes discarded; a 37-bit tie draw at each position whose lane equals
+    a cut's top 16 bits, in the same order; searchsorted digits of the
+    53-bit integers so made; and two float64 cumsums along the steps
+    seeded with the head sums.  Returns (values, median, deciles,
+    fraction_finite)."""
+    count_seq, lane_seq, tie_seq = np.random.SeedSequence(seed).spawn(3)
     count_rng = np.random.default_rng(count_seq)
-    tail_rng = np.random.default_rng(tail_seq)
+    lane_bits = np.random.PCG64(lane_seq)
+    tie_bits = np.random.PCG64(tie_seq)
     cum, logd, loga = _branch_tables(system)
+    tops = [math.ceil(c * 2.0 ** 53) >> 37 for c in cum[:-1]]
     zero_ids = np.array([k - 1 for k in sorted(system.index_zero)], dtype=np.int64)
     h0 = horizon // 2
     tail = horizon - h0 + 1
+    shifts = np.array([0, 16, 32, 48], dtype=np.uint64)
 
     values = np.empty(n_points)
-    chunk = max(1, int(4_000_000 // tail))
-    for start in range(0, n_points, chunk):
-        m = min(chunk, n_points - start)
-        counts = count_rng.multinomial(h0 - 1, system.a, size=m)
-        head_d = np.zeros(m)
-        head_a = np.zeros(m)
+    for start in range(0, n_points, oracle._AE_GROUP):
+        g = min(oracle._AE_GROUP, n_points - start)
+        counts = count_rng.multinomial(h0 - 1, system.a, size=g)
+        head_d = np.zeros(g)
+        head_a = np.zeros(g)
         for k in range(system.r):
             if k not in zero_ids:
                 head_d = head_d + counts[:, k] * logd[k]
             head_a = head_a + counts[:, k] * loga[k]
-        digits = np.searchsorted(cum, tail_rng.random((m, tail)), side="right")
-        num = np.cumsum(np.column_stack([head_d, logd[digits]]), axis=1)
-        den = np.cumsum(np.column_stack([head_a, loga[digits]]), axis=1)
-        vals = (num[:, 1:] / den[:, 1:]).min(axis=1)
+        raw = lane_bits.random_raw(-(-tail * g // 4))
+        lanes = ((raw[:, None] >> shifts) & np.uint64(0xFFFF)).reshape(-1)
+        k = lanes[:tail * g].reshape(tail, g) << np.uint64(37)
+        tied = np.isin(k >> np.uint64(37), tops)
+        k[tied] |= tie_bits.random_raw(int(tied.sum())) >> np.uint64(27)
+        digits = np.searchsorted(cum, k * 2.0 ** -53, side="right")
+        num = np.cumsum(np.vstack([head_d, logd[digits]]), axis=0)
+        den = np.cumsum(np.vstack([head_a, loga[digits]]), axis=0)
+        vals = (num[1:] / den[1:]).min(axis=0)
         if zero_ids.size:
             hit = (counts[:, zero_ids] > 0).any(axis=1)
-            vals[hit | np.isin(digits, zero_ids).any(axis=1)] = np.inf
-        values[start:start + m] = vals
+            vals[hit | np.isin(digits, zero_ids).any(axis=0)] = np.inf
+        values[start:start + g] = vals
     return _summary(values)
 
 
@@ -243,12 +255,17 @@ def _assert_matches_reference(system, n_points, horizon, seed):
 
 
 @given(sys_seed=st.integers(0, 10 ** 9), n_points=st.integers(1, 50),
-       horizon=st.integers(4, 3000), seed=st.integers(0, 2 ** 32 - 1))
+       horizon=st.integers(4, 3000), seed=st.integers(0, 2 ** 32 - 1),
+       group=st.sampled_from([1, 3, 8, oracle._AE_GROUP]))
 def test_ae_sample_matches_chunked_reference(sys_seed, n_points, horizon,
-                                             seed):
+                                             seed, group):
+    """Groups of one point, of widths that are no multiple of four (steps
+    that share a raw output), and several groups per call."""
     system = random_polygon_system(np.random.default_rng(sys_seed),
                                    allow_zero=True)
-    _assert_matches_reference(system, n_points, horizon, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_AE_GROUP", group)
+        _assert_matches_reference(system, n_points, horizon, seed)
 
 
 def test_ae_sample_horizon_beyond_block(make_system):
@@ -275,6 +292,87 @@ def test_ae_sample_values_do_not_depend_on_block(sys_seed, n_points, horizon,
             seen.add(ae_exponent_sample(system, n_points, horizon,
                                         seed).values.tobytes())
     assert len(seen) == 1
+
+
+@given(sys_seed=st.integers(0, 10 ** 9), n_points=st.integers(1, 50),
+       horizon=st.integers(4, 3000), seed=st.integers(0, 2 ** 32 - 1))
+def test_ae_sample_values_do_not_depend_on_scan(sys_seed, n_points, horizon,
+                                                seed):
+    """Adding the steps one vector add at a time and by one cumsum along
+    the steps, and the minimum by numpy's reduce and by folding rows, give
+    the same bits."""
+    system = random_polygon_system(np.random.default_rng(sys_seed),
+                                   allow_zero=True)
+    seen = set()
+    for narrow in (0, 10 ** 9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_AE_NARROW", narrow)
+            seen.add(ae_exponent_sample(system, n_points, horizon,
+                                        seed).values.tobytes())
+    assert len(seen) == 1
+
+
+class _TieBits:
+    """A stand-in tie stream: hands out the given 37-bit values, in order,
+    as the top bits of raw outputs."""
+
+    def __init__(self, low):
+        self.low = [int(v) for v in low]
+
+    def random_raw(self, n):
+        out = np.array(self.low[:n], dtype=np.uint64) << np.uint64(27)
+        del self.low[:n]
+        return out
+
+
+@pytest.mark.parametrize("weights", [
+    (0.3, 0.7), (1 / 3, 1 / 3, 1 / 3), (0.1, 0.2, 0.3, 0.4),
+    # two cuts with the same top 16 bits
+    (0.5, 1e-7, 0.5 - 1e-7),
+    # an inner cut that rounds to 1 is never reached
+    (0.5, 0.5, 1e-17),
+])
+def test_lane_and_tie_digits_match_searchsorted(weights):
+    """A 16-bit lane plus 37 tie bits drawn only on a tie give the digit
+    searchsorted(cum, k 2^-53, "right") of the 53-bit k they make, for
+    random k and for every k whose top bits are a cut's."""
+    rng = np.random.default_rng(7)
+    cum = np.cumsum(weights)
+    keys = oracle._cut_keys(cum)
+    cum[-1] = 1.0
+    mask = 2 ** 37 - 1
+    ks = [rng.integers(0, 2 ** 53, size=4000, dtype=np.uint64)]
+    for c in cum[:-1]:
+        key = math.ceil(c * 2.0 ** 53)
+        top, low = key >> 37, key & mask
+        edges = [0, low - 1, low, low + 1, mask]
+        lows = np.concatenate([[v for v in edges if 0 <= v <= mask],
+                               rng.integers(0, mask + 1, size=50)])
+        if top < 2 ** 16:
+            ks.append((np.uint64(top) << np.uint64(37)) | lows.astype(np.uint64))
+    k = np.concatenate(ks)
+    k = k[:k.size // 2 * 2].reshape(2, -1)
+    hi = (k >> np.uint64(37)).astype(np.uint16)
+    tied = np.isin(hi, [top for top, _ in keys])
+    bits = _TieBits(k[tied] & np.uint64(mask))
+    digits = np.empty(hi.shape, dtype=np.intp)
+    oracle._digits(hi, keys, bits, digits)
+    assert not bits.low
+    assert np.array_equal(digits,
+                          np.searchsorted(cum, k * 2.0 ** -53, side="right"))
+
+
+def test_lanes_are_taken_low_bits_first():
+    """The PCG64 raw stream of a spawned seed, and its 16-bit lanes taken
+    low bits first whatever the host: the sampler's bits rely on both."""
+    seq = np.random.SeedSequence(0).spawn(3)[1]
+    raw = [int(v) for v in np.random.PCG64(seq).random_raw(4)]
+    assert raw[:3] == [0xad5cc5f1a97c42b5, 0x3e34612a5a50a3c0,
+                       0x9c9c8d5a14388100]
+    # two steps of width 5: ten lanes of three raw outputs, two discarded
+    lanes = oracle._lanes(np.random.PCG64(seq), 2, 5)
+    flat = [(raw[i // 4] >> (16 * (i % 4))) & 0xFFFF for i in range(10)]
+    assert lanes.tolist() == [flat[:5], flat[5:]]
 
 
 def _ks_statistic(x, y):
