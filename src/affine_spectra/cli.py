@@ -445,8 +445,13 @@ def main(argv=None) -> int:
         args.tol = 0.02 if args.mode == "ae" else 0.01
     try:
         return args.func(args)
-    except errors.AffineSpectraError as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
+    except (errors.AffineSpectraError, ArithmeticError, ValueError, OSError,
+            KeyError, MemoryError) as exc:
+        # numpy raises a private MemoryError subclass; the name reported is
+        # the public one
+        name = "MemoryError" if isinstance(exc, MemoryError) \
+            else type(exc).__name__
+        payload = {"error": name, "message": str(exc)}
         branch = getattr(exc, "branch", None)
         if branch is not None:
             payload["branch"] = branch
@@ -454,15 +459,6 @@ def main(argv=None) -> int:
             payload["achieved_bound"] = exc.achieved_bound
             payload["depth"] = exc.depth
         sys.stderr.write(json.dumps(_jsonable(payload)) + "\n")
-        return 1
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 1
-    except MemoryError as exc:
-        # numpy raises a private subclass; the name reported is the public one
-        sys.stderr.write(json.dumps(
-            {"error": "MemoryError", "message": str(exc)}) + "\n")
         return 1
 
 

@@ -312,39 +312,28 @@ def basic_interval(system: SelfAffineSystem, digits) -> BasicInterval:
 
 
 def project(system: SelfAffineSystem, coding: Coding, *, exact: bool = False):
-    """Point addressed by the coding.
+    """Point addressed by the coding, over the stored abscissae: b_k =
+    x_{k-1} and a_k = x_k - x_{k-1}, the partition that in_T and
+    coding_of_point resolve against.
 
-    Eventually periodic codings resolve exactly through the affine fixed
-    point of the period composition; a bare prefix projects to the left
-    endpoint of its basic interval (an implicit all-1 tail).  With
-    exact=True the result is a Fraction over the stored abscissae, with
-    b_k = x_{k-1} and a_k = x_k - x_{k-1}, the partition that in_T and
-    coding_of_point resolve against: prefix and period are composed in
-    integers over powers of two, and one Fraction is formed at the end.
+    Prefix and period are composed in integers over powers of two, and an
+    eventually periodic coding resolves through the affine fixed point of
+    the period composition; a bare prefix projects to the left endpoint of
+    its basic interval (an implicit all-1 tail).  The point is one ratio of
+    integers: exact=True returns it as a Fraction, otherwise it is rounded
+    once to the nearest double (int true division rounds correctly), so
+    project(s, c) == float(project(s, c, exact=True)).
     """
     _check_digits(coding, system.r)
-    if exact:
-        X, W, p = _partition(system)
-        left, width = _compose(X, W, p, coding.prefix)
-        den = 1 << (p * len(coding.prefix))
-        if coding.period is None:
-            return Fraction(left, den)
+    X, W, p = _partition(system)
+    left, width = _compose(X, W, p, coding.prefix)
+    den = 1 << (p * len(coding.prefix))
+    if coding.period is not None:
         # the period's fixed point: t = (u + v t) / 2**(p q) = u / fix
         u, v = _compose(X, W, p, coding.period)
         fix = (1 << (p * len(coding.period))) - v
-        return Fraction(left * fix + width * u, den * fix)
-    a, b, t = system.a, system.b, 0.0
-    if coding.period is not None:
-        # fixed point of t -> A + Q t for the period composition
-        A, Q = 0.0, 1.0
-        for k in coding.period:
-            # prepend handled by composing left to right on (A, Q)
-            A = A + Q * b[k - 1]
-            Q = Q * a[k - 1]
-        t = A / (1 - Q)
-    for k in reversed(coding.prefix):
-        t = a[k - 1] * t + b[k - 1]
-    return float(t)
+        left, den = left * fix + width * u, den * fix
+    return Fraction(left, den) if exact else left / den
 
 
 @dataclass(frozen=True)
@@ -474,7 +463,8 @@ class RunStructure:
         r = len(self.p)
         if not (1 <= self.k_star < r):
             raise errors.InvalidSchedule("k_star must be a digit below r")
-        if abs(sum(self.p) - 1.0) > 1e-9 or any(v < 0 for v in self.p):
+        # written so that a NaN weight fails
+        if not (abs(sum(self.p) - 1.0) <= 1e-9 and min(self.p) >= 0):
             raise errors.InvalidSchedule("p must be a probability vector")
         prev = -1   # virtual block end before the first block
         for j, (nj, lj) in enumerate(zip(self.block_ends, self.run_lengths), start=1):

@@ -19,18 +19,11 @@ import numpy as np
 
 from . import errors
 from .coding import Coding, _check_digits
-from .ifs import SelfAffineSystem
+from .ifs import SelfAffineSystem, sup_bound
 
 _DEFAULT_MAX_DEPTH = 500_000
 _BLOCK = 8_192       # points per block: a block's working arrays stay in cache
 _WORDS = 256         # most words in a table: m is the longest with r^m <= 256
-
-
-def sup_bound(system: SelfAffineSystem) -> float:
-    """A priori bound: sup |phi| <= max_k(|c_k| + |e_k|) / (1 - max_k |d_k|)."""
-    top = max(abs(br.c) + abs(br.e) for br in system.branches)
-    dmax = max(abs(br.d) for br in system.branches)
-    return top / (1.0 - dmax)
 
 
 @dataclass(frozen=True)
@@ -264,17 +257,8 @@ def _orbits(system: SelfAffineSystem, flat, tol: float, max_depth: int):
     with their positions in the block; and the largest |R| sup_bound left
     at the depth cap, or 0 when no point reached it (such points stop at
     the cap)."""
-    part = np.asarray(system.xs)
-    cuts = system.xs[1:-1]
-    m, table = _words(system)
-    # rows x_{k-1}, a_k, e_k, c_k, d_k of branch k: the words of one digit
-    digits = np.array([system.xs[:-1], system.a, system.e, system.c,
-                       system.d])
-    words = np.array(table).T
-    # rows x_{k-1}, a_k of the last digit of each prefix of a word
-    steps = np.tile(digits[:2], system.r ** (m - 1))
-    rmax = max(abs(word[4]) for word in table)
-    bound = sup_bound(system)
+    _, cuts, _, bound, m, rmax, _, (part, _, digits, words, steps) = \
+        _table(system)
     passes = max_depth // m if m > 1 and rmax * bound > tol else 0
 
     for start in range(0, flat.size, _BLOCK):
@@ -331,8 +315,7 @@ def evaluate_many(system: SelfAffineSystem, xs, tol: float,
     values = np.empty(flat.shape)
     errs = np.zeros(flat.shape)
     depths = np.zeros(flat.shape, dtype=np.int64)
-    ys = np.asarray(system.ys)
-    bound = sup_bound(system)
+    _, _, _, bound, _, _, _, (_, ys, _, _, _) = _table(system)
     worst = 0.0
     for out, hits, vidx, (t, A, B, R, D), pos, capped in _orbits(
             system, flat, tol, max_depth):
@@ -354,20 +337,28 @@ def evaluate_many(system: SelfAffineSystem, xs, tol: float,
 
 @lru_cache(maxsize=128)
 def _table(system: SelfAffineSystem):
-    """What scalar evaluate reads, built once per system: the abscissae,
-    the cuts, a tuple (x_{k-1}, a_k, e_k, c_k, d_k) per branch, sup_bound,
-    the word length m, max_w |R_w| and the words of _words as a tree:
-    entry k of a node is (x_{k-1}, a_k, the node of the next digit), and
-    the m-th digit's node is the word (L_w, V_w, A_w, B_w, R_w)."""
+    """What evaluate and evaluate_many read, built once per system: the
+    abscissae, the cuts, a tuple (x_{k-1}, a_k, e_k, c_k, d_k) per branch,
+    sup_bound, the word length m, max_w |R_w|, the words of _words as a
+    tree (entry k of a node is (x_{k-1}, a_k, the node of the next digit),
+    and the m-th digit's node is the word (L_w, V_w, A_w, B_w, R_w)), and
+    read-only arrays: abscissae, ordinates, the rows x_{k-1}, a_k, e_k,
+    c_k, d_k by branch, the rows L, V, A, B, R by word, and the rows
+    x_{k-1}, a_k of the last digit of each prefix of a word."""
     xs = system.xs
     rows = tuple(zip(xs[:-1], system.a, system.e, system.c, system.d))
     m, nodes = _words(system)
     rmax = max(abs(word[4]) for word in nodes)
     r = system.r
+    digits = np.array([xs[:-1], system.a, system.e, system.c, system.d])
+    arrays = (np.asarray(xs), np.asarray(system.ys), digits,
+              np.array(nodes).T, np.tile(digits[:2], r ** (m - 1)))
+    for array in arrays:
+        array.flags.writeable = False
     for _ in range(m):
         nodes = [tuple((x, a, nodes[i + k]) for k, (x, a, *_) in enumerate(rows))
                  for i in range(0, len(nodes), r)]
-    return xs, xs[1:-1], rows, sup_bound(system), m, rmax, nodes[0]
+    return xs, xs[1:-1], rows, sup_bound(system), m, rmax, nodes[0], arrays
 
 
 def evaluate(system: SelfAffineSystem, x: float, tol: float,
@@ -392,7 +383,7 @@ def evaluate(system: SelfAffineSystem, x: float, tol: float,
         raise errors.OutOfDomain("points must lie in [0, 1]")
     if max_depth is None:
         max_depth = _DEFAULT_MAX_DEPTH
-    part, cuts, rows, bound, m, rmax, tree = _table(system)
+    part, cuts, rows, bound, m, rmax, tree, _ = _table(system)
     if t in part:
         return EvalResult(system.ys[part.index(t)], 0.0, 0)
 

@@ -115,7 +115,8 @@ def build_from_polygon(vertices, d) -> SelfAffineSystem:
         d: sequence of r vertical contractions, each |d_k| < 1.
 
     Raises:
-        ValueError when the counts do not match, and validate()'s errors
+        ValueError when the counts do not match or a coordinate or
+        contraction is NaN or infinite, and validate()'s errors
         (NonMonotonePartition, ContractionOutOfRange, DegenerateSystem).
     """
     verts = tuple((float(x), float(y)) for x, y in vertices)
@@ -123,6 +124,8 @@ def build_from_polygon(vertices, d) -> SelfAffineSystem:
     if len(verts) < 3 or len(dd) != len(verts) - 1:
         raise ValueError(
             f"need r+1 vertices and r contractions, got {len(verts)} and {len(dd)}")
+    if not all(map(math.isfinite, (*dd, *(v for xy in verts for v in xy)))):
+        raise ValueError("vertices and contractions must be finite")
     y0, yr = verts[0][1], verts[-1][1]
     branches = []
     for k in range(1, len(verts)):
@@ -143,8 +146,10 @@ def from_branches(branches) -> SelfAffineSystem:
 
     y_0 and y_r come from the branch fixed points phi(0) = e_1 / (1 - d_1),
     phi(1) = (c_r + e_r) / (1 - d_r); interior ordinates from the pin
-    relation y_{k-1} = d_k y_0 + e_k.  Raw tuples are never trusted: the
-    result is passed through validate().
+    relation y_{k-1} = d_k y_0 + e_k.  The abscissae are the running sums
+    of the widths with x_r pinned to 1: SumNotOne and WidthMismatch judge
+    the widths.  Raw tuples are never trusted: the result is passed through
+    validate().
     """
     brs = tuple(Branch(float(b.a), float(b.b), float(b.c), float(b.d), float(b.e))
                 if isinstance(b, Branch) else Branch(*map(float, b))
@@ -158,27 +163,37 @@ def from_branches(branches) -> SelfAffineSystem:
     y0 = brs[0].e / (1.0 - brs[0].d)
     yr = (brs[-1].c + brs[-1].e) / (1.0 - brs[-1].d)
     xs = [0.0]
-    for br in brs:
+    for br in brs[:-1]:
         xs.append(xs[-1] + br.a)
+    xs.append(1.0)
     ys = [brs[k].d * y0 + brs[k].e for k in range(r)] + [yr]
     system = SelfAffineSystem(brs, tuple(zip(xs, ys)))
     validate(system)
     return system
 
 
+def sup_bound(system: SelfAffineSystem) -> float:
+    """A priori bound: sup |phi| <= max_k(|c_k| + |e_k|) / (1 - max_k |d_k|)."""
+    top = max(abs(br.c) + abs(br.e) for br in system.branches)
+    dmax = max(abs(br.d) for br in system.branches)
+    return top / (1.0 - dmax)
+
+
 def validate(system: SelfAffineSystem) -> None:
     """Check every pin relation at tolerance 1e-12; raise a named error.
 
     The scale for each relation is max(1, magnitudes involved) so systems
-    with large ordinates are not penalised.
+    with large ordinates are not penalised.  NaN fails every test, and a
+    system whose sup_bound overflows raises ValueError.
     """
     xs, ys = system.xs, system.ys
     r = system.r
-    if xs[0] != 0.0 or xs[-1] != 1.0 or any(xs[i] >= xs[i + 1] for i in range(r)):
+    if not (xs[0] == 0.0 and xs[-1] == 1.0
+            and all(xs[i] < xs[i + 1] for i in range(r))):
         raise errors.NonMonotonePartition(
             "vertex abscissae must satisfy 0 = x_0 < ... < x_r = 1")
     total = math.fsum(br.a for br in system.branches)
-    if abs(total - 1.0) > _REL_TOL:
+    if not abs(total - 1.0) <= _REL_TOL:
         raise errors.SumNotOne(f"sum of widths is {total!r}")
     y0, yr = ys[0], ys[-1]
     for k in range(1, r + 1):
@@ -188,23 +203,27 @@ def validate(system: SelfAffineSystem) -> None:
         if not abs(br.d) < 1.0:
             raise errors.ContractionOutOfRange(f"|d| = {abs(br.d)} >= 1", branch=k)
         scale = max(1.0, abs(xs[k]), abs(xs[k - 1]))
-        if abs(br.a - (xs[k] - xs[k - 1])) > _REL_TOL * scale:
+        if not abs(br.a - (xs[k] - xs[k - 1])) <= _REL_TOL * scale:
             raise errors.WidthMismatch(
                 f"a = {br.a!r} but x_k - x_(k-1) = {xs[k] - xs[k - 1]!r}", branch=k)
-        if abs(br.b - xs[k - 1]) > _REL_TOL * scale:
+        if not abs(br.b - xs[k - 1]) <= _REL_TOL * scale:
             raise errors.OffsetMismatch(
                 f"b = {br.b!r} but x_(k-1) = {xs[k - 1]!r}", branch=k)
         yscale = max(1.0, abs(ys[k]), abs(ys[k - 1]), abs(yr - y0))
-        if abs(br.d * (yr - y0) + br.c - (ys[k] - ys[k - 1])) > _REL_TOL * yscale:
+        if not abs(br.d * (yr - y0) + br.c - (ys[k] - ys[k - 1])) <= _REL_TOL * yscale:
             raise errors.ShearMismatch(
                 f"d (y_r - y_0) + c = {br.d * (yr - y0) + br.c!r} but "
                 f"y_k - y_(k-1) = {ys[k] - ys[k - 1]!r}", branch=k)
-        if abs(br.d * y0 + br.e - ys[k - 1]) > _REL_TOL * yscale:
+        if not abs(br.d * y0 + br.e - ys[k - 1]) <= _REL_TOL * yscale:
             raise errors.LiftMismatch(
                 f"d y_0 + e = {br.d * y0 + br.e!r} but y_(k-1) = {ys[k - 1]!r}",
                 branch=k)
     if len(system.index_plus) < 2:
         raise errors.DegenerateSystem("need at least two branches with d_k != 0")
+    bound = sup_bound(system)
+    if not math.isfinite(bound):
+        raise ValueError(f"sup_bound = {bound} is not finite: the shears and "
+                         "lifts are too large for doubles")
 
 
 class Regime(str, Enum):

@@ -283,6 +283,31 @@ def test_memory_error_is_json(run, monkeypatch):
                                "message": "Unable to allocate 373. GiB"}
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("validate", "--preset", "takagi:1/0"), "ZeroDivisionError"),
+    (("sample", "--preset", "skew-takagi:0.3,1e308,0.5", "--points", "5"),
+     "ValueError")],
+    ids=["zero-denominator", "overflowing-bound"])
+def test_bad_inputs_are_one_json_error(run, argv, error):
+    """Arithmetic errors and systems whose bound overflows are one JSON
+    object on stderr, with no output and no traceback."""
+    out, err = run(*argv, expect=1)
+    assert out == "" and json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("ordinate", ["NaN", "Infinity"])
+def test_non_finite_system_files_are_rejected(run, tmp_path, ordinate):
+    path = tmp_path / "system.json"
+    path.write_text('{"vertices": [[0, 0], [0.5, %s], [1, 0]], '
+                    '"d": [0.5, 0.5]}' % ordinate)
+    for argv in (("validate",), ("eval", "--x", "0.3"),
+                 ("exponent", "--coding", "1,(1,2)")):
+        out, err = run(*argv, "--system", str(path), expect=1)
+        assert out == "" and json.loads(err) == {
+            "error": "ValueError",
+            "message": "vertices and contractions must be finite"}
+
+
 def test_gen_coding_deterministic(run):
     args = ("gen-coding", "--preset", SKEW, "--alpha", "1.2", "--length",
             "2000", "--seed", "9", "--block-ends", "100,2000")
@@ -315,11 +340,13 @@ def test_gen_coding_diagnostics_are_the_trace(run, length, ends):
 @pytest.mark.parametrize("extra, message", [
     (("--p", "0.5,0.3,0.2"), "one per branch"),
     (("--p", "1.0"), "one per branch"),
+    (("--p", "nan,1"), "probability vector"),
     (("--block-ends", "5000"), "no block end lies at or below --length 2000")],
-    ids=["p-too-long", "p-too-short", "no-block-end"])
+    ids=["p-too-long", "p-too-short", "p-nan", "no-block-end"])
 def test_gen_coding_schedule_errors(run, extra, message):
-    """A frequency vector of the wrong length, or a schedule with no block
-    end inside the coding, is one named JSON error on stderr."""
+    """A frequency vector of the wrong length or with a NaN weight, or a
+    schedule with no block end inside the coding, is one named JSON error
+    on stderr."""
     out, err = run("gen-coding", "--preset", SKEW, "--alpha", "1.2",
                    "--length", "2000", *extra, expect=1)
     doc = json.loads(err)

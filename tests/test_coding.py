@@ -338,6 +338,39 @@ def test_long_codings_compose_by_halves(seed):
     assert coding_module._compose(X, W, p, prefix) == (left, width)
 
 
+@given(seed=st.integers(0, 10 ** 9), pick=st.integers(0, len(PRESET_NAMES)))
+def test_project_rounds_the_exact_point_once(make_system, seed, pick):
+    """The float projection is the exact point over the stored abscissae
+    rounded once, bit for bit, for prefixes on both sides of _COMPOSE_RUN,
+    with and without a period."""
+    rng = np.random.default_rng(seed)
+    system = _any_system(make_system, rng, pick)
+    r = system.r
+    prefix = tuple(int(v) for v in rng.integers(1, r + 1, rng.integers(0, 131)))
+    period = tuple(int(v) for v in rng.integers(1, r + 1, rng.integers(1, 12)))
+    for coding in (Coding(prefix=prefix), Coding(prefix=prefix, period=period)):
+        got = project(system, coding)
+        assert type(got) is float
+        assert got == float(project(system, coding, exact=True))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES + [0, 1, 2, 3])
+def test_vertex_codings_project_onto_the_abscissae(make_system, name):
+    """Both codings of an interior vertex, k,(r) and k+1,(1), address the
+    stored x_k exactly, in both return types (presets, and random systems
+    by seed)."""
+    if isinstance(name, str):
+        system = make_system(name)[0]
+    else:
+        system = random_polygon_system(np.random.default_rng(name))
+    r = system.r
+    for k in range(1, r):
+        for coding in (Coding(prefix=(k,), period=(r,)),
+                       Coding(prefix=(k + 1,), period=(1,))):
+            assert project(system, coding) == system.xs[k]
+            assert project(system, coding, exact=True) == Fraction(system.xs[k])
+
+
 def test_basic_interval(make_system):
     rn, _ = make_system("riesz-nagy:0.3")
     bi = basic_interval(rn, (1, 2))
@@ -547,6 +580,17 @@ def test_default_schedule_ends_at_length(lam, length):
     assert ends[-1] == length and ends[0] >= n1
     RunStructure(lam=lam, k_star=1, block_ends=ends, run_lengths=runs,
                  p=(0.5, 0.5)).validate()
+
+
+@pytest.mark.parametrize("p", [(math.nan, 1.0), (1.0, math.nan),
+                               (math.inf, -math.inf)])
+def test_run_structure_rejects_non_finite_weights(p):
+    """A NaN weight fails the probability-vector check, as a negative one
+    does; it would otherwise draw digits from an unsorted cumsum."""
+    rs = RunStructure(lam=0.5, k_star=1, block_ends=(100,), run_lengths=(50,),
+                      p=p)
+    with pytest.raises(errors.InvalidSchedule, match="probability vector"):
+        rs.validate()
 
 
 def _case_b_two_branch(seed):

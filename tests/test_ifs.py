@@ -113,6 +113,65 @@ def test_validation_errors():
         build_from_polygon([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)], (0.4, 0.0))
 
 
+@pytest.mark.parametrize("vertices, d", [
+    ([(0.0, 0.0), (0.5, math.nan), (1.0, 0.0)], (0.5, 0.5)),
+    ([(0.0, 0.0), (0.5, math.inf), (1.0, 0.0)], (0.5, 0.5)),
+    ([(0.0, 0.0), (math.nan, 0.5), (1.0, 0.0)], (0.5, 0.5)),
+    ([(0.0, 0.0), (0.5, 0.5), (1.0, 0.0)], (0.5, -math.inf))],
+    ids=["nan-ordinate", "inf-ordinate", "nan-abscissa", "inf-contraction"])
+def test_non_finite_polygons_are_rejected(vertices, d):
+    with pytest.raises(ValueError, match="finite"):
+        build_from_polygon(vertices, d)
+
+
+@pytest.mark.parametrize("field, error", [
+    ("b", errors.OffsetMismatch), ("c", errors.ShearMismatch),
+    ("e", errors.LiftMismatch)])
+def test_nan_coefficients_fail_validation(field, error):
+    """Each pin check fails on NaN, which compares false either way."""
+    rn = parse_preset("riesz-nagy:0.3")
+    br = [replace(rn.branches[0], **{field: math.nan}), rn.branches[1]]
+    with pytest.raises(error):
+        validate(SelfAffineSystem(branches=tuple(br), vertices=rn.vertices))
+    with pytest.raises(errors.ShearMismatch):
+        validate(SelfAffineSystem(
+            branches=rn.branches,
+            vertices=((0.0, 0.0), (0.5, math.nan), (1.0, 1.0))))
+
+
+def test_overflowing_sup_bound_is_rejected():
+    """Finite coefficients whose a-priori bound overflows are rejected: no
+    evaluation could certify an error bound."""
+    with pytest.raises(ValueError, match="sup_bound"):
+        parse_preset("skew-takagi:0.3,1e308,0.5")
+
+
+def _branches_of_widths(widths, d=0.5):
+    """Branch tuples of a zigzag through ordinates 0, 0.5, 0, ... over the
+    given widths, with b_k the running float sums."""
+    ys = [0.5 * (k % 2) for k in range(len(widths) + 1)]
+    x, rows = 0.0, []
+    for k, a in enumerate(widths, start=1):
+        rows.append((a, x, ys[k] - ys[k - 1] - d * (ys[-1] - ys[0]), d,
+                     ys[k - 1]))
+        x += a
+    return rows
+
+
+@pytest.mark.parametrize("widths", [(0.7, 0.2, 0.1), (0.1,) * 10])
+def test_from_branches_pins_the_last_abscissa(widths):
+    """Widths whose running float sum ends just below 1 but whose fsum is 1
+    build a system; x_r is 1, and widths that do not sum to 1 raise
+    SumNotOne."""
+    rows = _branches_of_widths(widths)
+    assert sum(widths) != 1.0 and math.fsum(widths) == 1.0
+    system = from_branches(rows)
+    assert system.xs[-1] == 1.0
+    assert system.xs[:-1] == tuple(row[1] for row in rows)
+    with pytest.raises(errors.SumNotOne):
+        from_branches(_branches_of_widths(widths[:-1] + (widths[-1] - 0.1,)))
+
+
 # ------------------------------------------------------------------- constants
 
 def test_index_sets_okamoto_cantor(make_system):
