@@ -27,27 +27,19 @@ class NonMonotonePartition(AffineSpectraError):
 
 
 class SumNotOne(AffineSpectraError):
-    """Branch widths do not sum to 1."""
+    """Branch widths do not sum to 1: the last one is not 1 - x_{r-1}."""
 
 
 class ContractionOutOfRange(BranchError):
-    """|d_k| >= 1, or a width a_k outside (0, 1)."""
-
-
-class WidthMismatch(BranchError):
-    """a_k != x_k - x_{k-1}."""
+    """|d_k| >= 1, or |d_k| >= a_k where a criterion needs |d_k| < a_k."""
 
 
 class OffsetMismatch(BranchError):
-    """b_k != x_{k-1}."""
+    """A given b_k is not x_{k-1}."""
 
 
 class ShearMismatch(BranchError):
-    """d_k (y_r - y_0) + c_k != y_k - y_{k-1}."""
-
-
-class LiftMismatch(BranchError):
-    """d_k y_0 + e_k != y_{k-1}."""
+    """A given c_k is not (y_k - y_{k-1}) - d_k (y_r - y_0)."""
 
 
 class DegenerateSystem(AffineSpectraError):

@@ -39,19 +39,18 @@ def _words(system: SelfAffineSystem):
 
     Word w = k_1 ... k_m (0-based branches, index sum_i k_i r^(m-i)) maps
     t = L_w + V_w t' and phi(t) = A_w + B_w t' + R_w phi(t'), the m steps
-    of evaluate composed.  The stored doubles x_{k-1}, a_k, e_k, c_k, d_k
+    of evaluate composed.  The doubles x_{k-1}, a_k, e_k, c_k, d_k
     are integers over a common 2^S, so words of length j are integers over
     2^(jS): each entry is composed exactly and rounded once, and words of
-    one digit are the stored coefficients.  m is the longest length with
-    r^m <= _WORDS, or 1 when t = 1 is not a fixed point of the float step
-    of branch r: an orbit could then pass through 1 inside a word.
+    one digit are the system's coefficients.  m is the longest length with
+    r^m <= _WORDS.  An orbit cannot pass through 1 inside a word: a_r is
+    1 - x_{r-1} in doubles, so the float step of branch r fixes t = 1.
     Returns (m, a tuple of (L_w, V_w, A_w, B_w, R_w) in word order).
     """
     r, xs = system.r, system.xs
     m = 1
-    if (1.0 - xs[-2]) / system.a[-1] == 1.0:
-        while r ** (m + 1) <= _WORDS:
-            m += 1
+    while r ** (m + 1) <= _WORDS:
+        m += 1
     rows = [[v.as_integer_ratio() for v in row] for row in
             zip(xs[:-1], system.a, system.e, system.c, system.d)]
     S = max(q.bit_length() for row in rows for _, q in row) - 1

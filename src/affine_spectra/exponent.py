@@ -333,8 +333,8 @@ def is_polynomial(system: SelfAffineSystem) -> bool:
     c_k x + d_k phi(x) + e_k give d_k = a_k^m, and the x^(m-1) ones at
     b_1 = 0 < b_2 then rule out m >= 3.  Conversely a line through all r+1
     vertices, or a parabola through them when every d_k = a_k^2, satisfies
-    the pinned equations, so it is phi.  Both tests hold at validate's
-    relative 1e-12, the ordinates scaled by max(1, |y_k|).  Polynomial phi
+    the pinned equations, so it is phi.  Both tests hold at a relative
+    1e-12, the ordinates scaled by max(1, |y_k|).  Polynomial phi
     fall outside every exponent statement below; values and derivative
     series stay valid.
     """

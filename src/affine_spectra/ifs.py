@@ -12,7 +12,10 @@ the graph of the unique continuous phi: [0,1] -> R satisfying
 
 Pinning forces a_k = x_k - x_{k-1}, b_k = x_{k-1},
 d_k (y_r - y_0) + c_k = y_k - y_{k-1} and d_k y_0 + e_k = y_{k-1}; for each
-branch the vertical contraction d_k is the one free parameter.
+branch the vertical contraction d_k is the one free parameter.  A system is
+therefore stored once, as its vertices and d, and its branch coefficients
+are derived by these relations, so its maps tile [0, 1].  from_branches
+checks raw coefficient rows against the polygon they pin.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import cached_property
 from . import errors
 from .roots import unit_sum_root
 
-_REL_TOL = 1e-12          # linear pin relations
+_REL_TOL = 1e-12          # from_branches' row checks; is_polynomial
 LAMBDA_TOL = 1e-10        # membership test for the overlap set
 _TIE_TOL = 1e-12          # equality of exponent ratios rho_k
 
@@ -42,21 +45,32 @@ class Branch:
 
 @dataclass(frozen=True)
 class SelfAffineSystem:
-    """Pinned branch family plus its interpolation polygon.
+    """Interpolation polygon plus one vertical contraction per piece.
 
-    `branches` are ordered left to right; `vertices` has r+1 points.
-    Instances are immutable; use build_from_polygon / from_branches, both of
-    which leave the system in a validated state.
+    `vertices` has r+1 points, `d` r contractions; the branches, ordered
+    left to right, are derived from them.  Instances are immutable; use
+    build_from_polygon / from_branches, both of which leave the system in a
+    validated state.
     """
-    branches: tuple[Branch, ...]
     vertices: tuple[tuple[float, float], ...]
+    d: tuple[float, ...]
 
     @property
     def r(self) -> int:
-        return len(self.branches)
+        return len(self.d)
 
     # Derived tables are built on first use and kept: the instance is
     # immutable, and the one-point paths read them on every call.
+    @cached_property
+    def branches(self) -> tuple[Branch, ...]:
+        """The pinned maps: a_k = x_k - x_{k-1}, b_k = x_{k-1},
+        c_k = (y_k - y_{k-1}) - d_k (y_r - y_0), e_k = y_{k-1} - d_k y_0."""
+        (_, y0), (_, yr) = self.vertices[0], self.vertices[-1]
+        return tuple(Branch(x_hi - x_lo, x_lo, (y_hi - y_lo) - dk * (yr - y0),
+                            dk, y_lo - dk * y0)
+                     for (x_lo, y_lo), (x_hi, y_hi), dk
+                     in zip(self.vertices, self.vertices[1:], self.d))
+
     @cached_property
     def a(self) -> tuple[float, ...]:
         return tuple(br.a for br in self.branches)
@@ -68,10 +82,6 @@ class SelfAffineSystem:
     @cached_property
     def c(self) -> tuple[float, ...]:
         return tuple(br.c for br in self.branches)
-
-    @cached_property
-    def d(self) -> tuple[float, ...]:
-        return tuple(br.d for br in self.branches)
 
     @cached_property
     def e(self) -> tuple[float, ...]:
@@ -88,18 +98,16 @@ class SelfAffineSystem:
     @cached_property
     def index_zero(self) -> frozenset[int]:
         """1-based branch indices with d_k = 0."""
-        return frozenset(k for k in range(1, self.r + 1)
-                         if self.branches[k - 1].d == 0.0)
+        return frozenset(k for k, dk in enumerate(self.d, start=1) if dk == 0.0)
 
     @cached_property
     def index_plus(self) -> frozenset[int]:
         """1-based branch indices with d_k != 0."""
-        return frozenset(k for k in range(1, self.r + 1)
-                         if self.branches[k - 1].d != 0.0)
+        return frozenset(k for k, dk in enumerate(self.d, start=1) if dk != 0.0)
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.branches, self.vertices))
+        return hash((self.vertices, self.d))
 
     def __hash__(self) -> int:
         # the value the generated dataclass hash gives, computed once
@@ -126,30 +134,24 @@ def build_from_polygon(vertices, d) -> SelfAffineSystem:
             f"need r+1 vertices and r contractions, got {len(verts)} and {len(dd)}")
     if not all(map(math.isfinite, (*dd, *(v for xy in verts for v in xy)))):
         raise ValueError("vertices and contractions must be finite")
-    y0, yr = verts[0][1], verts[-1][1]
-    branches = []
-    for k in range(1, len(verts)):
-        x_lo, y_lo = verts[k - 1]
-        x_hi, y_hi = verts[k]
-        a = x_hi - x_lo
-        b = x_lo
-        c = (y_hi - y_lo) - dd[k - 1] * (yr - y0)
-        e = y_lo - dd[k - 1] * y0
-        branches.append(Branch(a, b, c, dd[k - 1], e))
-    system = SelfAffineSystem(tuple(branches), verts)
+    system = SelfAffineSystem(verts, dd)
     validate(system)
     return system
 
 
 def from_branches(branches) -> SelfAffineSystem:
-    """Reconstruct the polygon from raw branch tuples and validate.
+    """The system of raw branch rows (a, b, c, d, e), checked against the
+    polygon they pin.
 
     y_0 and y_r come from the branch fixed points phi(0) = e_1 / (1 - d_1),
     phi(1) = (c_r + e_r) / (1 - d_r); interior ordinates from the pin
     relation y_{k-1} = d_k y_0 + e_k.  The abscissae are the running sums
-    of the widths with x_r pinned to 1: SumNotOne and WidthMismatch judge
-    the widths.  Raw tuples are never trusted: the result is passed through
-    validate().
+    of the widths with x_r pinned to 1.  The polygon goes through
+    build_from_polygon, and each given a_r, b_k and c_k must then match the
+    derived one to 1e-12 relative (SumNotOne, OffsetMismatch,
+    ShearMismatch); e_k and the other widths fix the polygon and match it
+    by construction.  The derived system is returned, so its maps tile
+    [0, 1]: ten widths of 0.1 give x_3 = 0.30000000000000004.
     """
     brs = tuple(Branch(float(b.a), float(b.b), float(b.c), float(b.d), float(b.e))
                 if isinstance(b, Branch) else Branch(*map(float, b))
@@ -167,63 +169,48 @@ def from_branches(branches) -> SelfAffineSystem:
         xs.append(xs[-1] + br.a)
     xs.append(1.0)
     ys = [brs[k].d * y0 + brs[k].e for k in range(r)] + [yr]
-    system = SelfAffineSystem(brs, tuple(zip(xs, ys)))
-    validate(system)
+    system = build_from_polygon(zip(xs, ys), [br.d for br in brs])
+    if not abs(brs[-1].a - system.a[-1]) <= _REL_TOL:
+        raise errors.SumNotOne(f"widths leave a_r = {system.a[-1]!r}, "
+                               f"not {brs[-1].a!r}")
+    for k, (given, got) in enumerate(zip(brs, system.branches), start=1):
+        if not abs(given.b - got.b) <= _REL_TOL:
+            raise errors.OffsetMismatch(
+                f"b = {given.b!r} but x_(k-1) = {got.b!r}", branch=k)
+        yscale = max(1.0, abs(ys[k]), abs(ys[k - 1]), abs(ys[-1] - ys[0]))
+        if not abs(given.c - got.c) <= _REL_TOL * yscale:
+            raise errors.ShearMismatch(
+                f"c = {given.c!r} but the polygon gives {got.c!r}", branch=k)
     return system
 
 
 def sup_bound(system: SelfAffineSystem) -> float:
     """A priori bound: sup |phi| <= max_k(|c_k| + |e_k|) / (1 - max_k |d_k|)."""
-    top = max(abs(br.c) + abs(br.e) for br in system.branches)
-    dmax = max(abs(br.d) for br in system.branches)
-    return top / (1.0 - dmax)
+    top = max(abs(ck) + abs(ek) for ck, ek in zip(system.c, system.e))
+    return top / (1.0 - max(map(abs, system.d)))
 
 
 def validate(system: SelfAffineSystem) -> None:
-    """Check every pin relation at tolerance 1e-12; raise a named error.
+    """Check what a stored system can get wrong; raise a named error.
 
-    The scale for each relation is max(1, magnitudes involved) so systems
-    with large ordinates are not penalised.  NaN fails every test, and a
-    system whose sup_bound overflows raises ValueError.
+    The abscissae must satisfy 0 = x_0 < ... < x_r = 1, each |d_k| < 1,
+    and at least two d_k != 0.  NaN fails every test, and a system whose
+    coefficients or sup_bound are not finite raises ValueError.
     """
-    xs, ys = system.xs, system.ys
-    r = system.r
+    xs = system.xs
     if not (xs[0] == 0.0 and xs[-1] == 1.0
-            and all(xs[i] < xs[i + 1] for i in range(r))):
+            and all(x_lo < x_hi for x_lo, x_hi in zip(xs, xs[1:]))):
         raise errors.NonMonotonePartition(
             "vertex abscissae must satisfy 0 = x_0 < ... < x_r = 1")
-    total = math.fsum(br.a for br in system.branches)
-    if not abs(total - 1.0) <= _REL_TOL:
-        raise errors.SumNotOne(f"sum of widths is {total!r}")
-    y0, yr = ys[0], ys[-1]
-    for k in range(1, r + 1):
-        br = system.branches[k - 1]
-        if not (0.0 < br.a < 1.0):
-            raise errors.ContractionOutOfRange(f"width a = {br.a}", branch=k)
-        if not abs(br.d) < 1.0:
-            raise errors.ContractionOutOfRange(f"|d| = {abs(br.d)} >= 1", branch=k)
-        scale = max(1.0, abs(xs[k]), abs(xs[k - 1]))
-        if not abs(br.a - (xs[k] - xs[k - 1])) <= _REL_TOL * scale:
-            raise errors.WidthMismatch(
-                f"a = {br.a!r} but x_k - x_(k-1) = {xs[k] - xs[k - 1]!r}", branch=k)
-        if not abs(br.b - xs[k - 1]) <= _REL_TOL * scale:
-            raise errors.OffsetMismatch(
-                f"b = {br.b!r} but x_(k-1) = {xs[k - 1]!r}", branch=k)
-        yscale = max(1.0, abs(ys[k]), abs(ys[k - 1]), abs(yr - y0))
-        if not abs(br.d * (yr - y0) + br.c - (ys[k] - ys[k - 1])) <= _REL_TOL * yscale:
-            raise errors.ShearMismatch(
-                f"d (y_r - y_0) + c = {br.d * (yr - y0) + br.c!r} but "
-                f"y_k - y_(k-1) = {ys[k] - ys[k - 1]!r}", branch=k)
-        if not abs(br.d * y0 + br.e - ys[k - 1]) <= _REL_TOL * yscale:
-            raise errors.LiftMismatch(
-                f"d y_0 + e = {br.d * y0 + br.e!r} but y_(k-1) = {ys[k - 1]!r}",
-                branch=k)
+    for k, dk in enumerate(system.d, start=1):
+        if not abs(dk) < 1.0:
+            raise errors.ContractionOutOfRange(f"|d| = {abs(dk)} >= 1", branch=k)
     if len(system.index_plus) < 2:
         raise errors.DegenerateSystem("need at least two branches with d_k != 0")
     bound = sup_bound(system)
-    if not math.isfinite(bound):
-        raise ValueError(f"sup_bound = {bound} is not finite: the shears and "
-                         "lifts are too large for doubles")
+    if not all(map(math.isfinite, (bound, *system.c, *system.e))):
+        raise ValueError(f"sup_bound = {bound}: the shears and lifts must be "
+                         "finite, and small enough for doubles")
 
 
 class Regime(str, Enum):
@@ -477,8 +464,9 @@ def antiderivative_system(system: SelfAffineSystem) -> SelfAffineSystem:
     Requires all shears zero (c == 0); then psi = int phi is itself
     self-affine with widths a_k, shears a_k e_k and contractions a_k d_k.
     The total integral follows from self-affinity:
-    I = sum a_k (e_k + d_k I), so I = (sum a_k e_k) / (1 - sum a_k d_k).
-    The resulting system always has an empty overlap set.
+    I = sum a_k (e_k + d_k I), so I = (sum a_k e_k) / (1 - sum a_k d_k),
+    and psi rises by a_k (e_k + d_k I) over piece k.  The resulting system
+    always has an empty overlap set.
     """
     if any(ck != 0.0 for ck in system.c):
         raise errors.ShearedSystem("antiderivative needs all shears c_k = 0")
@@ -486,15 +474,8 @@ def antiderivative_system(system: SelfAffineSystem) -> SelfAffineSystem:
     r = system.r
     total = math.fsum(a[k] * e[k] for k in range(r)) \
         / (1.0 - math.fsum(a[k] * d[k] for k in range(r)))
-    piece = [a[k] * (e[k] + d[k] * total) for k in range(r)]
     ys = [0.0]
     for k in range(r):
-        ys.append(ys[-1] + piece[k])
-    branches = []
-    for k in range(r):
-        branches.append(Branch(a=a[k], b=system.b[k], c=a[k] * e[k],
-                               d=a[k] * d[k], e=ys[k]))
-    out = SelfAffineSystem(tuple(branches),
-                           tuple((system.xs[k], ys[k]) for k in range(r + 1)))
-    validate(out)
-    return out
+        ys.append(ys[-1] + a[k] * (e[k] + d[k] * total))
+    return build_from_polygon(zip(system.xs, ys),
+                              [a[k] * d[k] for k in range(r)])

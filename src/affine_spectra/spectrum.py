@@ -194,21 +194,28 @@ def q_star(constants: SpectrumConstants, alpha: float) -> float:
 def _ranges(constants: SpectrumConstants, alphas, overlap: bool = True):
     """Branches of increasing alphas as (branch, stop) pairs, each range
     from the previous stop, by binary search for the thresholds a lone alpha
-    meets.  overlap=False drops the Case B linear part."""
-    if _degenerate(constants):
+    meets.  overlap=False drops the Case B linear part; in a degenerate
+    system it ends where the window of the one point alpha_hat (= alpha0)
+    begins."""
+    amin, amax, tol = constants.alpha_min, constants.alpha_max, _END_TOL
+    degenerate = _degenerate(constants)
+    if degenerate:
         off = alphas - constants.alpha_hat
         lo, hi = np.searchsorted(off, -1e-9), np.searchsorted(off, 1e-9, "right")
-        return [("empty", int(lo)), ("degenerate", int(hi)), ("empty", alphas.size)]
-    amin, amax, tol = constants.alpha_min, constants.alpha_max, _END_TOL
-    below, inner = np.searchsorted(alphas, (amin - tol, amax - tol)).tolist()
-    low, above = np.searchsorted(alphas, (amin + tol, amax + tol), "right").tolist()
+        body = [("empty", int(lo)), ("degenerate", int(hi))]
+    else:
+        below, inner = np.searchsorted(alphas, (amin - tol, amax - tol)).tolist()
+        low, above = np.searchsorted(alphas, (amin + tol, amax + tol), "right").tolist()
+        body = list(zip(("empty", "endpoint", "legendre", "endpoint"),
+                        (below, low, max(low, inner), above)))
     head, start = [], 0
     if overlap and constants.regime is Regime.CASE_B:
         one, start = np.searchsorted(alphas, (1.0 - tol, constants.alpha0)).tolist()
+        if degenerate:
+            start = body[0][1]
         head = [("empty", min(one, start)), ("linear", start)]
-    cuts = (below, low, max(low, inner), above)
-    return head + [(branch, max(start, cut)) for branch, cut in zip(
-        ("empty", "endpoint", "legendre", "endpoint"), cuts)] + [("empty", alphas.size)]
+    return head + [(branch, max(start, cut)) for branch, cut in body] + [
+        ("empty", alphas.size)]
 
 
 def beta_star(constants: SpectrumConstants, alpha: float) -> float:
@@ -362,14 +369,16 @@ def spectrum_table(constants: SpectrumConstants, *,
     """
     if points < 2:
         raise ValueError("points must be >= 2")
-    if _degenerate(constants):
-        alphas = [constants.alpha_hat]
-    else:
-        special = [constants.alpha_min, constants.alpha_hat,
-                   constants.alpha_max]
-        if constants.regime is Regime.CASE_B:
-            special = [1.0, constants.alpha0] + special[1:]
-        grid = np.linspace(special[0], constants.alpha_max, points)
+    special = [constants.alpha_min, constants.alpha_hat, constants.alpha_max]
+    if _degenerate(constants):      # the concave part is the point alpha_hat
+        special = [constants.alpha_hat]
+    elif constants.regime is Regime.CASE_B:
+        special[0] = constants.alpha0
+    if constants.regime is Regime.CASE_B:
+        special.insert(0, 1.0)
+    alphas = special
+    if len(special) > 1:
+        grid = np.linspace(special[0], special[-1], points)
         alphas = np.unique(np.concatenate([grid, special])).tolist()
     rows = _solve(constants, alphas)[0]
     if constants.index_zero:

@@ -15,9 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_spectra import (
-    Branch,
     Coding,
-    SelfAffineSystem,
     build_from_polygon,
     derivative_series,
     divided_difference,
@@ -28,7 +26,6 @@ from affine_spectra import (
     sample,
     sup_bound,
 )
-from affine_spectra.ifs import validate
 import reference
 from conftest import random_polygon_system
 
@@ -459,51 +456,6 @@ def test_word_table_is_the_exact_composition_rounded_once(make_system, seed):
         m_exact, words = _words_exact(system)
         assert m == m_exact
         assert np.array(table).T.tobytes() == words.tobytes()
-
-
-def test_word_length_one_when_one_is_not_fixed():
-    """When (1 - x_{r-1}) / a_r does not round to 1, an orbit may pass
-    through 1 inside a word: m = 1, and evaluation is the per-digit
-    recursion with the stored coefficients, bit for bit."""
-    base = build_from_polygon([(0.0, 0.0), (0.3, 0.7), (0.6, 0.2), (1.0, 1.0)],
-                              (0.4, -0.5, 0.3))
-    last = base.branches[-1]
-    nudged = Branch(math.nextafter(last.a, 0.0), last.b, last.c, last.d,
-                    last.e)
-    system = SelfAffineSystem(base.branches[:-1] + (nudged,), base.vertices)
-    validate(system)
-    assert (1.0 - system.xs[-2]) / system.a[-1] != 1.0
-    m, table = evaluate_module._words(system)
-    assert (m, table) == (1, tuple(zip(system.xs[:-1], system.a, system.e,
-                                       system.c, system.d)))
-    assert evaluate_module._words(base)[0] == 5
-    xs = _batch(system, np.random.default_rng(5), 256)
-    for tol in (1e-6, 1e-12):
-        values, errs, depths = evaluate_many(system, xs, tol)
-        for x, value, err, depth in zip(xs.tolist(), values.tolist(),
-                                        errs.tolist(), depths.tolist()):
-            assert (value, err, depth) == _per_digit_evaluate(system, x, tol)
-
-
-def _per_digit_evaluate(system, x, tol):
-    """(value, error_bound, depth) of the per-digit recursion, one digit
-    per step in plain floats."""
-    if x in system.xs:
-        return system.ys[system.xs.index(x)], 0.0, 0
-    cuts, bound = system.xs[1:-1], sup_bound(system)
-    t, A, B, R, depth = x, 0.0, 0.0, 1.0, 0
-    while abs(R) * bound > tol and t != 0.0 and t != 1.0:
-        k = bisect.bisect_right(cuts, t)
-        left, a = system.xs[k], system.a[k]
-        t = (t - left) / a
-        A += B * left + R * system.e[k]
-        B = B * a + R * system.c[k]
-        R = R * system.d[k]
-        depth += 1
-    if t == 0.0 or t == 1.0:
-        closing = system.ys[0] if t == 0.0 else system.ys[-1]
-        return A + B * t + R * closing, 0.0, depth
-    return A + B * t, abs(R) * bound, depth
 
 
 @given(seed=st.integers(0, 10 ** 9))

@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,12 +24,16 @@ from affine_spectra import (
     lambda_set,
     parse_preset,
     roots,
+    sup_bound,
+    system_from_dict,
+    system_to_dict,
     two_branch_lambda_empty,
     validate,
 )
 import reference
 from conftest import random_polygon_system, random_two_branch_contractive
 
+DATA = Path(__file__).resolve().parent / "data"
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
 
@@ -89,20 +94,22 @@ def test_validation_errors():
     with pytest.raises(errors.DegenerateSystem):
         from_branches(rn.branches[:1])
 
-    # vertices kept, widths tampered
     br = [replace(b, a=b.a * 0.99) for b in rn.branches]
     with pytest.raises(errors.SumNotOne):
-        validate(SelfAffineSystem(branches=tuple(br), vertices=rn.vertices))
+        from_branches(br)
 
+    # swapped widths move x_1 off b_2
     br = [replace(skew.branches[0], a=skew.branches[1].a),
           replace(skew.branches[1], a=skew.branches[0].a)]
-    with pytest.raises(errors.WidthMismatch):
-        validate(SelfAffineSystem(branches=tuple(br), vertices=skew.vertices))
+    with pytest.raises(errors.OffsetMismatch, match="branch 2"):
+        from_branches(br)
 
-    br = list(rn.branches)
+    # a lift fixes an ordinate, so a tampered lift moves the shears (an
+    # unsheared system such as rn takes any lifts)
+    br = list(skew.branches)
     br[1] = replace(br[1], e=0.9)
-    with pytest.raises(errors.LiftMismatch):
-        validate(SelfAffineSystem(branches=tuple(br), vertices=rn.vertices))
+    with pytest.raises(errors.ShearMismatch, match="branch 1"):
+        from_branches(br)
 
     with pytest.raises(errors.NonMonotonePartition):
         build_from_polygon([(0.0, 0.0), (0.6, 0.5), (0.4, 0.7), (1.0, 0.0)],
@@ -126,17 +133,24 @@ def test_non_finite_polygons_are_rejected(vertices, d):
 
 @pytest.mark.parametrize("field, error", [
     ("b", errors.OffsetMismatch), ("c", errors.ShearMismatch),
-    ("e", errors.LiftMismatch)])
+    ("e", ValueError)])
 def test_nan_coefficients_fail_validation(field, error):
-    """Each pin check fails on NaN, which compares false either way."""
+    """A NaN row fails from_branches: each comparison fails on NaN, which
+    compares false either way, and a NaN lift makes an ordinate NaN."""
     rn = parse_preset("riesz-nagy:0.3")
     br = [replace(rn.branches[0], **{field: math.nan}), rn.branches[1]]
     with pytest.raises(error):
-        validate(SelfAffineSystem(branches=tuple(br), vertices=rn.vertices))
-    with pytest.raises(errors.ShearMismatch):
-        validate(SelfAffineSystem(
-            branches=rn.branches,
-            vertices=((0.0, 0.0), (0.5, math.nan), (1.0, 1.0))))
+        from_branches(br)
+
+
+def test_validate_rejects_non_finite_stored_systems():
+    """A system built directly around NaN ordinates fails validate even
+    where sup_bound's max skips the NaN."""
+    system = SelfAffineSystem(((0.0, 0.0), (0.5, 0.5), (0.7, math.nan),
+                               (1.0, 1.0)), (0.3, 0.3, 0.3))
+    assert math.isfinite(sup_bound(system))
+    with pytest.raises(ValueError, match="finite"):
+        validate(system)
 
 
 def test_overflowing_sup_bound_is_rejected():
@@ -330,6 +344,32 @@ def test_constants_json_round_trip(make_system):
         blob = json.dumps(c.to_dict())
         again = SpectrumConstants.from_dict(json.loads(blob))
         assert again == c
+
+
+def _assert_dict_round_trip(system):
+    """system_from_dict(system_to_dict(s)), through JSON text, is s bit for
+    bit: its fields, its hash and every derived coefficient."""
+    again = system_from_dict(json.loads(json.dumps(system_to_dict(system))))
+    assert again == system and hash(again) == hash(system)
+    assert repr(again.branches) == repr(system.branches)
+
+
+def test_dict_round_trip_of_branch_built_systems():
+    """A system built from rows or by the antiderivative is stored as its
+    polygon, which its JSON form rebuilds: the ten widths of 0.1 hold
+    b_4 = x_3 = 0.30000000000000004, and the antiderivative holds the
+    shears its polygon derives."""
+    with open(DATA / "ten-widths.json", encoding="utf-8") as fh:
+        ten = system_from_dict(json.load(fh))
+    assert ten.b[3] == ten.xs[3] == 0.30000000000000004
+    _assert_dict_round_trip(ten)
+    _assert_dict_round_trip(antiderivative_system(parse_preset("riesz-nagy:0.3")))
+
+
+@given(st.integers(0, 10 ** 9))
+def test_dict_round_trip_of_random_systems(seed):
+    _assert_dict_round_trip(random_polygon_system(np.random.default_rng(seed),
+                                                  allow_zero=True))
 
 
 # ------------------------------------------------------------------ properties

@@ -272,10 +272,26 @@ def test_spectrum_table_degenerate(make_system):
     assert tab[1].alpha == math.inf and tab[1].dim == 1.0
 
 
+@pytest.mark.parametrize("name", ["takagi:1.5", "skew-takagi:0.5,1,0.3"])
+def test_degenerate_case_b_keeps_its_linear_part(make_system, name):
+    """Tied ratios collapse the concave part to the point alpha_hat = alpha0,
+    but the Case B linear part sigma (alpha - 1) on [1, alpha0) remains: the
+    exponent layer finds alpha = 1 at a cut point of takagi:1.5."""
+    _, c = make_system(name)
+    assert c.regime is Regime.CASE_B and spectrum._degenerate(c)
+    pt = spectrum_D(c, 1.25)
+    assert (pt.branch, pt.dim) == ("linear", c.sigma * (1.25 - 1.0))
+    assert spectrum_D(c, 1.0).dim == 0.0
+    tab = spectrum_table(c, points=21)
+    assert [row.branch for row in tab] == ["linear"] * 20 + ["degenerate"]
+    assert tab[0].alpha == 1.0 and tab[-1].alpha == c.alpha_hat
+    assert beta_star(c, 1.25) == -math.inf
+
+
 def test_spectrum_table_matches_pointwise(make_system):
     """The table and the one-alpha entry point take the same code path."""
     presets = ["takagi:0.5", "takagi:1.5", "riesz-nagy:0.3", "okamoto:0.6",
-               "okamoto:0.5", SKEW]
+               "okamoto:0.5", SKEW, "skew-takagi:0.5,1,0.3"]
     cases = [make_system(name)[1] for name in presets]
     rng = np.random.default_rng(5)
     cases.append(compute_constants(random_polygon_system(rng, r=4,
@@ -295,10 +311,14 @@ def _classify_one(c, alpha, overlap):
     """One alpha at a time, by the same comparisons (the oracle for the
     range classifier)."""
     amin, amax, tol = c.alpha_min, c.alpha_max, spectrum._END_TOL
-    if amax - amin <= spectrum._DEG_TOL * max(1.0, abs(amax)):
+    degenerate = amax - amin <= spectrum._DEG_TOL * max(1.0, abs(amax))
+    if overlap and c.regime is Regime.CASE_B:
+        # a degenerate system's linear part ends where its one point begins
+        below = alpha - c.alpha_hat < -1e-9 if degenerate else alpha < c.alpha0
+        if below:
+            return "linear" if alpha >= 1.0 - tol else "empty"
+    if degenerate:
         return "degenerate" if abs(alpha - c.alpha_hat) <= 1e-9 else "empty"
-    if overlap and c.regime is Regime.CASE_B and alpha < c.alpha0:
-        return "linear" if alpha >= 1.0 - tol else "empty"
     if alpha < amin - tol or alpha > amax + tol:
         return "empty"
     if alpha <= amin + tol or alpha >= amax - tol:
@@ -333,7 +353,8 @@ def test_classify_matches_one_alpha_at_a_time(seed):
     systems = [random_polygon_system(rng, allow_zero=True),
                random_two_branch_contractive(rng)]
     systems += [parse_preset(name) for name in
-                ("okamoto:0.5", "okamoto:0.6", "takagi:1.5", SKEW)]
+                ("okamoto:0.5", "okamoto:0.6", "takagi:1.5", SKEW,
+                 "skew-takagi:0.5,1,0.3")]
     for c in map(compute_constants, systems):
         alphas = np.sort(_edges(c))
         for overlap in (True, False):
@@ -513,10 +534,17 @@ def test_beta_and_beta_star_match_mpmath(seed):
     _check_beta_and_beta_star(random_polygon_system(rng, allow_zero=True))
 
 
-@pytest.mark.parametrize("form", ["vertex", "branch"])
-@pytest.mark.parametrize("d", [(0.9, 0.8, 0.1), (0.9, -0.6, 0.3, 0.05),
-                               (0.9, 0.0, 0.5, -0.3, 0.1),
-                               (0.9, 0.75, -0.6, 0.45, 0.3, -0.2, 0.1, 0.05)])
+_EQUAL_WIDTH_D = [(0.9, 0.8, 0.1), (0.9, -0.6, 0.3, 0.05),
+                  (0.9, 0.0, 0.5, -0.3, 0.1),
+                  (0.9, 0.75, -0.6, 0.45, 0.3, -0.2, 0.1, 0.05)]
+
+
+# the branch form only where 1/r is dyadic: a system is stored as its
+# polygon, so exactly equal widths 1/3 or 1/5 cannot be stored
+@pytest.mark.parametrize("d, form", [
+    pytest.param(d, form, id=f"d{i}-{form}")
+    for i, d in enumerate(_EQUAL_WIDTH_D) for form in ("branch", "vertex")
+    if form == "vertex" or len(d) in (4, 8)])
 def test_equal_widths_match_mpmath(d, form):
     """Widths 1/r: log a_k are equal, or in vertex form at r = 3, 5 a few
     ulps apart, so beta's Newton step lands on the root at once while q near
