@@ -1,5 +1,6 @@
-"""Self-affine functions on [0, 1]: evaluation with certified error bounds,
-digit codings, pointwise Holder exponents and dimension spectra."""
+"""Self-affine functions on [0, 1]: evaluation with a bound on the
+truncation of the recursion, digit codings, pointwise Holder exponents and
+dimension spectra."""
 
 from . import errors
 from .coding import (BasicInterval, Coding, CutPointQuery, PointCoding,
@@ -13,10 +14,10 @@ from .exponent import (CutPointResult, ExponentReport, ExponentTrace,
                        GammaBundle, SideExponent, cut_point_exponents,
                        exponent_report, exponent_trace, gammas, holder_left,
                        holder_right, is_polynomial)
-from .ifs import (Branch, Regime, SelfAffineSystem, SpectrumConstants,
+from .ifs import (Regime, SelfAffineSystem, SpectrumConstants,
                   antiderivative_system, build_from_polygon,
                   compute_constants, from_branches, lambda_set,
-                  two_branch_lambda_empty, validate)
+                  two_branch_lambda_empty)
 from .oracle import (AeSample, DerivativeCheck, RegressionEstimate,
                      ae_exponent_sample, almost_everywhere_exponent,
                      check_derivative, default_scales, estimate_exponent)
@@ -30,8 +31,8 @@ __version__ = "0.1.0"
 __all__ = [
     "errors", "__version__",
     # systems
-    "Branch", "SelfAffineSystem", "SpectrumConstants", "Regime",
-    "build_from_polygon", "from_branches", "validate", "compute_constants",
+    "SelfAffineSystem", "SpectrumConstants", "Regime",
+    "build_from_polygon", "from_branches", "compute_constants",
     "lambda_set", "two_branch_lambda_empty", "antiderivative_system",
     # presets
     "PRESETS", "parse_preset", "system_from_dict",

@@ -20,7 +20,7 @@ from .coding import (coding_of_point, format_coding, in_T, parse_coding,
                      project, generate_run_structured,
                      run_structure_for_target)
 from .evaluate import derivative_series, evaluate, sample
-from .ifs import SpectrumConstants, compute_constants
+from .ifs import LAMBDA_TOL, SpectrumConstants, compute_constants
 from .presets import parse_preset, system_from_dict
 
 
@@ -75,8 +75,7 @@ def _load_constants(args) -> SpectrumConstants:
     if getattr(args, "constants", None):
         with open(args.constants, "r", encoding="utf-8") as fh:
             return SpectrumConstants.from_dict(json.load(fh))
-    return compute_constants(_load_system(args),
-                             lambda_tol=getattr(args, "lambda_tol", 1e-10))
+    return compute_constants(_load_system(args))
 
 
 # ---------------------------------------------------------------- commands
@@ -353,12 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a system and report its regime")
     common(p)
-    p.add_argument("--lambda-tol", type=float, default=1e-10)
+    p.add_argument("--lambda-tol", type=float, default=LAMBDA_TOL)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("constants", help="derived constants as JSON")
     common(p)
-    p.add_argument("--lambda-tol", type=float, default=1e-10)
+    p.add_argument("--lambda-tol", type=float, default=LAMBDA_TOL)
     p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("eval", help="evaluate phi at one point")

@@ -443,7 +443,8 @@ class RunStructure:
     of block j hold digit r, guarded by the pivot digit k_star at positions
     block_ends[j] - run_lengths[j] and block_ends[j] + 1; all other positions
     draw iid from p.  lam is the run-density target, tau = lam/(1-lam) the
-    run-to-free ratio along block ends.
+    run-to-free ratio along block ends.  The schedule is checked when the
+    instance is built, and a violation raises InvalidSchedule.
     """
     lam: float
     k_star: int
@@ -455,7 +456,7 @@ class RunStructure:
     def tau(self) -> float:
         return self.lam / (1.0 - self.lam)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
             raise errors.InvalidSchedule("lam must be in (0, 1)")
         if len(self.block_ends) != len(self.run_lengths) or not self.block_ends:
@@ -492,7 +493,7 @@ def default_schedule(lam: float, length: int, max_ratio: float = 1.0):
     leave the next block a free segment, for as long as it is at least
     max(16, ceil(3 / (1 - lam))).  So n_j >= n_(j-1)^2 >= 16^(2^(j-1)), and
     n_(j-1) / n_j <= n_j^(-1/2) stays below the 1/j that
-    `RunStructure.validate` allows.  `run_structure_for_target` sets
+    a `RunStructure` allows.  `run_structure_for_target` sets
     max_ratio so that the earlier runs move gamma2 at the last block end
     by at most _EARLIER_RUNS_BIAS; 0 leaves the last block alone (d_r = 0,
     where an earlier run's shift is infinite).
@@ -570,10 +571,8 @@ def run_structure_for_target(system: SelfAffineSystem, constants, alpha: float,
             run_lengths = tuple(max(1, round(lam * nj)) for nj in block_ends)
         else:
             run_lengths = tuple(run_lengths)
-    rs = RunStructure(lam=lam, k_star=k_star, block_ends=block_ends,
-                      run_lengths=run_lengths, p=p)
-    rs.validate()
-    return rs
+    return RunStructure(lam=lam, k_star=k_star, block_ends=block_ends,
+                        run_lengths=run_lengths, p=p)
 
 
 def generate_run_structured(rs: RunStructure, length: int, seed: int) -> Coding:
@@ -587,7 +586,6 @@ def generate_run_structured(rs: RunStructure, length: int, seed: int) -> Coding:
     the working memory beside the prefix itself stays bounded and the cost
     is linear in the length.
     """
-    rs.validate()
     r = len(rs.p)
     rng = np.random.default_rng(seed)
     cum = np.cumsum(rs.p)

@@ -1,11 +1,14 @@
-"""Evaluation of phi with certified error bounds, plus the one-sided
-derivative series and divided-difference utilities.
+"""Evaluation of phi with a bound on truncating its recursion, plus the
+one-sided derivative series and divided-difference utilities.
 
 Values accumulate the affine recursion phi(g_n(t)) = A_n + B_n t + R_n phi(t)
 along the digits of x; once |R_n| sup|phi| falls below tol the unknown
 phi(t) is replaced by the midpoint 0 of the a-priori range.  Landing exactly
-on 0 or 1 closes with the exact endpoint ordinate.  All tolerance contracts
-are relative to IEEE double arithmetic.
+on 0 or 1 closes with the exact endpoint ordinate.  The error bound
+|R_n| sup|phi| covers only that truncation, not the rounding of the float
+orbit and of the accumulated value, so the distance to the exact phi can
+exceed it (at tol 1e-12 it does on okamoto:5/6, okamoto:0.6 and
+takagi:0.5).
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ class EvalResult:
     depth_used: int
 
 
-@lru_cache(maxsize=128)
 def _words(system: SelfAffineSystem):
     """The word length m and one affine map per word of m digits.
 
@@ -362,7 +364,9 @@ def _table(system: SelfAffineSystem):
 
 def evaluate(system: SelfAffineSystem, x: float, tol: float,
              max_depth: int | None = None) -> EvalResult:
-    """phi(x) with |returned - phi(x)| <= error_bound <= tol.
+    """phi(x) with error_bound <= tol, where error_bound bounds the
+    truncation of the recursion but not the rounding of the float orbit and
+    of the accumulated value (see the module docstring).
 
     The one-point form of evaluate_many, in plain floats: numpy's per-call
     cost on a 1-element array is most of the time of a scalar query.  It

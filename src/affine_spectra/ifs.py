@@ -13,8 +13,9 @@ the graph of the unique continuous phi: [0,1] -> R satisfying
 Pinning forces a_k = x_k - x_{k-1}, b_k = x_{k-1},
 d_k (y_r - y_0) + c_k = y_k - y_{k-1} and d_k y_0 + e_k = y_{k-1}; for each
 branch the vertical contraction d_k is the one free parameter.  A system is
-therefore stored once, as its vertices and d, and its branch coefficients
-are derived by these relations, so its maps tile [0, 1].  from_branches
+therefore stored once, as its vertices and d, and checked once, when it is
+built; its coefficients a, c and e are derived by these relations (b is
+xs[:-1]), so its maps tile [0, 1].  from_branches
 checks raw coefficient rows against the polygon they pin.
 """
 
@@ -34,26 +35,42 @@ _TIE_TOL = 1e-12          # equality of exponent ratios rho_k
 
 
 @dataclass(frozen=True)
-class Branch:
-    """One affine map T(x, y) = (a x + b, c x + d y + e)."""
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-
-
-@dataclass(frozen=True)
 class SelfAffineSystem:
     """Interpolation polygon plus one vertical contraction per piece.
 
-    `vertices` has r+1 points, `d` r contractions; the branches, ordered
-    left to right, are derived from them.  Instances are immutable; use
-    build_from_polygon / from_branches, both of which leave the system in a
-    validated state.
+    `vertices` has r+1 points (x_k, y_k), `d` r contractions, both as tuples
+    of floats; the maps, ordered left to right, are derived from them.
+    Instances are immutable and check themselves when built: the counts
+    must match and every number be finite (ValueError), the abscissae
+    satisfy 0 = x_0 < ... < x_r = 1 (NonMonotonePartition), each
+    |d_k| < 1 (ContractionOutOfRange) with at least two d_k != 0
+    (DegenerateSystem), and the shears, lifts and sup_bound be finite
+    (ValueError).
     """
     vertices: tuple[tuple[float, float], ...]
     d: tuple[float, ...]
+
+    def __post_init__(self):
+        verts, d = self.vertices, self.d
+        if len(verts) < 3 or len(d) != len(verts) - 1:
+            raise ValueError(
+                f"need r+1 vertices and r contractions, got {len(verts)} and {len(d)}")
+        if not all(map(math.isfinite, (*d, *(v for xy in verts for v in xy)))):
+            raise ValueError("vertices and contractions must be finite")
+        xs = self.xs
+        if not (xs[0] == 0.0 and xs[-1] == 1.0
+                and all(x_lo < x_hi for x_lo, x_hi in zip(xs, xs[1:]))):
+            raise errors.NonMonotonePartition(
+                "vertex abscissae must satisfy 0 = x_0 < ... < x_r = 1")
+        for k, dk in enumerate(d, start=1):
+            if not abs(dk) < 1.0:
+                raise errors.ContractionOutOfRange(f"|d| = {abs(dk)} >= 1", branch=k)
+        if len(self.index_plus) < 2:
+            raise errors.DegenerateSystem("need at least two branches with d_k != 0")
+        bound = sup_bound(self)
+        if not all(map(math.isfinite, (bound, *self.c, *self.e))):
+            raise ValueError(f"sup_bound = {bound}: the shears and lifts must be "
+                             "finite, and small enough for doubles")
 
     @property
     def r(self) -> int:
@@ -62,38 +79,32 @@ class SelfAffineSystem:
     # Derived tables are built on first use and kept: the instance is
     # immutable, and the one-point paths read them on every call.
     @cached_property
-    def branches(self) -> tuple[Branch, ...]:
-        """The pinned maps: a_k = x_k - x_{k-1}, b_k = x_{k-1},
-        c_k = (y_k - y_{k-1}) - d_k (y_r - y_0), e_k = y_{k-1} - d_k y_0."""
-        (_, y0), (_, yr) = self.vertices[0], self.vertices[-1]
-        return tuple(Branch(x_hi - x_lo, x_lo, (y_hi - y_lo) - dk * (yr - y0),
-                            dk, y_lo - dk * y0)
-                     for (x_lo, y_lo), (x_hi, y_hi), dk
-                     in zip(self.vertices, self.vertices[1:], self.d))
-
-    @cached_property
-    def a(self) -> tuple[float, ...]:
-        return tuple(br.a for br in self.branches)
-
-    @cached_property
-    def b(self) -> tuple[float, ...]:
-        return tuple(br.b for br in self.branches)
-
-    @cached_property
-    def c(self) -> tuple[float, ...]:
-        return tuple(br.c for br in self.branches)
-
-    @cached_property
-    def e(self) -> tuple[float, ...]:
-        return tuple(br.e for br in self.branches)
-
-    @cached_property
     def xs(self) -> tuple[float, ...]:
         return tuple(v[0] for v in self.vertices)
 
     @cached_property
     def ys(self) -> tuple[float, ...]:
         return tuple(v[1] for v in self.vertices)
+
+    @cached_property
+    def a(self) -> tuple[float, ...]:
+        """Widths a_k = x_k - x_{k-1}; the offsets b_k are xs[:-1]."""
+        xs = self.xs
+        return tuple(x_hi - x_lo for x_lo, x_hi in zip(xs, xs[1:]))
+
+    @cached_property
+    def c(self) -> tuple[float, ...]:
+        """Shears c_k = (y_k - y_{k-1}) - d_k (y_r - y_0)."""
+        ys = self.ys
+        rise = ys[-1] - ys[0]
+        return tuple((y_hi - y_lo) - dk * rise
+                     for y_lo, y_hi, dk in zip(ys, ys[1:], self.d))
+
+    @cached_property
+    def e(self) -> tuple[float, ...]:
+        """Lifts e_k = y_{k-1} - d_k y_0."""
+        ys = self.ys
+        return tuple(y_lo - dk * ys[0] for y_lo, dk in zip(ys, self.d))
 
     @cached_property
     def index_zero(self) -> frozenset[int]:
@@ -115,28 +126,18 @@ class SelfAffineSystem:
 
 
 def build_from_polygon(vertices, d) -> SelfAffineSystem:
-    """Construct the unique pinned system through `vertices` with the given d.
+    """The unique pinned system through `vertices` with the given d.
 
     Args:
         vertices: sequence of r+1 points (x_k, y_k), x_0 = 0, x_r = 1,
             strictly increasing in x.
         d: sequence of r vertical contractions, each |d_k| < 1.
 
-    Raises:
-        ValueError when the counts do not match or a coordinate or
-        contraction is NaN or infinite, and validate()'s errors
-        (NonMonotonePartition, ContractionOutOfRange, DegenerateSystem).
+    The numbers are converted to floats; SelfAffineSystem checks them and
+    raises its errors.
     """
-    verts = tuple((float(x), float(y)) for x, y in vertices)
-    dd = tuple(float(v) for v in d)
-    if len(verts) < 3 or len(dd) != len(verts) - 1:
-        raise ValueError(
-            f"need r+1 vertices and r contractions, got {len(verts)} and {len(dd)}")
-    if not all(map(math.isfinite, (*dd, *(v for xy in verts for v in xy)))):
-        raise ValueError("vertices and contractions must be finite")
-    system = SelfAffineSystem(verts, dd)
-    validate(system)
-    return system
+    return SelfAffineSystem(tuple((float(x), float(y)) for x, y in vertices),
+                            tuple(float(v) for v in d))
 
 
 def from_branches(branches) -> SelfAffineSystem:
@@ -146,41 +147,50 @@ def from_branches(branches) -> SelfAffineSystem:
     y_0 and y_r come from the branch fixed points phi(0) = e_1 / (1 - d_1),
     phi(1) = (c_r + e_r) / (1 - d_r); interior ordinates from the pin
     relation y_{k-1} = d_k y_0 + e_k.  The abscissae are the running sums
-    of the widths with x_r pinned to 1.  The polygon goes through
-    build_from_polygon, and each given a_r, b_k and c_k must then match the
-    derived one to 1e-12 relative (SumNotOne, OffsetMismatch,
-    ShearMismatch); e_k and the other widths fix the polygon and match it
-    by construction.  The derived system is returned, so its maps tile
-    [0, 1]: ten widths of 0.1 give x_3 = 0.30000000000000004.
+    of the widths with x_r pinned to 1.  A rebuilt coordinate that is not
+    finite raises ValueError naming the row it comes from.  The polygon
+    goes through build_from_polygon, and each given a_r, b_k and c_k must
+    then match the derived one to 1e-12 relative (SumNotOne,
+    OffsetMismatch, ShearMismatch); e_k and the other widths fix the
+    polygon and match it by construction.  The derived system is returned,
+    so its maps tile [0, 1]: ten widths of 0.1 give x_3 = 0.30000000000000004.
     """
-    brs = tuple(Branch(float(b.a), float(b.b), float(b.c), float(b.d), float(b.e))
-                if isinstance(b, Branch) else Branch(*map(float, b))
-                for b in branches)
-    r = len(brs)
+    rows = [tuple(map(float, row)) for row in branches]
+    r = len(rows)
     if r < 2:
         raise errors.DegenerateSystem("need r >= 2 branches")
-    for k, br in enumerate(brs, start=1):
-        if not abs(br.d) < 1.0:
-            raise errors.ContractionOutOfRange(f"|d| = {abs(br.d)} >= 1", branch=k)
-    y0 = brs[0].e / (1.0 - brs[0].d)
-    yr = (brs[-1].c + brs[-1].e) / (1.0 - brs[-1].d)
+    a, b, c, d, e = zip(*rows, strict=True)
+    for k, dk in enumerate(d, start=1):
+        if not abs(dk) < 1.0:
+            raise errors.ContractionOutOfRange(f"|d| = {abs(dk)} >= 1", branch=k)
+    y0 = e[0] / (1.0 - d[0])
     xs = [0.0]
-    for br in brs[:-1]:
-        xs.append(xs[-1] + br.a)
+    for ak in a[:-1]:
+        xs.append(xs[-1] + ak)
     xs.append(1.0)
-    ys = [brs[k].d * y0 + brs[k].e for k in range(r)] + [yr]
-    system = build_from_polygon(zip(xs, ys), [br.d for br in brs])
-    if not abs(brs[-1].a - system.a[-1]) <= _REL_TOL:
+    ys = [dk * y0 + ek for dk, ek in zip(d, e)]
+    ys.append((c[-1] + e[-1]) / (1.0 - d[-1]))
+    # row k sets x_k by its width and y_(k-1) by its lift; row r also y_r
+    gives = [(k, f"x_{k} = x_{k - 1} + a", xs[k]) for k in range(1, r)]
+    gives += [(k, f"y_{k - 1} = d y_0 + e", ys[k - 1]) for k in range(1, r + 1)]
+    gives.append((r, f"y_{r} = (c + e) / (1 - d)", ys[r]))
+    for k, name, v in gives:
+        if not math.isfinite(v):
+            raise ValueError(f"branch {k}: the row gives {name} = {v!r}, "
+                             "which is not finite")
+    system = build_from_polygon(zip(xs, ys), d)
+    if not abs(a[-1] - system.a[-1]) <= _REL_TOL:
         raise errors.SumNotOne(f"widths leave a_r = {system.a[-1]!r}, "
-                               f"not {brs[-1].a!r}")
-    for k, (given, got) in enumerate(zip(brs, system.branches), start=1):
-        if not abs(given.b - got.b) <= _REL_TOL:
+                               f"not {a[-1]!r}")
+    for k in range(1, r + 1):
+        if not abs(b[k - 1] - xs[k - 1]) <= _REL_TOL:
             raise errors.OffsetMismatch(
-                f"b = {given.b!r} but x_(k-1) = {got.b!r}", branch=k)
+                f"b = {b[k - 1]!r} but x_(k-1) = {xs[k - 1]!r}", branch=k)
         yscale = max(1.0, abs(ys[k]), abs(ys[k - 1]), abs(ys[-1] - ys[0]))
-        if not abs(given.c - got.c) <= _REL_TOL * yscale:
+        if not abs(c[k - 1] - system.c[k - 1]) <= _REL_TOL * yscale:
             raise errors.ShearMismatch(
-                f"c = {given.c!r} but the polygon gives {got.c!r}", branch=k)
+                f"c = {c[k - 1]!r} but the polygon gives {system.c[k - 1]!r}",
+                branch=k)
     return system
 
 
@@ -188,29 +198,6 @@ def sup_bound(system: SelfAffineSystem) -> float:
     """A priori bound: sup |phi| <= max_k(|c_k| + |e_k|) / (1 - max_k |d_k|)."""
     top = max(abs(ck) + abs(ek) for ck, ek in zip(system.c, system.e))
     return top / (1.0 - max(map(abs, system.d)))
-
-
-def validate(system: SelfAffineSystem) -> None:
-    """Check what a stored system can get wrong; raise a named error.
-
-    The abscissae must satisfy 0 = x_0 < ... < x_r = 1, each |d_k| < 1,
-    and at least two d_k != 0.  NaN fails every test, and a system whose
-    coefficients or sup_bound are not finite raises ValueError.
-    """
-    xs = system.xs
-    if not (xs[0] == 0.0 and xs[-1] == 1.0
-            and all(x_lo < x_hi for x_lo, x_hi in zip(xs, xs[1:]))):
-        raise errors.NonMonotonePartition(
-            "vertex abscissae must satisfy 0 = x_0 < ... < x_r = 1")
-    for k, dk in enumerate(system.d, start=1):
-        if not abs(dk) < 1.0:
-            raise errors.ContractionOutOfRange(f"|d| = {abs(dk)} >= 1", branch=k)
-    if len(system.index_plus) < 2:
-        raise errors.DegenerateSystem("need at least two branches with d_k != 0")
-    bound = sup_bound(system)
-    if not all(map(math.isfinite, (bound, *system.c, *system.e))):
-        raise ValueError(f"sup_bound = {bound}: the shears and lifts must be "
-                         "finite, and small enough for doubles")
 
 
 class Regime(str, Enum):
@@ -406,7 +393,7 @@ def _end_ties(rho: dict[int, float], end: float) -> list[int]:
 
 def compute_constants(system: SelfAffineSystem, *,
                       lambda_tol: float = LAMBDA_TOL) -> SpectrumConstants:
-    """Derive every spectrum constant for a validated system.
+    """Derive every spectrum constant of a system.
 
     s_hat, s_min, s_max and, in Case B, sigma are the roots of unit sums,
     solved by roots.unit_sum_root: sum a_k^s = 1 over the d_k != 0
@@ -414,7 +401,6 @@ def compute_constants(system: SelfAffineSystem, *,
     (_end_ties; a lone branch gives s = 0), and sum (|d_k| / a_k)^sigma = 1
     over the d_k != 0 branches, whose terms are p_star.
     """
-    validate(system)
     a, d = system.a, system.d
     iplus = sorted(system.index_plus)
     izero = system.index_zero

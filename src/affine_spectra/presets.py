@@ -80,8 +80,10 @@ def parse_preset(spec: str) -> SelfAffineSystem:
 def system_from_dict(data: dict) -> SelfAffineSystem:
     """Load a system from its JSON form.
 
-    Accepts {"vertices": [[x, y], ...], "d": [...]} or
-    {"branches": [{"a":..., "b":..., "c":..., "d":..., "e":...}, ...]}.
+    Accepts {"vertices": [[x, y], ...], "d": [...]}, the form
+    system_to_dict writes, or {"branches": [{"a":..., "b":..., "c":...,
+    "d":..., "e":...}, ...]}, which goes through from_branches.  A
+    "branches" key beside "vertices", as older files carry, is ignored.
     """
     if "vertices" in data:
         if "d" not in data:
@@ -96,12 +98,7 @@ def system_from_dict(data: dict) -> SelfAffineSystem:
 
 
 def system_to_dict(system: SelfAffineSystem) -> dict:
-    return {
-        "vertices": [ [x, y] for x, y in system.vertices ],
-        "d": list(system.d),
-        "branches": [
-            {"a": br.a, "b": br.b, "c": br.c, "d": br.d, "e": br.e}
-            for br in system.branches
-        ],
-    }
+    """The JSON form of a system: its vertices and d."""
+    return {"vertices": [[x, y] for x, y in system.vertices],
+            "d": list(system.d)}
 

@@ -63,6 +63,21 @@ def random_polygon_system(rng, r=None, allow_zero=False):
     return build_from_polygon(vertices, tuple(d))
 
 
+def tied_ratio_system(rng, r=None):
+    """Equal widths 1/r (as the polygon k/r stores them) and equal |d_k|
+    with random signs and ordinates, so the ratios log|d_k| / log a_k tie.
+    |d| is drawn below 1/r, where the system can be Case B, at 1/r, or
+    above it."""
+    if r is None:
+        r = int(rng.integers(2, 5))
+    ys = [0.0, *rng.uniform(-1.0, 2.0, r - 1), 1.0]
+    size = (rng.uniform(0.05, 1.0 / r), 1.0 / r,
+            rng.uniform(1.0 / r, 0.9))[int(rng.integers(0, 3))]
+    d = size * rng.choice([-1.0, 1.0], r)
+    return build_from_polygon([(k / r, float(y)) for k, y in enumerate(ys)],
+                              tuple(d))
+
+
 def random_two_branch_contractive(rng):
     """r = 2 with |d_k| < a_k on both branches."""
     a1 = float(rng.uniform(0.15, 0.85))

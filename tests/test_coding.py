@@ -549,13 +549,11 @@ def test_run_structure_frozen_lambda(make_system):
     assert rs.k_star == 1
     assert rs.run_lengths == (71, 71022)
     assert math.fsum(rs.p) == pytest.approx(1.0, abs=1e-12)
-    rs.validate()
 
 
 def test_run_structure_default_schedule(make_system):
     skew, c = make_system(SKEW)
     rs = run_structure_for_target(skew, c, 1.25, length=50000)
-    rs.validate()
     ends = rs.block_ends
     assert all(e2 > e1 for e1, e2 in zip(ends, ends[1:]))
     assert ends[-1] <= 50000
@@ -578,8 +576,9 @@ def test_default_schedule_ends_at_length(lam, length):
         return
     ends, runs = default_schedule(lam, length)
     assert ends[-1] == length and ends[0] >= n1
+    # a valid schedule builds: the check runs on construction
     RunStructure(lam=lam, k_star=1, block_ends=ends, run_lengths=runs,
-                 p=(0.5, 0.5)).validate()
+                 p=(0.5, 0.5))
 
 
 @pytest.mark.parametrize("p", [(math.nan, 1.0), (1.0, math.nan),
@@ -587,10 +586,32 @@ def test_default_schedule_ends_at_length(lam, length):
 def test_run_structure_rejects_non_finite_weights(p):
     """A NaN weight fails the probability-vector check, as a negative one
     does; it would otherwise draw digits from an unsorted cumsum."""
-    rs = RunStructure(lam=0.5, k_star=1, block_ends=(100,), run_lengths=(50,),
-                      p=p)
     with pytest.raises(errors.InvalidSchedule, match="probability vector"):
-        rs.validate()
+        RunStructure(lam=0.5, k_star=1, block_ends=(100,), run_lengths=(50,),
+                     p=p)
+
+
+@pytest.mark.parametrize("fields, match", [
+    (dict(block_ends=(100, 50), run_lengths=(71, 36)), "block 2"),
+    (dict(block_ends=(100,), run_lengths=(200,)), "block 1"),
+    (dict(lam=1.0), "lam"),
+    (dict(lam=math.nan), "lam"),
+    (dict(run_lengths=()), "nonempty"),
+    (dict(block_ends=(), run_lengths=()), "nonempty"),
+    (dict(k_star=2), "k_star"),
+    (dict(p=(0.7, 0.7)), "probability vector"),
+    (dict(run_lengths=(0,)), "must be >= 1")],
+    ids=["ends-fall", "run-too-long", "lam-one", "lam-nan", "arrays-differ",
+         "no-blocks", "k-star-r", "p-sums-to-1.4", "empty-run"])
+def test_run_structures_check_themselves(fields, match):
+    """Building a RunStructure directly raises InvalidSchedule for each
+    schedule that run_structure_for_target rejects: the check runs when
+    the structure is built, whoever builds it."""
+    base = dict(lam=0.71, k_star=1, block_ends=(100,), run_lengths=(71,),
+                p=(0.5, 0.5))
+    RunStructure(**base)
+    with pytest.raises(errors.InvalidSchedule, match=match):
+        RunStructure(**{**base, **fields})
 
 
 def _case_b_two_branch(seed):
@@ -678,7 +699,7 @@ def test_generate_run_structured(make_system):
     rs = run_structure_for_target(skew, c, 1.2, block_ends=(100, 2000))
     cod = generate_run_structured(rs, 2000, seed=3)
     assert len(cod.prefix) == 2000
-    r = len(skew.branches)
+    r = skew.r
     for end, run in zip(rs.block_ends, rs.run_lengths):
         block = cod.prefix[end - run:end]
         assert set(block) == {r}
@@ -690,7 +711,6 @@ def test_generate_run_structured(make_system):
 def _generate_run_structured_reference(rs, length, seed):
     """The run-structured prefix from one full-length draw: the generator
     as it was before it drew in blocks, kept as the reference."""
-    rs.validate()
     r = len(rs.p)
     rng = np.random.default_rng(seed)
     cum = np.cumsum(rs.p)

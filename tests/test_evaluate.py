@@ -307,7 +307,7 @@ def _batch(system, rng, size):
     every vertex (0 and 1 among them) and the images of the vertices under
     each branch, whose orbits meet a cut after one step."""
     xs = rng.uniform(0.0, 1.0, size)
-    special = list(system.xs) + [b.a * x + b.b for b in system.branches
+    special = list(system.xs) + [a * x + b for a, b in zip(system.a, system.xs)
                                  for x in system.xs]
     if size >= len(special):
         xs[rng.choice(size, len(special), replace=False)] = special
@@ -465,9 +465,9 @@ def test_self_affinity_identity(make_system, seed):
     skew, _ = make_system("skew-takagi:0.3,0.5,0.25")
     t = float(rng.uniform(0.0, 1.0))
     inner = evaluate(skew, t, 1e-13).value
-    for b in skew.branches:
-        outer = evaluate(skew, b.a * t + b.b, 1e-13).value
-        assert outer == pytest.approx(b.c * t + b.d * inner + b.e, abs=1e-11)
+    for a, b, c, d, e in zip(skew.a, skew.xs, skew.c, skew.d, skew.e):
+        outer = evaluate(skew, a * t + b, 1e-13).value
+        assert outer == pytest.approx(c * t + d * inner + e, abs=1e-11)
 
 
 # ----------------------------------------------------------- derivative series
@@ -498,10 +498,10 @@ def test_series_terminates_on_flat_branch():
     s = build_from_polygon([(0.0, 0.0), (0.3, 0.7), (0.6, 0.2), (1.0, 1.0)],
                            (0.4, 0.0, 0.3))
     got = derivative_series(s, Coding(prefix=(1, 3, 2), period=(1, 2)))
-    b1, b2, b3 = s.branches
-    want = (b1.c / b1.a
-            + (b3.c / b3.a) * (b1.d / b1.a)
-            + (b2.c / b2.a) * (b1.d / b1.a) * (b3.d / b3.a))
+    (a1, a2, a3), (c1, c2, c3), (d1, _, d3) = s.a, s.c, s.d
+    want = (c1 / a1
+            + (c3 / a3) * (d1 / a1)
+            + (c2 / a2) * (d1 / a1) * (d3 / a3))
     assert got == pytest.approx(want, abs=1e-13)
     # independent check: the series equals the slope of the affine piece
     from affine_spectra import basic_interval, evaluate as ev

@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,11 +23,9 @@ from affine_spectra import (
     lambda_set,
     parse_preset,
     roots,
-    sup_bound,
     system_from_dict,
     system_to_dict,
     two_branch_lambda_empty,
-    validate,
 )
 import reference
 from conftest import random_polygon_system, random_two_branch_contractive
@@ -40,84 +37,126 @@ LN3 = math.log(3.0)
 
 # ---------------------------------------------------------------- construction
 
+def _rows(system):
+    """The system's maps as raw (a, b, c, d, e) rows."""
+    return [list(row) for row in zip(system.a, system.xs[:-1], system.c,
+                                     system.d, system.e)]
+
+
+def _with(rows, k, field, value):
+    """rows with entry `field` ("abcde") of the 0-based row k replaced."""
+    rows = [list(row) for row in rows]
+    rows[k]["abcde".index(field)] = value
+    return rows
+
+
 def test_takagi_branches():
     s = parse_preset("takagi:0.5")
-    a = [b.a for b in s.branches]
-    assert a == [0.5, 0.5]
-    assert [b.b for b in s.branches] == [0.0, 0.5]
-    assert [b.c for b in s.branches] == [0.5, -0.5]
+    assert s.a == (0.5, 0.5)
+    assert s.xs[:-1] == (0.0, 0.5)
+    assert s.c == (0.5, -0.5)
     d = 2.0 ** -0.5
-    assert [b.d for b in s.branches] == pytest.approx([d, d], abs=0)
-    assert [b.e for b in s.branches] == [0.0, 0.5]
+    assert s.d == (d, d)
+    assert s.e == (0.0, 0.5)
     assert s.vertices == ((0.0, 0.0), (0.5, 0.5), (1.0, 0.0))
 
 
 def test_polygon_pins_are_respected():
     s = build_from_polygon([(0.0, 0.0), (0.25, 0.7), (1.0, 1.0)], (0.4, -0.3))
-    validate(s)
     (x0, y0), (x1, y1), (x2, y2) = s.vertices
-    for k, b in enumerate(s.branches, start=1):
-        assert b.a == pytest.approx(s.vertices[k][0] - s.vertices[k - 1][0])
-        assert b.b == pytest.approx(s.vertices[k - 1][0])
-        assert b.d * (y2 - y0) + b.c == pytest.approx(
+    for k, (a, b, c, d, e) in enumerate(_rows(s), start=1):
+        assert a == pytest.approx(s.vertices[k][0] - s.vertices[k - 1][0])
+        assert b == pytest.approx(s.vertices[k - 1][0])
+        assert d * (y2 - y0) + c == pytest.approx(
             s.vertices[k][1] - s.vertices[k - 1][1])
-        assert b.d * y0 + b.e == pytest.approx(s.vertices[k - 1][1])
+        assert d * y0 + e == pytest.approx(s.vertices[k - 1][1])
+
+
+def _pinned(system):
+    """(a, c, e) by the pin relations, each in the float expression that
+    defines it: a_k = x_k - x_{k-1}, c_k = (y_k - y_{k-1}) - d_k (y_r - y_0)
+    and e_k = y_{k-1} - d_k y_0."""
+    xs, ys, d = system.xs, system.ys, system.d
+    r = system.r
+    return (tuple(xs[k] - xs[k - 1] for k in range(1, r + 1)),
+            tuple((ys[k] - ys[k - 1]) - d[k - 1] * (ys[r] - ys[0])
+                  for k in range(1, r + 1)),
+            tuple(ys[k - 1] - d[k - 1] * ys[0] for k in range(1, r + 1)))
+
+
+@given(st.integers(0, 10 ** 9))
+def test_coefficients_are_the_pinned_formulas(seed):
+    system = random_polygon_system(np.random.default_rng(seed), allow_zero=True)
+    def bits(rows):
+        return [[v.hex() for v in row] for row in rows]
+
+    assert bits((system.a, system.c, system.e)) == bits(_pinned(system))
 
 
 def test_from_branches_round_trip():
     s = parse_preset("okamoto:0.6")
-    rebuilt = from_branches(s.branches)
+    rebuilt = from_branches(_rows(s))
     for (x, y), (u, v) in zip(s.vertices, rebuilt.vertices):
         assert x == pytest.approx(u, abs=1e-12)
         assert y == pytest.approx(v, abs=1e-12)
 
 
 def test_validation_errors():
-    rn = parse_preset("riesz-nagy:0.3")
-    skew = parse_preset("skew-takagi:0.3,0.5,0.25")
+    rn = _rows(parse_preset("riesz-nagy:0.3"))
+    skew = _rows(parse_preset("skew-takagi:0.3,0.5,0.25"))
 
-    br = list(rn.branches)
-    br[0] = replace(br[0], b=0.1)
     with pytest.raises(errors.OffsetMismatch):
-        from_branches(br)
+        from_branches(_with(rn, 0, "b", 0.1))
 
-    br = list(rn.branches)
-    br[0] = replace(br[0], c=0.2)
     with pytest.raises(errors.ShearMismatch):
-        from_branches(br)
+        from_branches(_with(rn, 0, "c", 0.2))
 
-    br = list(rn.branches)
-    br[0] = replace(br[0], d=1.2)
     with pytest.raises(errors.ContractionOutOfRange):
-        from_branches(br)
+        from_branches(_with(rn, 0, "d", 1.2))
 
     with pytest.raises(errors.DegenerateSystem):
-        from_branches(rn.branches[:1])
+        from_branches(rn[:1])
 
-    br = [replace(b, a=b.a * 0.99) for b in rn.branches]
     with pytest.raises(errors.SumNotOne):
-        from_branches(br)
+        from_branches([[row[0] * 0.99, *row[1:]] for row in rn])
 
     # swapped widths move x_1 off b_2
-    br = [replace(skew.branches[0], a=skew.branches[1].a),
-          replace(skew.branches[1], a=skew.branches[0].a)]
+    swapped = _with(_with(skew, 0, "a", skew[1][0]), 1, "a", skew[0][0])
     with pytest.raises(errors.OffsetMismatch, match="branch 2"):
-        from_branches(br)
+        from_branches(swapped)
 
     # a lift fixes an ordinate, so a tampered lift moves the shears (an
     # unsheared system such as rn takes any lifts)
-    br = list(skew.branches)
-    br[1] = replace(br[1], e=0.9)
     with pytest.raises(errors.ShearMismatch, match="branch 1"):
-        from_branches(br)
+        from_branches(_with(skew, 1, "e", 0.9))
 
-    with pytest.raises(errors.NonMonotonePartition):
-        build_from_polygon([(0.0, 0.0), (0.6, 0.5), (0.4, 0.7), (1.0, 0.0)],
-                           (0.3, 0.3, 0.3))
 
-    # fewer than two surviving branches
-    with pytest.raises(errors.DegenerateSystem):
-        build_from_polygon([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)], (0.4, 0.0))
+# The invalid (vertices, d) inputs beside the non-finite ones below, and the
+# error each raises.
+INVALID_POLYGONS = {
+    "non-monotone": ([(0.0, 0.0), (0.6, 0.5), (0.4, 0.7), (1.0, 0.0)],
+                     (0.3, 0.3, 0.3), errors.NonMonotonePartition),
+    "one-contraction": ([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)], (0.4, 0.0),
+                        errors.DegenerateSystem),
+    "nan-interior-ordinate": ([(0.0, 0.0), (0.5, 0.5), (0.7, math.nan),
+                               (1.0, 1.0)], (0.3, 0.3, 0.3), ValueError),
+    "unit-contraction": ([(0.0, 0.0), (0.5, 0.5), (1.0, 0.0)], (0.5, 1.0),
+                         errors.ContractionOutOfRange),
+    "one-piece": ([(0.0, 0.0), (1.0, 0.5)], (0.5,), ValueError),
+    "overflowing-shear": ([(0.0, 0.0), (0.3, 1e308), (1.0, -1e308)],
+                          (0.5, 0.25), ValueError),
+}
+
+
+@pytest.mark.parametrize("vertices, d, error", INVALID_POLYGONS.values(),
+                         ids=INVALID_POLYGONS.keys())
+def test_systems_check_themselves(vertices, d, error):
+    """Building a SelfAffineSystem directly raises what build_from_polygon
+    raises: the checks run when the system is built, whatever builds it."""
+    with pytest.raises(error):
+        build_from_polygon(vertices, d)
+    with pytest.raises(error):
+        SelfAffineSystem(tuple(map(tuple, vertices)), tuple(d))
 
 
 @pytest.mark.parametrize("vertices, d", [
@@ -129,6 +168,8 @@ def test_validation_errors():
 def test_non_finite_polygons_are_rejected(vertices, d):
     with pytest.raises(ValueError, match="finite"):
         build_from_polygon(vertices, d)
+    with pytest.raises(ValueError, match="finite"):
+        SelfAffineSystem(tuple(map(tuple, vertices)), tuple(d))
 
 
 @pytest.mark.parametrize("field, error", [
@@ -137,20 +178,26 @@ def test_non_finite_polygons_are_rejected(vertices, d):
 def test_nan_coefficients_fail_validation(field, error):
     """A NaN row fails from_branches: each comparison fails on NaN, which
     compares false either way, and a NaN lift makes an ordinate NaN."""
-    rn = parse_preset("riesz-nagy:0.3")
-    br = [replace(rn.branches[0], **{field: math.nan}), rn.branches[1]]
+    rows = _with(_rows(parse_preset("riesz-nagy:0.3")), 0, field, math.nan)
     with pytest.raises(error):
-        from_branches(br)
+        from_branches(rows)
 
 
-def test_validate_rejects_non_finite_stored_systems():
-    """A system built directly around NaN ordinates fails validate even
-    where sup_bound's max skips the NaN."""
-    system = SelfAffineSystem(((0.0, 0.0), (0.5, 0.5), (0.7, math.nan),
-                               (1.0, 1.0)), (0.3, 0.3, 0.3))
-    assert math.isfinite(sup_bound(system))
-    with pytest.raises(ValueError, match="finite"):
-        validate(system)
+@pytest.mark.parametrize("rows, match", [
+    ([(0.5, 0, 0, 0.3, math.nan), (0.5, 0.5, 0, 0.7, 0.3)],
+     r"^branch 1: the row gives y_0 = d y_0 \+ e = nan"),
+    ([(0.5, 0, 1e308, 0.3, 1e308), (0.5, 0.5, 1e308, 0.7, 1e308)],
+     r"^branch 2: the row gives y_1 = d y_0 \+ e = inf"),
+    ([(0.5, 0, 0, 0.3, 0.1), (0.5, 0.5, math.inf, 0.7, 0.3)],
+     r"^branch 2: the row gives y_2 = \(c \+ e\) / \(1 - d\) = inf"),
+    ([(math.nan, 0, 0, 0.3, 0.1), (0.5, 0.5, 0, 0.7, 0.3)],
+     r"^branch 1: the row gives x_1 = x_0 \+ a = nan")],
+    ids=["nan-lift", "overflowing-ordinate", "inf-shear", "nan-width"])
+def test_from_branches_names_the_row_of_a_non_finite_coordinate(rows, match):
+    """A row whose rebuilt vertex is not finite is named with the quantity
+    it gives, not reported as a vertex the caller never gave."""
+    with pytest.raises(ValueError, match=match):
+        from_branches(rows)
 
 
 def test_overflowing_sup_bound_is_rejected():
@@ -161,7 +208,7 @@ def test_overflowing_sup_bound_is_rejected():
 
 
 def _branches_of_widths(widths, d=0.5):
-    """Branch tuples of a zigzag through ordinates 0, 0.5, 0, ... over the
+    """Branch rows of a zigzag through ordinates 0, 0.5, 0, ... over the
     given widths, with b_k the running float sums."""
     ys = [0.5 * (k % 2) for k in range(len(widths) + 1)]
     x, rows = 0.0, []
@@ -312,7 +359,6 @@ def test_antiderivative_requires_unsheared():
 def test_antiderivative_values(make_system):
     rn, _ = make_system("riesz-nagy:0.3")
     anti = antiderivative_system(rn)
-    validate(anti)
     assert anti.vertices[-1][1] == pytest.approx(0.3, abs=1e-12)
     assert evaluate(anti, 0.5, 1e-14).value == pytest.approx(0.045, abs=1e-12)
     # integrand is nonnegative, so the antiderivative is nondecreasing
@@ -347,11 +393,14 @@ def test_constants_json_round_trip(make_system):
 
 
 def _assert_dict_round_trip(system):
-    """system_from_dict(system_to_dict(s)), through JSON text, is s bit for
+    """system_to_dict writes the vertices and d alone, and
+    system_from_dict(system_to_dict(s)), through JSON text, is s bit for
     bit: its fields, its hash and every derived coefficient."""
-    again = system_from_dict(json.loads(json.dumps(system_to_dict(system))))
+    blob = system_to_dict(system)
+    assert set(blob) == {"vertices", "d"}
+    again = system_from_dict(json.loads(json.dumps(blob)))
     assert again == system and hash(again) == hash(system)
-    assert repr(again.branches) == repr(system.branches)
+    assert repr(_rows(again)) == repr(_rows(system))
 
 
 def test_dict_round_trip_of_branch_built_systems():
@@ -361,7 +410,7 @@ def test_dict_round_trip_of_branch_built_systems():
     shears its polygon derives."""
     with open(DATA / "ten-widths.json", encoding="utf-8") as fh:
         ten = system_from_dict(json.load(fh))
-    assert ten.b[3] == ten.xs[3] == 0.30000000000000004
+    assert ten.xs[3] == 0.30000000000000004
     _assert_dict_round_trip(ten)
     _assert_dict_round_trip(antiderivative_system(parse_preset("riesz-nagy:0.3")))
 
@@ -375,11 +424,10 @@ def test_dict_round_trip_of_random_systems(seed):
 # ------------------------------------------------------------------ properties
 
 @given(st.integers(0, 10 ** 9))
-def test_random_systems_validate_and_rebuild(seed):
+def test_random_systems_rebuild(seed):
     rng = np.random.default_rng(seed)
     s = random_polygon_system(rng)
-    validate(s)
-    rebuilt = from_branches(s.branches)
+    rebuilt = from_branches(_rows(s))
     for (x, y), (u, v) in zip(s.vertices, rebuilt.vertices):
         assert abs(x - u) < 1e-9 and abs(y - v) < 1e-9
 

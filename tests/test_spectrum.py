@@ -26,7 +26,8 @@ from affine_spectra import (
     spectrum_D,
     spectrum_table,
 )
-from conftest import random_polygon_system, random_two_branch_contractive
+from conftest import (random_polygon_system, random_two_branch_contractive,
+                      tied_ratio_system)
 
 SKEW = "skew-takagi:0.3,0.5,0.25"
 LN2, LN3 = math.log(2.0), math.log(3.0)
@@ -296,6 +297,7 @@ def test_spectrum_table_matches_pointwise(make_system):
     rng = np.random.default_rng(5)
     cases.append(compute_constants(random_polygon_system(rng, r=4,
                                                          allow_zero=True)))
+    cases += [compute_constants(tied_ratio_system(rng)) for _ in range(6)]
     for c in cases:
         for row in spectrum_table(c, points=201):
             single = spectrum_D(c, row.alpha)
@@ -351,7 +353,7 @@ def test_classify_matches_one_alpha_at_a_time(seed):
     comparisons of one alpha at a time give it."""
     rng = np.random.default_rng(seed)
     systems = [random_polygon_system(rng, allow_zero=True),
-               random_two_branch_contractive(rng)]
+               random_two_branch_contractive(rng), tied_ratio_system(rng)]
     systems += [parse_preset(name) for name in
                 ("okamoto:0.5", "okamoto:0.6", "takagi:1.5", SKEW,
                  "skew-takagi:0.5,1,0.3")]
@@ -553,8 +555,8 @@ def test_equal_widths_match_mpmath(d, form):
     ys = [0.0] + [0.5 - 0.3 * (-1) ** k for k in range(1, r)] + [1.0]
     system = build_from_polygon([(k / r, y) for k, y in enumerate(ys)], d)
     if form == "branch":
-        system = from_branches([dataclasses.replace(br, a=1.0 / r)
-                                for br in system.branches])
+        system = from_branches([(1.0 / r, b, c, dk, e) for b, c, dk, e
+                                in zip(system.xs, system.c, system.d, system.e)])
         assert len(set(system.a)) == 1
     _check_beta_and_beta_star(system)
 
