@@ -350,6 +350,11 @@ class CutPointQuery:
     boundary_digit: int | None = None  # k_{n0} of the all-r-tail coding
 
 
+# the non-member answers, one per kind: shared, since they carry no codings
+_NOT_IN_T = CutPointQuery(member=False)
+_UNDECIDED = CutPointQuery(member=False, decided=False)
+
+
 def _cut_codings_from_stem(stem: tuple[int, ...], r: int) -> CutPointQuery:
     """stem = digits of the all-r-tail coding with trailing r's stripped,
     each in 1..r already."""
@@ -364,13 +369,16 @@ def _cut_codings_from_stem(stem: tuple[int, ...], r: int) -> CutPointQuery:
 
 
 def _cut_query(coding: Coding, r: int) -> CutPointQuery:
-    """in_T's answer for a coding whose digits are checked: members are
-    exactly the codings that end in all 1s or all rs."""
+    """in_T's answer for a coding whose digits are checked, and the one
+    classifier of codings: members are exactly the codings that end in all
+    1s or all rs.  A member with n0 = 0 is an end of [0, 1] (left None at
+    0, right None at 1), one with n0 > 0 a two-coding point; every other
+    coding is a plain point, answered by a shared instance."""
     tail = coding.constant_tail()
     if tail not in (1, r):
         # a non-constant period is definitely not in T; an unspecified tail
         # is undecided
-        return CutPointQuery(member=False, decided=coding.period is not None)
+        return _NOT_IN_T if coding.period is not None else _UNDECIDED
     digits = list(coding.prefix)
     while digits and digits[-1] == tail:
         digits.pop()
@@ -408,12 +416,9 @@ def in_T(system: SelfAffineSystem, target, *, max_depth: int = 4096) -> CutPoint
     if isinstance(target, float) and not math.isfinite(target):
         raise errors.OutOfDomain(f"x = {target} not in [0, 1]")
     x = Fraction(target)
-    if x == 0:
-        return CutPointQuery(member=True, left=None, right=Coding(period=(1,)),
-                             n0=0, boundary_digit=None)
-    if x == 1:
-        return CutPointQuery(member=True, left=Coding(period=(r,)), right=None,
-                             n0=0, boundary_digit=None)
+    if x == 0 or x == 1:
+        # the coding of the end: all 1s at 0, all rs at 1
+        return _cut_query(Coding._of_digits((), (1 if x == 0 else r,)), r)
     if not (0 < x < 1):
         raise errors.OutOfDomain(f"x = {x} not in [0, 1]")
     X, W, p = _partition(system)
@@ -424,7 +429,7 @@ def in_T(system: SelfAffineSystem, target, *, max_depth: int = 4096) -> CutPoint
         g = math.gcd(u, v)
         u, v = u // g, v // g
         if v & (v - 1) or (u, v) in seen:
-            return CutPointQuery(member=False)
+            return _NOT_IN_T
         seen.add((u, v))
         step, u, v = _orbit(X, W, p, u, v, 1)
         digits += step
@@ -432,7 +437,7 @@ def in_T(system: SelfAffineSystem, target, *, max_depth: int = 4096) -> CutPoint
             # digits is the right coding's stem with an incremented last digit
             stem = tuple(digits[:-1]) + (digits[-1] - 1,)
             return _cut_codings_from_stem(stem, r)
-    return CutPointQuery(member=False, decided=False)
+    return _UNDECIDED
 
 
 @dataclass(frozen=True)

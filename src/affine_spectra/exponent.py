@@ -361,31 +361,20 @@ class SideExponent:
     infinite: bool = False
 
 
-def _route(coding: Coding, r: int) -> str:
-    """The case of the pointwise formula a coding falls in: "zero" (all 1s,
-    x = 0), "one" (all rs, x = 1), "cut" (any other coding that ends in all
-    1s or all rs: a two-coding point) or "plain" (every other coding)."""
-    tail = coding.constant_tail()
-    if tail not in (1, r):
-        return "plain"
-    if all(k == tail for k in coding.prefix):
-        return "zero" if tail == 1 else "one"
-    return "cut"
-
-
 def _holder_side(system: SelfAffineSystem, constants: SpectrumConstants,
                  coding: Coding, side: str, horizon: int | None,
                  series_tol: float) -> SideExponent:
     _check_series_tol(series_tol)
     _check_digits(coding, system.r)
-    route = _route(coding, system.r)
-    if route == ("one" if side == "right" else "zero"):
-        raise errors.Endpoint(
-            f"x = {'1' if route == 'one' else '0'} has no {side} side")
-    if route == "cut":
-        raise errors.CutPointCoding(
-            "eventually constant coding addresses a two-coding point; "
-            "use cut_point_exponents")
+    query = _cut_query(coding, system.r)
+    if query.member:
+        if query.n0:
+            raise errors.CutPointCoding(
+                "eventually constant coding addresses a two-coding point; "
+                "use cut_point_exponents")
+        if getattr(query, side) is None:
+            raise errors.Endpoint(
+                f"x = {'1' if query.right is None else '0'} has no {side} side")
     return _sides(system, constants, coding, (side,), horizon, series_tol)[0]
 
 
@@ -567,11 +556,13 @@ class ExponentReport:
 def exponent_report(system: SelfAffineSystem, constants: SpectrumConstants,
                     coding: Coding, *, horizon: int | None = None,
                     series_tol: float = 1e-12) -> ExponentReport:
-    """Route a coding to the applicable exponent computation (_route).
+    """Route a coding to the applicable exponent computation by its in_T
+    answer.
 
-    Eventually constant codings are normalised: the endpoints keep their
-    single side, interior two-coding points go through the vertex routine,
-    and everything else gets both one-sided liminfs with alpha their minimum.
+    The ends 0 and 1 (members with n0 = 0) keep their single side,
+    two-coding points (members with n0 > 0) go through the vertex routine
+    with that same answer, and every other coding gets both one-sided
+    liminfs with alpha their minimum.
     The caller's digits are checked once, here.
     Both sides share one pass: finite codings, and periodic ones with a
     horizon, are scanned once for both (see gammas for the path by
@@ -582,21 +573,20 @@ def exponent_report(system: SelfAffineSystem, constants: SpectrumConstants,
     """
     _check_series_tol(series_tol)
     _check_digits(coding, system.r)
-    route = _route(coding, system.r)
-    if route == "cut":
-        cut = _cut_result(system, constants, _cut_query(coding, system.r),
-                          series_tol)
-        return ExponentReport(coding=coding, cut_point=True,
-                              alpha=cut.alpha, cut=cut)
-    if route == "plain":
+    query = _cut_query(coding, system.r)
+    if not query.member:
         right, left = _sides(system, constants, coding, ("right", "left"),
                              horizon, series_tol)
         return ExponentReport(coding=coding, cut_point=False,
                               alpha=min(right.alpha, left.alpha),
                               right=right, left=left)
+    if query.n0:
+        cut = _cut_result(system, constants, query, series_tol)
+        return ExponentReport(coding=coding, cut_point=True,
+                              alpha=cut.alpha, cut=cut)
     # x = 0 has only a right side, x = 1 only a left one
     side, = _sides(system, constants, coding,
-                   ("right",) if route == "zero" else ("left",), horizon,
+                   ("right",) if query.left is None else ("left",), horizon,
                    series_tol)
     return ExponentReport(coding=coding, cut_point=False, alpha=side.alpha,
                           **{side.side: side})

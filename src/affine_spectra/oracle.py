@@ -70,9 +70,16 @@ class RegressionEstimate:
     side: str
 
 
-def _check_osc_side(side: str) -> None:
-    if side not in ("right", "left", "both"):
-        raise ValueError("side must be 'right', 'left' or 'both'")
+# each side's window at scale h is [xi + s_lo h, xi + s_hi h]
+_SIDES = {"right": (0.0, 1.0), "left": (-1.0, 0.0), "both": (-1.0, 1.0)}
+
+
+def _side_steps(side: str) -> tuple[float, float]:
+    """(s_lo, s_hi) of a side, from _SIDES; ValueError for any other."""
+    try:
+        return _SIDES[side]
+    except (KeyError, TypeError):
+        raise ValueError("side must be 'right', 'left' or 'both'") from None
 
 
 def estimate_exponent(system: SelfAffineSystem, xi: float,
@@ -80,29 +87,30 @@ def estimate_exponent(system: SelfAffineSystem, xi: float,
                       derivative: float | None = None) -> RegressionEstimate:
     """Regress log max|phi - P| over windows of shrinking scale h at xi.
 
+    The window at scale h is [xi + s_lo h, xi + s_hi h], (s_lo, s_hi) the
+    side's entry of _SIDES; scales whose window leaves [0, 1], infinite
+    ones too, are skipped.  A scale that is not > 0 (NaN included) and a
+    non-finite derivative raise ValueError.
     P is the constant phi(xi), or the tangent line when `derivative` is
     given; exponents above 1 are invisible without subtracting it.  The
     _DROP_SCALES largest scales are excluded from the fit (transients).
     All windows are evaluated in one batch, so a NonConvergence names the
     worst bound over all scales.
     """
-    _check_osc_side(side)
+    s_lo, s_hi = _side_steps(side)
     if not 0.0 <= xi <= 1.0:
         raise errors.OutOfDomain(f"xi = {xi} not in [0, 1]")
+    if derivative is not None and not math.isfinite(derivative):
+        raise ValueError(f"derivative must be finite, got {derivative}")
     if scales is None:
         scales = default_scales()
     scales = sorted((float(h) for h in scales), reverse=True)
-    if any(h <= 0.0 for h in scales):
+    if not all(h > 0.0 for h in scales):
         raise ValueError("scales must be positive")
 
     windows: list[tuple[float, np.ndarray]] = []
     for h in scales:
-        if side == "right":
-            lo, hi = xi, xi + h
-        elif side == "left":
-            lo, hi = xi - h, xi
-        else:
-            lo, hi = xi - h, xi + h
+        lo, hi = xi + s_lo * h, xi + s_hi * h
         if lo < 0.0 or hi > 1.0:
             continue
         pts = _window_points(system, lo, hi)
@@ -173,35 +181,30 @@ def check_derivative(system: SelfAffineSystem, xi: float, h_sequence,
                      derivative: float | None, side: str = "right") -> DerivativeCheck:
     """Difference quotients against a claimed one-sided derivative.
 
-    Steps are sorted decreasing; the final (smallest-step) discrepancy is
-    the headline number.
+    At step h the quotient is (phi(xi + s_hi h) - phi(xi + s_lo h)) /
+    ((s_hi - s_lo) h), (s_lo, s_hi) the side's entry of _SIDES: forward,
+    backward or central.  A step that is not > 0 (NaN included) and a
+    non-finite derivative raise ValueError; a point outside [0, 1] raises
+    OutOfDomain.  Steps are sorted decreasing; the final (smallest-step)
+    discrepancy is the headline number.
     """
-    _check_osc_side(side)
+    s_lo, s_hi = _side_steps(side)
     if derivative is None:
         raise errors.NotDifferentiable("no derivative value to check")
+    if not math.isfinite(derivative):
+        raise ValueError(f"derivative must be finite, got {derivative}")
     hs = sorted((float(h) for h in h_sequence), reverse=True)
-    if not hs or hs[-1] <= 0.0:
+    if not hs or not all(h > 0.0 for h in hs):
         raise ValueError("h_sequence must be positive")
-    if side == "right":
-        xs = [xi + h for h in hs]
-    elif side == "left":
-        xs = [xi - h for h in hs]
-    else:
-        xs = [xi + h for h in hs] + [xi - h for h in hs]
-    if any(x < 0.0 or x > 1.0 for x in xs):
+    ends = [(xi + s_lo * h, xi + s_hi * h) for h in hs]
+    if not all(0.0 <= x <= 1.0 for pair in ends for x in pair):
         raise errors.OutOfDomain("a step leaves [0, 1]")
-    values, _, _ = evaluate_many(system, [xi] + xs, _EVAL_TOL)
-    base = float(values[0])
-    quots = []
-    for i, h in enumerate(hs):
-        if side == "right":
-            quots.append((float(values[1 + i]) - base) / h)
-        elif side == "left":
-            quots.append((base - float(values[1 + i])) / h)
-        else:
-            plus = float(values[1 + i])
-            minus = float(values[1 + len(hs) + i])
-            quots.append((plus - minus) / (2.0 * h))
+    # each distinct point once: on one side every lower or upper end is xi
+    points = list(dict.fromkeys(x for pair in ends for x in pair))
+    values, _, _ = evaluate_many(system, points, _EVAL_TOL)
+    phi = dict(zip(points, values.tolist()))
+    quots = [(phi[hi] - phi[lo]) / ((s_hi - s_lo) * h)
+             for (lo, hi), h in zip(ends, hs)]
     disc = [abs(qt - derivative) for qt in quots]
     return DerivativeCheck(derivative=derivative, side=side, steps=tuple(hs),
                            quotients=tuple(quots), discrepancies=tuple(disc))

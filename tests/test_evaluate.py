@@ -156,10 +156,7 @@ def test_scalar_path_matches_batch(seed):
 
 
 def _word_length(system):
-    """The longest m with r^m <= 256, or 1 when t = 1 is not a fixed
-    point of the float step of branch r."""
-    if (1.0 - system.xs[-2]) / system.a[-1] != 1.0:
-        return 1
+    """The longest m with r^m <= 256."""
     m = 1
     while system.r ** (m + 1) <= 256:
         m += 1

@@ -15,6 +15,7 @@ from affine_spectra import (
     derivative_series,
     errors,
     estimate_exponent,
+    evaluate_many,
     oracle,
     parse_preset,
     project,
@@ -113,6 +114,86 @@ def test_check_derivative_one_sided(make_system):
     # swapping the sides must break the agreement
     swapped = check_derivative(skew, 0.3, hs, 20.0 / 27.0, side="right")
     assert swapped.final_discrepancy > 1.0
+
+
+_PRESETS = ("takagi:0.5", "takagi:1.5", "riesz-nagy:0.3", "okamoto:0.6",
+            "okamoto:0.5", SKEW, "skew-takagi:0.5,1,0.3")
+
+
+@pytest.mark.parametrize("name", _PRESETS + ("seed0", "seed1", "seed2", "seed3"))
+def test_quotients_are_the_difference_quotients_of_evaluate_many(make_system,
+                                                                 name):
+    """Each side's quotient is bit for bit the forward, backward or central
+    difference quotient of evaluate_many's values at the same tolerance."""
+    if name.startswith("seed"):
+        system = random_polygon_system(np.random.default_rng(int(name[4:])),
+                                       allow_zero=True)
+    else:
+        system, _ = make_system(name)
+    hs = [2.0 ** -k for k in range(6, 30, 3)]
+
+    def phi(x):
+        return float(evaluate_many(system, [x], oracle._EVAL_TOL)[0][0])
+
+    for xi in (0.3, float(system.xs[1]), 0.5 * float(system.xs[1])):
+        want = {"right": [(phi(xi + h) - phi(xi)) / h for h in hs],
+                "left": [(phi(xi) - phi(xi - h)) / h for h in hs],
+                "both": [(phi(xi + h) - phi(xi - h)) / (2.0 * h) for h in hs]}
+        for side, quots in want.items():
+            chk = check_derivative(system, xi, hs, 0.25, side=side)
+            assert chk.steps == tuple(sorted(hs, reverse=True))
+            assert chk.quotients == tuple(quots)
+            assert chk.discrepancies == tuple(abs(q - 0.25) for q in quots)
+
+
+def test_unknown_side_is_rejected(make_system):
+    rn, _ = make_system("riesz-nagy:0.3")
+    for side in ("up", "Right", None, ["right"]):
+        with pytest.raises(ValueError, match="side must be"):
+            estimate_exponent(rn, 0.5, side=side)
+        with pytest.raises(ValueError, match="side must be"):
+            check_derivative(rn, 0.5, [1e-3], 0.0, side=side)
+
+
+def test_nan_scale_is_rejected_before_any_window(make_system, monkeypatch):
+    """A NaN scale passed the old h <= 0 test, and _window_points then never
+    pruned its search by size, so the call did not return."""
+    rn, _ = make_system("riesz-nagy:0.3")
+
+    def unreachable(*args):
+        raise AssertionError("a window was built")
+
+    monkeypatch.setattr(oracle, "_window_points", unreachable)
+    scales = [2.0 ** -k for k in range(8, 20)] + [math.nan]
+    for side in ("right", "left", "both"):
+        with pytest.raises(ValueError, match="scales"):
+            estimate_exponent(rn, 0.3, side=side, scales=scales)
+
+
+def test_infinite_scales_are_skipped(make_system):
+    rn, _ = make_system("riesz-nagy:0.3")
+    scales = [2.0 ** -k for k in range(8, 20)]
+    for side in ("right", "left", "both"):
+        want = estimate_exponent(rn, 0.3, side=side, scales=scales)
+        got = estimate_exponent(rn, 0.3, side=side, scales=[math.inf] + scales)
+        assert got == want
+
+
+def test_nan_step_is_rejected(make_system):
+    rn, _ = make_system("riesz-nagy:0.3")
+    for hs in ([1e-3, math.nan], [math.nan]):
+        with pytest.raises(ValueError, match="h_sequence"):
+            check_derivative(rn, 0.3, hs, 0.0)
+
+
+@pytest.mark.parametrize("derivative", [math.nan, math.inf, -math.inf])
+def test_non_finite_derivative_is_rejected(make_system, derivative):
+    rn, _ = make_system("riesz-nagy:0.3")
+    with pytest.raises(ValueError, match="derivative"):
+        estimate_exponent(rn, 0.3, derivative=derivative)
+    for side in ("right", "left", "both"):
+        with pytest.raises(ValueError, match="derivative"):
+            check_derivative(rn, 0.3, [1e-3, 1e-4], derivative, side=side)
 
 
 # ------------------------------------------------------------ generic exponent

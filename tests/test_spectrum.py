@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_spectra import (
+    Coding,
     Regime,
     alpha_of_q,
     beta,
@@ -18,10 +19,12 @@ from affine_spectra import (
     duality_maximizer,
     entropy_ratio,
     errors,
+    exponent_report,
     from_branches,
     parse_preset,
     q_star,
     roots,
+    run_structure_for_target,
     spectrum,
     spectrum_D,
     spectrum_table,
@@ -287,6 +290,46 @@ def test_degenerate_case_b_keeps_its_linear_part(make_system, name):
     assert [row.branch for row in tab] == ["linear"] * 20 + ["degenerate"]
     assert tab[0].alpha == 1.0 and tab[-1].alpha == c.alpha_hat
     assert beta_star(c, 1.25) == -math.inf
+
+
+def _is_corner(report):
+    """A two-coding point between two affine pieces with different slopes:
+    both one-sided exponents infinite, not differentiable, alpha 1."""
+    cut = report.cut
+    return (cut is not None and not cut.differentiable
+            and math.isinf(cut.alpha_left) and math.isinf(cut.alpha_right))
+
+
+@given(seed=st.integers(0, 10 ** 9))
+def test_every_exponent_found_has_a_nonempty_level_set(seed):
+    """The spectrum lists a nonempty level set at every finite exponent the
+    exponent layer reports at a cut coding (j, (r)) or a periodic point,
+    and at every alpha run_structure_for_target builds codings for.  The
+    corners between two affine pieces are left out: they are countable,
+    alpha = 1 there, and the spectrum lists the level sets off them."""
+    rng = np.random.default_rng(seed)
+    for system in (random_polygon_system(rng, allow_zero=True),
+                   random_two_branch_contractive(rng), tied_ratio_system(rng)):
+        c = compute_constants(system)
+        r = system.r
+        codings = [Coding(prefix=(j,), period=(r,)) for j in range(1, r)]
+        codings += [Coding(period=p) for p in
+                    ((1,), (r,), (1, r), (r, 1, 1), tuple(range(1, r + 1)))]
+        alphas = []
+        for coding in codings:
+            report = exponent_report(system, c, coding)
+            if math.isfinite(report.alpha) and not _is_corner(report):
+                alphas.append(report.alpha)
+        top = c.alpha0 if c.regime is Regime.CASE_B else c.alpha_max
+        for alpha in np.linspace(0.5, top + 0.5, 13).tolist():
+            try:
+                run_structure_for_target(system, c, alpha)
+            except (errors.OutOfRange, errors.InvalidSchedule):
+                continue
+            alphas.append(alpha)
+        for alpha in alphas:
+            pt = spectrum_D(c, alpha)
+            assert pt.branch != "empty" and pt.dim is not None, (alpha, pt)
 
 
 def test_spectrum_table_matches_pointwise(make_system):
