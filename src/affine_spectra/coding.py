@@ -11,6 +11,14 @@ over the stored abscissae.  These are doubles, hence integers over one
 power of two, and every input (a float or a Fraction) is a ratio of
 integers, so the orbit runs on Python ints with no rounding: the digits of
 coding_of_point and in_T are exact for every input.
+
+coding_of_point steps the exact orbit a word of m digits at a time (m the
+longest length with r^m <= 256, as in evaluate's word maps).  A float
+guess of t picks the word from a per-system table, and each word is
+checked exactly against t before the orbit takes it; a word the guess
+cannot place (t within rounding of a word's end, or words whose left ends
+round to one double) goes digit by digit, as do the depth's last digits
+and every step of in_T, so the result is the one-digit orbit's.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,6 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import errors
+from ._records import record
 from .ifs import SelfAffineSystem
 
 # Uniforms per draw of generate_run_structured
@@ -34,6 +44,11 @@ _DRAW_BLOCK = 8192
 _EARLIER_RUNS_BIAS = 0.002
 # Digits _compose composes one by one before it splits a string in halves
 _COMPOSE_RUN = 64
+# Most words in a word table (coding_of_point's, and evaluate's word maps):
+# m is the longest length with r^m <= _WORDS
+_WORDS = 256
+# Leading bits of u and v that the float guess of t = u / v reads
+_GUESS_BITS = 62
 
 
 def _check_positive(digits) -> None:
@@ -70,8 +85,7 @@ class Coding:
         1..r already: no check runs.  prefix_max, when given, is recorded
         as the largest prefix digit for max_digit.  The result equals,
         hashes and reprs like Coding(prefix, period)."""
-        coding = object.__new__(cls)
-        coding.__dict__.update(prefix=prefix, period=period)
+        coding = record(cls, prefix=prefix, period=period)
         if prefix_max is not None:
             coding.__dict__["_prefix_max"] = prefix_max
         return coding
@@ -198,8 +212,8 @@ def _exact_interval(digits: tuple[int, ...], left: int, width: int,
     """The interval [left, left + width] / den, its ends rounded outward so
     that it contains every point of the exact one; length is rounded to
     nearest."""
-    return BasicInterval(digits, _below(left, den),
-                         _above(left + width, den), width / den)
+    return record(BasicInterval, digits=digits, left=_below(left, den),
+                  right=_above(left + width, den), length=width / den)
 
 
 @lru_cache(maxsize=128)
@@ -243,6 +257,72 @@ def _orbit(X: tuple[int, ...], W: tuple[int, ...], p: int, u: int, v: int,
     return digits, u, v
 
 
+def _word_length(r: int) -> int:
+    """The longest word length m with r^m <= _WORDS."""
+    m = 1
+    while r ** (m + 1) <= _WORDS:
+        m += 1
+    return m
+
+
+@lru_cache(maxsize=128)
+def _word_table(system: SelfAffineSystem):
+    """The words of m = _word_length(r) digits, built once per system, in
+    the order of their basic intervals: returns (m, p m, words, lefts,
+    widths, guides), a word being its tuple of digits.  Word w maps t' to
+    t = (L_w + V_w t') / 2**(p m), as _compose gives it, so its interval
+    is [L_w, L_w + V_w) / 2**(p m); its guide is the double nearest
+    L_w / 2**(p m)."""
+    X, W, p = _partition(system)
+    r = len(W)
+    m = _word_length(r)
+    level = [((), 0, 1)]
+    for _ in range(m):
+        level = [(word + (k,), (left << p) + width * X[k - 1],
+                  width * W[k - 1])
+                 for word, left, width in level for k in range(1, r + 1)]
+    words, lefts, widths = zip(*level)
+    scale = 1 << (p * m)
+    return (m, p * m, words, lefts, widths,
+            tuple(left / scale for left in lefts))
+
+
+def _orbit_by_words(system: SelfAffineSystem, u: int, v: int,
+                    n: int) -> tuple[list[int], int, int]:
+    """_orbit's (digits, u, v) for n digits of t = u / v, stepped a word of
+    m digits at a time.
+
+    A float guess of t from the leading bits of u and v picks the word by
+    its guide, and the exact test L_w v <= u 2^(p m) < (L_w + V_w) v
+    accepts it; the step u <- u 2^(p m) - L_w v, v <- V_w v is then the m
+    steps of _orbit in one.  A word the test rejects (the guess fell on the
+    wrong side of an end, or guides collide in doubles) goes digit by digit
+    through _orbit, and so do the last n mod m digits.  The result is
+    _orbit's, integer for integer, except when t reaches 0 inside a word:
+    the word's trailing 1s then stay among the digits, with v scaled by
+    their widths, where _orbit stops; coding_of_point pads the same 1s and
+    scales by the same widths."""
+    X, W, p = _partition(system)
+    m, pm, words, lefts, widths, guides = _word_table(system)
+    digits = []
+    for _ in range(n // m):
+        if not u:
+            break
+        shift = v.bit_length() - _GUESS_BITS
+        guess = (u >> shift) / (v >> shift) if shift > 0 else u / v
+        i = bisect_right(guides, guess) - 1
+        rest = (u << pm) - lefts[i] * v
+        width = widths[i] * v
+        if 0 <= rest < width:
+            digits += words[i]
+            u, v = rest, width
+        else:
+            step, u, v = _orbit(X, W, p, u, v, m)
+            digits += step
+    step, u, v = _orbit(X, W, p, u, v, n - len(digits))
+    return digits + step, u, v
+
+
 def coding_of_point(system: SelfAffineSystem, x, depth: int) -> PointCoding:
     """Digit address of x in (0, 1) to the requested depth.
 
@@ -260,19 +340,20 @@ def coding_of_point(system: SelfAffineSystem, x, depth: int) -> PointCoding:
         raise errors.OutOfDomain(f"x = {xv} not in (0, 1)")
     X, W, p = _partition(system)
     num, den = xv.as_integer_ratio()
-    digits, u, v = _orbit(X, W, p, num, den, depth)
+    digits, u, v = _orbit_by_words(system, num, den, depth)
     cut = u == 0
     pad = depth - len(digits)
     prefix = tuple(digits) + (1,) * pad
-    # After the orbit's m digits x = L + W u / v, with L = (num 2^(pm) - u)
-    # / (den 2^(pm)) and W = v / (den 2^(pm)).  A cut leaves u = 0, and
+    # After the orbit's n digits x = L + W u / v, with L = (num 2^(pn) - u)
+    # / (den 2^(pn)) and W = v / (den 2^(pn)).  A cut leaves u = 0, and
     # each padded digit 1 keeps L and scales W by x_1 = X_1 / 2^p.  Over
     # D = den 2^(p depth): L D = num 2^(p depth) - u and W D = v X_1^pad.
     shift = p * depth
     interval = _exact_interval(prefix, (num << shift) - u, v * X[1] ** pad,
                                den << shift)
     coding = Coding._of_digits(prefix, (1,) if cut else None)
-    return PointCoding(coding=coding, interval=interval, cut_point=cut)
+    return record(PointCoding, coding=coding, interval=interval,
+                  cut_point=cut, ambiguous=False)
 
 
 def _compose(X: tuple[int, ...], W: tuple[int, ...], p: int,
@@ -360,12 +441,13 @@ def _cut_codings_from_stem(stem: tuple[int, ...], r: int) -> CutPointQuery:
     each in 1..r already."""
     if not stem:
         # the point 1; only the all-r coding exists
-        return CutPointQuery(member=True, left=Coding._of_digits((), (r,)),
-                             right=None, n0=0, boundary_digit=None)
+        return record(CutPointQuery, member=True,
+                      left=Coding._of_digits((), (r,)), right=None,
+                      decided=True, n0=0, boundary_digit=None)
     left = Coding._of_digits(stem, (r,))
     right = Coding._of_digits(stem[:-1] + (stem[-1] + 1,), (1,))
-    return CutPointQuery(member=True, left=left, right=right,
-                         n0=len(stem), boundary_digit=stem[-1])
+    return record(CutPointQuery, member=True, left=left, right=right,
+                  decided=True, n0=len(stem), boundary_digit=stem[-1])
 
 
 def _cut_query(coding: Coding, r: int) -> CutPointQuery:
@@ -386,9 +468,9 @@ def _cut_query(coding: Coding, r: int) -> CutPointQuery:
         return _cut_codings_from_stem(tuple(digits), r)
     if not digits:
         # the point 0; only the all-1 coding exists
-        return CutPointQuery(member=True, left=None,
-                             right=Coding._of_digits((), (1,)),
-                             n0=0, boundary_digit=None)
+        return record(CutPointQuery, member=True, left=None,
+                      right=Coding._of_digits((), (1,)), decided=True,
+                      n0=0, boundary_digit=None)
     # the last digit before the 1s is at least 2
     return _cut_codings_from_stem(tuple(digits[:-1]) + (digits[-1] - 1,), r)
 

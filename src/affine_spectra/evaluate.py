@@ -21,12 +21,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import errors
-from .coding import Coding, _check_digits
+from ._records import record
+from .coding import Coding, _check_digits, _word_length
 from .ifs import SelfAffineSystem, sup_bound
 
 _DEFAULT_MAX_DEPTH = 500_000
 _BLOCK = 8_192       # points per block: a block's working arrays stay in cache
-_WORDS = 256         # most words in a table: m is the longest with r^m <= 256
 
 
 @dataclass(frozen=True)
@@ -45,14 +45,13 @@ def _words(system: SelfAffineSystem):
     are integers over a common 2^S, so words of length j are integers over
     2^(jS): each entry is composed exactly and rounded once, and words of
     one digit are the system's coefficients.  m is the longest length with
-    r^m <= _WORDS.  An orbit cannot pass through 1 inside a word: a_r is
+    r^m <= 256 (coding._word_length, which also sizes the word table of
+    coding_of_point).  An orbit cannot pass through 1 inside a word: a_r is
     1 - x_{r-1} in doubles, so the float step of branch r fixes t = 1.
     Returns (m, a tuple of (L_w, V_w, A_w, B_w, R_w) in word order).
     """
-    r, xs = system.r, system.xs
-    m = 1
-    while r ** (m + 1) <= _WORDS:
-        m += 1
+    xs = system.xs
+    m = _word_length(system.r)
     rows = [[v.as_integer_ratio() for v in row] for row in
             zip(xs[:-1], system.a, system.e, system.c, system.d)]
     S = max(q.bit_length() for row in rows for _, q in row) - 1
@@ -388,7 +387,8 @@ def evaluate(system: SelfAffineSystem, x: float, tol: float,
         max_depth = _DEFAULT_MAX_DEPTH
     part, cuts, rows, bound, m, rmax, tree, _ = _table(system)
     if t in part:
-        return EvalResult(system.ys[part.index(t)], 0.0, 0)
+        return record(EvalResult, value=system.ys[part.index(t)],
+                      error_bound=0.0, depth_used=0)
 
     A, B, R = 0.0, 0.0, 1.0
     depth = 0
@@ -425,8 +425,10 @@ def evaluate(system: SelfAffineSystem, x: float, tol: float,
 
     if t == 0.0 or t == 1.0:
         closing = system.ys[0] if t == 0.0 else system.ys[-1]
-        return EvalResult(A + B * t + R * closing, 0.0, depth)
-    return EvalResult(A + B * t, abs(R) * bound, depth)
+        return record(EvalResult, value=A + B * t + R * closing,
+                      error_bound=0.0, depth_used=depth)
+    return record(EvalResult, value=A + B * t, error_bound=abs(R) * bound,
+                  depth_used=depth)
 
 
 def sample(system: SelfAffineSystem, n_points: int, tol: float):
@@ -436,6 +438,14 @@ def sample(system: SelfAffineSystem, n_points: int, tol: float):
     xs = np.linspace(0.0, 1.0, n_points)
     values, errs, _ = evaluate_many(system, xs, tol)
     return xs, values, errs
+
+
+@lru_cache(maxsize=128)
+def _ratios(system: SelfAffineSystem) -> tuple[tuple[float, float], ...]:
+    """(c_k / a_k, d_k / a_k) by branch, the ratios of the derivative
+    series, divided once per system."""
+    return tuple((ck / ak, dk / ak)
+                 for ak, ck, dk in zip(system.a, system.c, system.d))
 
 
 def _derivative(system: SelfAffineSystem, coding: Coding):
@@ -451,12 +461,12 @@ def _derivative(system: SelfAffineSystem, coding: Coding):
     if coding.period is None and system.index_zero.isdisjoint(coding.prefix):
         raise errors.TailBoundUnavailable(
             "tail bound needs an eventually periodic coding")
-    a, c, d = system.a, system.c, system.d
+    ratios = _ratios(system)
     eps = 1.01 * 2.0 ** -53
     total, err = 0.0, 0.0    # prefix sum; its error over eps
     P, n = 1.0, 0            # signed prod_{i<m} d/a, within n eps of exact
     for k in coding.prefix:
-        ck, dk = c[k - 1] / a[k - 1], d[k - 1] / a[k - 1]
+        ck, dk = ratios[k - 1]
         term = ck * P
         total += term
         err += (n + 2) * abs(term) + abs(total)
@@ -468,7 +478,7 @@ def _derivative(system: SelfAffineSystem, coding: Coding):
     S, m, errS = 0.0, 0, 0.0  # the same over one period, from Q = 1
     Q = 1.0
     for k in coding.period:
-        ck, dk = c[k - 1] / a[k - 1], d[k - 1] / a[k - 1]
+        ck, dk = ratios[k - 1]
         term = ck * Q
         S += term
         errS += (m + 2) * abs(term) + abs(S)

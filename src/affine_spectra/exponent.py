@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import errors
+from ._records import record
 from .coding import Coding, CutPointQuery, _check_digits, _cut_query, in_T
 from .evaluate import _check_series_tol, _derivative, _series
 from .ifs import _REL_TOL, SelfAffineSystem, SpectrumConstants
@@ -290,7 +291,8 @@ def _bundles(system: SelfAffineSystem, constants: SpectrumConstants,
         loga, logd = constants._logs
         g = (math.fsum(logd[k - 1] for k in coding.period)
              / math.fsum(loga[k - 1] for k in coding.period))
-        return [GammaBundle(g, g, g, g, "exact-periodic", None, side)
+        return [record(GammaBundle, gamma0=g, gamma1=g, gamma2=g, gamma=g,
+                       method="exact-periodic", horizon_used=None, side=side)
                 for side in sides]
 
     avail = coding.available()
@@ -307,7 +309,9 @@ def _bundles(system: SelfAffineSystem, constants: SpectrumConstants,
         found = [minima[side == "left"] for side in sides]
     else:
         found = [_chunk_minima(constants, coding, n, side) for side in sides]
-    return [GammaBundle(g0, g1, g2, min(g0, g1, g2), "finite-horizon", n, side)
+    return [record(GammaBundle, gamma0=g0, gamma1=g1, gamma2=g2,
+                   gamma=min(g0, g1, g2), method="finite-horizon",
+                   horizon_used=n, side=side)
             for (g0, g1, g2), side in zip(found, sides)]
 
 
@@ -391,16 +395,17 @@ def _sides(system: SelfAffineSystem, constants: SpectrumConstants,
 
     if _has_zero_digit(constants, coding):
         deriv = _series_or_none(system, coding, series_tol)
-        return [SideExponent(side=side, alpha=math.inf, derivative=deriv,
-                             bundle=None, infinite=True) for side in sides]
+        return [record(SideExponent, side=side, alpha=math.inf,
+                       derivative=deriv, bundle=None, infinite=True)
+                for side in sides]
 
     bundles = _bundles(system, constants, coding, sides, horizon)
     deriv = None
     if coding.eventually_periodic and any(b.gamma > 1.0 for b in bundles):
         deriv = _series_or_none(system, coding, series_tol)
-    return [SideExponent(side=b.side, alpha=b.gamma,
-                         derivative=deriv if b.gamma > 1.0 else None,
-                         bundle=b) for b in bundles]
+    return [record(SideExponent, side=b.side, alpha=b.gamma,
+                   derivative=deriv if b.gamma > 1.0 else None, bundle=b,
+                   infinite=False) for b in bundles]
 
 
 def _series_or_none(system: SelfAffineSystem, coding: Coding,
@@ -505,12 +510,11 @@ def _cut_result(system: SelfAffineSystem, constants: SpectrumConstants,
             alpha, differentiable = min(alpha_right, alpha_left), True
     else:
         alpha, differentiable = min(alpha_right, alpha_left), False
-    return CutPointResult(n0=query.n0, boundary_digit=k, coding_left=left,
-                          coding_right=right, alpha_left=alpha_left,
-                          alpha_right=alpha_right, alpha=alpha,
-                          differentiable=differentiable,
-                          derivative_left=deriv_left,
-                          derivative_right=deriv_right)
+    return record(CutPointResult, n0=query.n0, boundary_digit=k,
+                  coding_left=left, coding_right=right,
+                  alpha_left=alpha_left, alpha_right=alpha_right,
+                  alpha=alpha, differentiable=differentiable,
+                  derivative_left=deriv_left, derivative_right=deriv_right)
 
 
 def cut_point_exponents(system: SelfAffineSystem, constants: SpectrumConstants,
@@ -577,16 +581,17 @@ def exponent_report(system: SelfAffineSystem, constants: SpectrumConstants,
     if not query.member:
         right, left = _sides(system, constants, coding, ("right", "left"),
                              horizon, series_tol)
-        return ExponentReport(coding=coding, cut_point=False,
-                              alpha=min(right.alpha, left.alpha),
-                              right=right, left=left)
+        return record(ExponentReport, coding=coding, cut_point=False,
+                      alpha=min(right.alpha, left.alpha), right=right,
+                      left=left, cut=None)
     if query.n0:
         cut = _cut_result(system, constants, query, series_tol)
-        return ExponentReport(coding=coding, cut_point=True,
-                              alpha=cut.alpha, cut=cut)
+        return record(ExponentReport, coding=coding, cut_point=True,
+                      alpha=cut.alpha, right=None, left=None, cut=cut)
     # x = 0 has only a right side, x = 1 only a left one
-    side, = _sides(system, constants, coding,
-                   ("right",) if query.left is None else ("left",), horizon,
-                   series_tol)
-    return ExponentReport(coding=coding, cut_point=False, alpha=side.alpha,
-                          **{side.side: side})
+    at0 = query.left is None
+    side, = _sides(system, constants, coding, ("right",) if at0 else ("left",),
+                   horizon, series_tol)
+    return record(ExponentReport, coding=coding, cut_point=False,
+                  alpha=side.alpha, right=side if at0 else None,
+                  left=None if at0 else side, cut=None)

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
+from ._records import record
 from .ifs import Regime, SpectrumConstants, _end_ties
 from .roots import unit_sum_root
 
@@ -298,15 +299,10 @@ class SpectrumPoint:
 
 
 def _points(alphas, dims, branch, ps, note=None) -> list[SpectrumPoint]:
-    """SpectrumPoint(alpha, dim, branch, p, note) for each alpha, dim, p, by
-    one __dict__ update instead of five frozen object.__setattr__ calls."""
-    new, out = object.__new__, []
-    for alpha, dim, p in zip(alphas, dims, ps):
-        pt = new(SpectrumPoint)
-        pt.__dict__.update(alpha=alpha, dim=dim, branch=branch, p_opt=p,
-                           note=note)
-        out.append(pt)
-    return out
+    """SpectrumPoint(alpha, dim, branch, p, note) for each alpha, dim, p,
+    through the shared record constructor."""
+    return [record(SpectrumPoint, alpha=alpha, dim=dim, branch=branch,
+                   p_opt=p, note=note) for alpha, dim, p in zip(alphas, dims, ps)]
 
 
 def _solve(constants: SpectrumConstants, alphas, overlap: bool = True):

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import warnings
 from pathlib import Path
@@ -86,3 +87,26 @@ def random_two_branch_contractive(rng):
     d = tuple(float(rng.uniform(0.02, 0.95) * ak * rng.choice([-1.0, 1.0]))
               for ak in a)
     return build_from_polygon([(0.0, 0.0), (a1, y1), (1.0, 1.0)], d)
+
+
+def assert_ordinary_records(obj):
+    """obj, and every record among its fields, recursively, behaves like
+    its twin from the dataclass constructor: equal, with the same hash,
+    repr, vars, asdict and dataclasses.replace, and frozen.  Returns the
+    record types seen."""
+    if not dataclasses.is_dataclass(obj):
+        return set()
+    fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    twin = type(obj)(**fields)
+    assert obj == twin and hash(obj) == hash(twin)
+    assert repr(obj) == repr(twin)
+    # every field is set on the instance itself, not read from the class
+    assert {name: vars(obj)[name] for name in fields} == vars(twin)
+    assert dataclasses.asdict(obj) == dataclasses.asdict(twin)
+    assert dataclasses.replace(obj) == dataclasses.replace(obj, **fields) == twin
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, next(iter(fields)), None)
+    seen = {type(obj)}
+    for value in fields.values():
+        seen |= assert_ordinary_records(value)
+    return seen

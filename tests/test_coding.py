@@ -32,7 +32,8 @@ from affine_spectra import (
     run_structure_for_target,
 )
 from affine_spectra import coding as coding_module
-from conftest import random_polygon_system, random_two_branch_contractive
+from conftest import (random_polygon_system, random_two_branch_contractive,
+                      tied_ratio_system)
 from test_exponent import run_stats
 
 SKEW = "skew-takagi:0.3,0.5,0.25"
@@ -412,6 +413,78 @@ def test_point_coding_consistency(make_system, seed):
     last = pc.interval
     assert last.left <= x <= last.right
     assert abs(project(system, pc.coding) - last.left) < 1e-12
+
+
+# ------------------------------------------------------------- word stepping
+
+def _digit_by_digit(system, x, depth):
+    """coding_of_point with its orbit stepped one digit at a time."""
+    def orbit(system, u, v, n):
+        return coding_module._orbit(*coding_module._partition(system), u, v, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coding_module, "_orbit_by_words", orbit)
+        return coding_of_point(system, x, depth)
+
+
+def _bits(pc):
+    """Digits, cut_point and the bits of the interval of a PointCoding."""
+    iv = pc.interval
+    return (pc.coding, pc.cut_point, iv.digits, iv.left.hex(), iv.right.hex(),
+            iv.length.hex())
+
+
+def _word_test_points(system, rng, doubles, images):
+    """Random doubles, the abscissae, and vertex images both exact and
+    rounded to doubles, all in (0, 1)."""
+    points = [float(v) for v in rng.uniform(0.0, 1.0, doubles)]
+    points += system.xs[1:-1]
+    for _ in range(images):
+        image = _vertex_image(system, rng)
+        points += [image, float(image)]
+    return [x for x in points if 0 < x < 1]
+
+
+def _word_test_depths(m, rng):
+    """A depth in 1..300, and one in 1..300 that is not a multiple of m."""
+    return (int(rng.integers(1, 301)),
+            m * int(rng.integers(0, 300 // m)) + int(rng.integers(1, m)))
+
+
+@given(seed=st.integers(0, 10 ** 9), pick=st.integers(0, len(PRESET_NAMES) + 1))
+def test_words_step_like_digits(make_system, seed, pick):
+    """coding_of_point stepped a word at a time gives the digits, cut_point
+    and interval bits of the digit-by-digit orbit."""
+    rng = np.random.default_rng(seed)
+    if pick > len(PRESET_NAMES):
+        system = tied_ratio_system(rng)
+    else:
+        system = _any_system(make_system, rng, pick)
+    m = coding_module._word_table(system)[0]
+    for x in _word_test_points(system, rng, doubles=2, images=1):
+        for depth in _word_test_depths(m, rng):
+            assert (_bits(coding_of_point(system, x, depth))
+                    == _bits(_digit_by_digit(system, x, depth)))
+
+
+# Systems whose word guides collide in doubles: many words of the thin first
+# branch round to one guide, so the guide picks words the exact test
+# rejects, and only the per-digit fall-back steps those correctly
+_COLLIDING = {"width 1e-200": 1e-200, "width 2^-52": 2.0 ** -52}
+
+
+@pytest.mark.parametrize("name", sorted(_COLLIDING))
+def test_words_fall_back_where_guides_collide(name):
+    system = build_from_polygon(
+        [(0.0, 0.0), (_COLLIDING[name], 0.5), (1.0, 1.0)], (0.5, -0.5))
+    guides = coding_module._word_table(system)[-1]
+    assert len(set(guides)) < len(guides) / 3
+    rng = np.random.default_rng(0)
+    m = coding_module._word_table(system)[0]
+    for x in _word_test_points(system, rng, doubles=4, images=8):
+        for depth in (1, 7, 64, 101, *_word_test_depths(m, rng)):
+            assert (_bits(coding_of_point(system, x, depth))
+                    == _bits(_digit_by_digit(system, x, depth)))
 
 
 # ---------------------------------------------------------- two-coding targets

@@ -29,8 +29,8 @@ from affine_spectra import (
     spectrum_D,
     spectrum_table,
 )
-from conftest import (random_polygon_system, random_two_branch_contractive,
-                      tied_ratio_system)
+from conftest import (assert_ordinary_records, random_polygon_system,
+                      random_two_branch_contractive, tied_ratio_system)
 
 SKEW = "skew-takagi:0.3,0.5,0.25"
 LN2, LN3 = math.log(2.0), math.log(3.0)
@@ -461,8 +461,9 @@ def test_two_branch_rounded_weights_fall_back_to_newton(monkeypatch):
 
 
 def test_solve_rows_are_ordinary_points(make_system):
-    """Rows built by one __dict__ update equal, hash and repr like points
-    the dataclass builds, and dataclasses.replace and asdict work on them."""
+    """Rows built by the shared record constructor equal, hash and repr like
+    points the dataclass builds, and dataclasses.replace and asdict work on
+    them."""
     seen = set()
     for name in ("riesz-nagy:0.3", "okamoto:0.6", "okamoto:0.5", SKEW):
         _, c = make_system(name)
@@ -470,17 +471,10 @@ def test_solve_rows_are_ordinary_points(make_system):
                          0.5 * (c.alpha_hat + c.alpha_max), c.alpha_max])
         for pt in spectrum._solve(c, alphas)[0]:
             seen.add(pt.branch)
-            fields = {f.name: getattr(pt, f.name)
-                      for f in dataclasses.fields(pt)}
-            ref = spectrum.SpectrumPoint(**fields)
-            assert pt == ref and hash(pt) == hash(ref)
-            assert repr(pt) == repr(ref) and vars(pt) == vars(ref)
-            assert dataclasses.asdict(pt) == fields
-            assert dataclasses.replace(pt) == ref
-            assert dataclasses.replace(pt, note="n") == dataclasses.replace(
-                ref, note="n")
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                pt.dim = 0.0
+            assert assert_ordinary_records(pt) == {spectrum.SpectrumPoint}
+            assert (dataclasses.replace(pt, note="n")
+                    == dataclasses.replace(spectrum.SpectrumPoint(
+                        **dataclasses.asdict(pt)), note="n"))
     assert seen == {"empty", "endpoint", "linear", "legendre", "degenerate"}
 
 
