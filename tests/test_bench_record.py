@@ -19,7 +19,7 @@ CANNED = """\
 """
 
 
-def test_record_holds_the_run_and_the_machine(tmp_path):
+def test_record_holds_the_run_and_the_machine(tmp_path, monkeypatch):
     entry = bench_record.workload_entry(CANNED)
     assert entry == {
         "correct": True, "failed": 16, "attempted": 80,
@@ -27,10 +27,13 @@ def test_record_holds_the_run_and_the_machine(tmp_path):
                     "work_per_s": {"value": 10508.0, "unit": "1/s"},
                     "query_p50_ms": {"value": 0.104, "unit": "ms"},
                     "peak_rss_mb": {"value": 40.06, "unit": "MB"}}}
+    # git answers as in a clean checkout
+    monkeypatch.setattr(bench_record, "_git", lambda checkout, *args:
+                        "0" * 40 if args[0] == "rev-parse" else "")
     meta = bench_record.machine(bench_record.ROOT)
     assert set(meta) == {"git_sha", "git_dirty", "python", "numpy",
                          "cpu_model", "cpu_count", "PYTHONDONTWRITEBYTECODE"}
-    assert len(meta["git_sha"]) == 40
+    assert meta["git_sha"] == "0" * 40 and meta["git_dirty"] is False
     path = tmp_path / "BENCH_0.json"
     record = bench_record.write_record(path, meta, 1.0,
                                        {"pointwise": entry})

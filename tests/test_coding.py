@@ -477,10 +477,9 @@ _COLLIDING = {"width 1e-200": 1e-200, "width 2^-52": 2.0 ** -52}
 def test_words_fall_back_where_guides_collide(name):
     system = build_from_polygon(
         [(0.0, 0.0), (_COLLIDING[name], 0.5), (1.0, 1.0)], (0.5, -0.5))
-    guides = coding_module._word_table(system)[-1]
+    m, *_, guides = coding_module._word_table(system)
     assert len(set(guides)) < len(guides) / 3
     rng = np.random.default_rng(0)
-    m = coding_module._word_table(system)[0]
     for x in _word_test_points(system, rng, doubles=4, images=8):
         for depth in (1, 7, 64, 101, *_word_test_depths(m, rng)):
             assert (_bits(coding_of_point(system, x, depth))

@@ -2,7 +2,8 @@
 
     python3 tools/bench_record.py N [--seconds S] [--checkout DIR] [--out PATH]
 
-For each workload W this runs, in the checkout (default: this one),
+For each workload W this runs, in the checkout (default: this one) and
+with the interpreter that runs this script,
 
     python3 bench/run.py --workload W --seed 0 --seconds S --trace 0
 
@@ -105,8 +106,8 @@ def main(argv=None) -> int:
         meta = machine(checkout)
         entries = {w: run_workload(checkout, w, args.seconds)
                    for w in WORKLOADS}
-    except (RuntimeError, subprocess.CalledProcessError, ValueError,
-            KeyError) as exc:
+    except (RuntimeError, subprocess.CalledProcessError, OSError,
+            ValueError, KeyError, IndexError) as exc:
         print(f"bench_record: {exc}", file=sys.stderr)
         return 1
     write_record(out, meta, args.seconds, entries)
