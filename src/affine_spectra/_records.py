@@ -1,4 +1,8 @@
-"""One constructor for the frozen records the one-point paths build."""
+"""One constructor for the frozen records the one-point paths build.
+
+Spectrum rows are built in bulk in spectrum._points instead, which fills
+each row's __dict__ the same way in one loop over a range of rows, with no
+call per row."""
 
 from __future__ import annotations
 

@@ -12,6 +12,7 @@ numpy.
 from __future__ import annotations
 
 import math
+from operator import mul
 
 from . import errors
 
@@ -32,9 +33,11 @@ def unit_sum_root(logs, offsets=None) -> float:
     which a Newton step lands close to the root.  With zero offsets one
     log gives s = 0 at once.  Stops on a step of at most 1e-14 max(1, |s|);
     raises NonConvergence after 100 steps."""
+    if offsets is None and len(logs) == 1:
+        return 0.0
     s = 0.0 if offsets is None else max(
         -ok / lk for ok, lk in zip(offsets, logs))
-    exp, fsum = math.exp, math.fsum
+    exp, expm1, fsum = math.exp, math.expm1, math.fsum
     for _ in range(_CAP):
         # the constants' offset-free solves skip a zip and an add per term:
         # zero offsets give the same bits, but cost a compute_constants
@@ -42,14 +45,16 @@ def unit_sum_root(logs, offsets=None) -> float:
         x = ([s * lk for lk in logs] if offsets is None else
              [ok + s * lk for ok, lk in zip(offsets, logs)])
         w = [exp(xk) for xk in x]
+        slope = fsum(map(mul, w, logs))
         # F = log1p of the sum's excess over 1, with the largest term's
         # share taken by expm1: near the root the sum is near 1, and log of
         # the rounded sum would lose the digits that fix s when that term
-        # is itself near 1 (a log l_k near 0, as for sigma at |d_k| ~ a_k)
+        # is itself near 1 (a log l_k near 0, as for sigma at |d_k| ~ a_k).
+        # fsum rounds the exact sum, so the swap in place changes no bit
         j = x.index(max(x))
-        excess = fsum([math.expm1(x[j]), *w[:j], *w[j + 1:]])
-        step = (max(math.log1p(excess), 0.0) * (1.0 + excess)
-                / -fsum([wk * lk for wk, lk in zip(w, logs)]))
+        w[j] = expm1(x[j])
+        excess = fsum(w)
+        step = max(math.log1p(excess), 0.0) * (1.0 + excess) / -slope
         s += step
         if step <= _TOL * max(1.0, abs(s)):
             return s

@@ -501,6 +501,8 @@ def test_unit_sum_root_cap_raises(monkeypatch):
     monkeypatch.setattr(roots, "_CAP", 1)
     with pytest.raises(errors.NonConvergence):
         roots.unit_sum_root([math.log(0.5), math.log(0.25)])
+    # one log with no offsets is s = 0, returned before any Newton step
+    monkeypatch.setattr(roots, "_CAP", 0)
     assert roots.unit_sum_root([math.log(0.5)]) == 0.0
 
 

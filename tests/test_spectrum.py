@@ -1,5 +1,8 @@
 import dataclasses
+import functools
+import itertools
 import math
+import operator
 
 import mpmath
 import numpy as np
@@ -276,6 +279,83 @@ def test_spectrum_table_degenerate(make_system):
     assert tab[1].alpha == math.inf and tab[1].dim == 1.0
 
 
+def _sorted_grid(c, n):
+    """The table's abscissae as a sort builds them: the uniform grid over
+    the support (or Case B's [1, alpha_max]) and the distinguished
+    abscissae, deduplicated, a NaN last."""
+    special = [c.alpha_min, c.alpha_hat, c.alpha_max]
+    if spectrum._degenerate(c):
+        special = [c.alpha_hat]
+    elif c.regime is Regime.CASE_B:
+        special[0] = c.alpha0
+    if c.regime is Regime.CASE_B:
+        special.insert(0, 1.0)
+    if len(special) == 1:
+        return special
+    grid = np.linspace(special[0], special[-1], n)
+    return np.unique(np.concatenate([grid, special])).tolist()
+
+
+def _table_alphas(c, n, monkeypatch):
+    """The alphas spectrum_table hands to _solve, without solving them."""
+    seen = []
+
+    def solve(constants, alphas):
+        seen.append(alphas)
+        return [], []
+
+    with monkeypatch.context() as m:
+        m.setattr(spectrum, "_solve", solve)
+        spectrum_table(c, points=n)
+    return seen[0]
+
+
+def test_table_grid_is_the_sorted_grid(make_system, monkeypatch):
+    """The grid with its distinguished abscissae inserted by bisection is
+    the list a sort of both gives, bit for bit, on presets, random systems
+    and constants no system has (a constants file may hold anything): NaN,
+    infinite, signed zero, reversed, collapsed and sub-ulp grids."""
+    cases = [make_system(name)[1] for name in (
+        "riesz-nagy:0.3", "okamoto:0.6", SKEW, "skew-takagi:0.5,1,0.3",
+        "okamoto:0.5", "takagi:1.5")]
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        cases += [compute_constants(system) for system in (
+            random_polygon_system(rng, allow_zero=True),
+            random_two_branch_contractive(rng), tied_ratio_system(rng))]
+    a_case, b_case = make_system("riesz-nagy:0.3")[1], make_system(SKEW)[1]
+    odd = [dataclasses.replace(a_case, alpha_hat=math.nan),
+           dataclasses.replace(b_case, alpha_hat=math.nan),
+           dataclasses.replace(b_case, alpha0=math.nan),
+           dataclasses.replace(a_case, alpha_hat=math.inf),
+           dataclasses.replace(a_case, alpha_hat=-math.inf),
+           dataclasses.replace(b_case, alpha_hat=math.inf),
+           dataclasses.replace(a_case, alpha_max=math.inf),
+           dataclasses.replace(b_case, alpha_max=math.inf),
+           dataclasses.replace(a_case, alpha_hat=2),        # an int in JSON
+           dataclasses.replace(a_case, alpha_min=-0.0),
+           dataclasses.replace(a_case, alpha_min=-1.0, alpha_hat=-0.0),
+           dataclasses.replace(b_case, alpha0=-0.0, alpha_hat=0.0),
+           dataclasses.replace(b_case, alpha0=0.0, alpha_hat=-0.0),
+           dataclasses.replace(make_system("takagi:1.5")[1], alpha_hat=0.0),
+           dataclasses.replace(b_case, alpha_min=0.5, alpha_max=1.0),
+           dataclasses.replace(a_case, alpha_min=1.0, alpha_hat=1.0 + 2e-12,
+                               alpha_max=1.0 + 4e-12)]
+    for c in cases + odd:
+        for n in (2, 7, 201):
+            got = _table_alphas(c, n, monkeypatch)
+            assert list(map(float.hex, got)) == list(map(float.hex, _sorted_grid(c, n)))
+    # a grid finer than the ulp has ties, which the sort removes
+    fine = _table_alphas(odd[-1], 20000, monkeypatch)
+    assert len(fine) < 20000 and fine == _sorted_grid(odd[-1], 20000)
+    for c in odd[:3]:
+        with pytest.raises(errors.OutOfRange, match="nan"):
+            spectrum_table(c, points=7)
+    for c in odd[3:8]:
+        want = spectrum._solve(c, _sorted_grid(c, 7))[0]
+        assert list(spectrum_table(c, points=7)) == want
+
+
 @pytest.mark.parametrize("name", ["takagi:1.5", "skew-takagi:0.5,1,0.3"])
 def test_degenerate_case_b_keeps_its_linear_part(make_system, name):
     """Tied ratios collapse the concave part to the point alpha_hat = alpha0,
@@ -461,21 +541,31 @@ def test_two_branch_rounded_weights_fall_back_to_newton(monkeypatch):
 
 
 def test_solve_rows_are_ordinary_points(make_system):
-    """Rows built by the shared record constructor equal, hash and repr like
-    points the dataclass builds, and dataclasses.replace and asdict work on
-    them."""
-    seen = set()
+    """Rows built in bulk by _points equal, hash and repr like points the
+    dataclass builds, and dataclasses.replace and asdict work on them: the
+    rows of _solve on four presets and of whole tables on random systems,
+    every kind of row among them."""
+    rows = []
     for name in ("riesz-nagy:0.3", "okamoto:0.6", "okamoto:0.5", SKEW):
         _, c = make_system(name)
         alphas = sorted([c.alpha_min - 1.0, c.alpha_min, 1.0, 1.2, c.alpha_hat,
                          0.5 * (c.alpha_hat + c.alpha_max), c.alpha_max])
-        for pt in spectrum._solve(c, alphas)[0]:
-            seen.add(pt.branch)
-            assert assert_ordinary_records(pt) == {spectrum.SpectrumPoint}
-            assert (dataclasses.replace(pt, note="n")
-                    == dataclasses.replace(spectrum.SpectrumPoint(
-                        **dataclasses.asdict(pt)), note="n"))
-    assert seen == {"empty", "endpoint", "linear", "legendre", "degenerate"}
+        rows += spectrum._solve(c, alphas)[0]
+    rng = np.random.default_rng(3)
+    for _ in range(6):
+        for system in (random_polygon_system(rng, allow_zero=True),
+                       random_two_branch_contractive(rng), tied_ratio_system(rng)):
+            rows += spectrum_table(compute_constants(system), points=9)
+    seen = set()
+    for pt in rows:
+        seen.add((pt.branch, pt.note is not None))
+        assert assert_ordinary_records(pt) == {spectrum.SpectrumPoint}
+        assert (dataclasses.replace(pt, note="n")
+                == dataclasses.replace(spectrum.SpectrumPoint(
+                    **dataclasses.asdict(pt)), note="n"))
+    assert seen == {("empty", False), ("endpoint", False), ("linear", False),
+                    ("linear", True), ("legendre", False), ("degenerate", False),
+                    ("infinite", False)}
 
 
 def test_empty_calls_return_at_once(make_system):
@@ -674,6 +764,66 @@ def test_rows_do_not_depend_on_their_companions(seed, r):
         assert (qi[0], bi[0]) == (q[i], b[i])
     qr, br = spectrum._legendre(c, alphas[::-1])
     assert qr[::-1].tobytes() == q.tobytes() and br[::-1].tobytes() == b.tobytes()
+
+
+# For each branch count, three vectors whose sum in order, ((v0 + v1) +
+# v2) + ..., has bits that no other order or grouping of the same terms
+# gives (the test checks this), found by a seeded search over signed
+# values of magnitude 2^-8 to 2.
+_ORDER_PROBES = {
+    3: [(1.1702462715636046, 0.007478611668967157, 0.10001779922294085),
+        (0.27042712811046005, 0.026493330370342315, -0.025100748750539286),
+        (0.005059573459277426, 1.88221727721443, 0.40490195867767353)],
+    4: [(0.007588914838369395, -0.3770892147238847, 0.06734794356978732,
+         0.1344799814573735),
+        (-0.869981614779464, -0.017608241735486016, -1.5291366744832655,
+         -0.2150516637595644),
+        (0.00715110876877966, 0.4810272106613679, 0.015301359546187556,
+         -0.2791690094188689)],
+    5: [(-0.06590452807287919, -0.11567482664677911, -0.616495055878545,
+         0.08096886079037652, -0.004011202218752279),
+        (-0.05575091929975902, 0.9172788387045241, 0.4570068797462121,
+         0.19329610481867174, -0.8179554086335465),
+        (0.0505644850098056, -0.19546313434513862, 0.021448222914041488,
+         -0.015714471432264565, 0.08612066686748876)],
+}
+
+
+def _every_sum(terms):
+    """The sum of terms in every order and grouping, one entry for each:
+    every split into two nonempty parts (the first term in the left one,
+    as a + b = b + a), each part summed every way."""
+    if len(terms) == 1:
+        return [terms[0]]
+    first, rest = terms[0], terms[1:]
+    sums = []
+    for k in range(len(rest)):
+        for pick in itertools.combinations(range(len(rest)), k):
+            left = [first] + [rest[i] for i in pick]
+            right = [t for i, t in enumerate(rest) if i not in pick]
+            sums += [a + b for a in _every_sum(left) for b in _every_sum(right)]
+    return sums
+
+
+def test_add_reduce_adds_the_branches_one_by_one_in_order():
+    """_legendre_newton's sums run np.add.reduce over the branch axis of a
+    C-contiguous (branch, row) array (axis 0) and a (3, branch, row) array
+    (axis 1); a row keeps its bits whatever its companions only if numpy
+    adds the branches one by one, in order, as it does for two or more
+    rows.  The probes make any other order change the bits."""
+    for probes in _ORDER_PROBES.values():
+        in_order = [functools.reduce(operator.add, v) for v in probes]
+        for v, total in zip(probes, in_order):
+            assert _every_sum(list(v)).count(total) == 1
+        for rows in (2, 3, 201):
+            pick = [i % 3 for i in range(rows)]
+            flat = np.ascontiguousarray(np.array([probes[i] for i in pick]).T)
+            assert np.add.reduce(flat, axis=0).tolist() == [in_order[i] for i in pick]
+            planes = np.ascontiguousarray(np.array(
+                [[probes[(i + k) % 3] for i in pick] for k in range(3)]
+            ).transpose(0, 2, 1))
+            assert np.add.reduce(planes, axis=1).tolist() == [
+                [in_order[(i + k) % 3] for i in pick] for k in range(3)]
 
 
 @settings(max_examples=40)
